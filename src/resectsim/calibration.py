@@ -31,7 +31,6 @@ from .sensors import PinholeCamera
 
 CONDITION_LIMIT = 1e12
 MIN_AXIS_LENGTH = 0.5  # mm
-DEFAULT_WORKING_DISTANCE = 56.3  # mm, optics standoff along the beam
 
 
 @dataclass(frozen=True)
@@ -361,73 +360,52 @@ def estimate_camera_extrinsics(camera: PinholeCamera, correspondences,
     focal = np.array([camera.fx, camera.fy])
     center = np.array([camera.cx, camera.cy])
 
-    def residual(r, t):
-        pc = world @ r.T + t
+    # x packs the rotation matrix (row-major) and the translation; steps are
+    # a rotation vector composed on the left plus a translation increment
+    def camera_points(x):
+        return world @ x[:9].reshape(3, 3).T + x[9:]
+
+    def residual(x):
+        pc = camera_points(x)
         z = pc[:, 2]
         proj = pc[:, :2] / z[:, None] * focal + center
-        return (proj - uv).ravel(), pc
+        return (proj - uv).ravel()
 
-    def jacobian(pc):
-        n = len(pc)
-        jac = np.zeros((2 * n, 6))
+    def jacobian(x):
+        pc = camera_points(x)
+        jac = np.zeros((2 * len(pc), 6))
         for i, p in enumerate(pc):
-            x, y, z = p
-            du = np.array([camera.fx / z, 0.0, -camera.fx * x / z**2])
-            dv = np.array([0.0, camera.fy / z, -camera.fy * y / z**2])
-            dp_dw = -_skew(p - t)
+            xc, yc, z = p
+            du = np.array([camera.fx / z, 0.0, -camera.fx * xc / z**2])
+            dv = np.array([0.0, camera.fy / z, -camera.fy * yc / z**2])
+            dp_dw = -_skew(p - x[9:])
             jac[2 * i, 0:3] = du @ dp_dw
             jac[2 * i, 3:6] = du
             jac[2 * i + 1, 0:3] = dv @ dp_dw
             jac[2 * i + 1, 3:6] = dv
         return jac
 
-    f, pc = residual(r, t)
-    cost = float(f @ f)
-    history = [cost]
-    lam = 1e-6
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        jac = jacobian(pc)
-        g = 2.0 * jac.T @ f
-        if np.max(np.abs(g)) <= 1e-12:
-            converged = True
-            break
-        jtj = jac.T @ jac
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(jtj + lam * np.eye(6), -(jac.T @ f))
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            r_trial = _rodrigues(step[0:3]) @ r
-            t_trial = t + step[3:6]
-            f_trial, pc_trial = residual(r_trial, t_trial)
-            cost_trial = float(f_trial @ f_trial)
-            if cost_trial < cost:
-                r, t, f, pc, cost = r_trial, t_trial, f_trial, pc_trial, cost_trial
-                lam = max(lam / 10.0, 1e-15)
-                history.append(cost)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            converged = True
-            break
-        if np.linalg.norm(step) <= 1e-12 * (1.0 + np.linalg.norm(t)):
-            converged = True
-            break
-    if not converged:
+    def retract(x, step):
+        r_new = _rodrigues(step[0:3]) @ x[:9].reshape(3, 3)
+        return np.concatenate([r_new.ravel(), x[9:] + step[3:6]])
+
+    result = levenberg_marquardt(residual, jacobian,
+                                 np.concatenate([r.ravel(), t]),
+                                 max_iter=max_iter, lam0=1e-6,
+                                 retract=retract)
+    if not result.converged:
         raise NonConvergence(
             f"extrinsic refinement did not converge in {max_iter} iterations"
         )
 
     # re-orthonormalize after repeated composition
-    u, _, vt3 = np.linalg.svd(r)
+    u, _, vt3 = np.linalg.svd(result.x[:9].reshape(3, 3))
     r = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt3)]) @ vt3
+    t = result.x[9:]
 
-    f, pc = residual(r, t)
+    x = np.concatenate([r.ravel(), t])
+    pc = camera_points(x)
+    f = residual(x)
     px = np.linalg.norm(f.reshape(-1, 2), axis=1)
     mm = px * pc[:, 2] / float(focal.mean())
     stats = ExtrinsicStats(
@@ -435,8 +413,8 @@ def estimate_camera_extrinsics(camera: PinholeCamera, correspondences,
         rms_px=float(np.sqrt(np.mean(px**2))),
         mm_equivalents=mm,
         rms_mm=float(np.sqrt(np.mean(mm**2))),
-        iterations=iterations,
-        cost_history=tuple(history),
+        iterations=result.iterations,
+        cost_history=tuple(result.cost_history),
     )
     posed = PinholeCamera(camera.fx, camera.fy, camera.cx, camera.cy,
                           r, t, camera.width, camera.height)

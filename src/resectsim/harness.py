@@ -15,6 +15,11 @@ calibrate from exact board data, while the region-tracking runners
 (roi, e2e) use the ground-truth calibration directly, which is what
 "perfect calibration" means for their closed-loop checks.
 
+Stages. Each runner yields its stage names in order, and one loop drives
+all four: a stage's entry in TrialResult.timings runs from the end of the
+previous stage, so it includes that stage's artifact writes, and the
+report is written once, after the last stage that ran.
+
 Region comparisons follow the three-way convention: system = actual vs
 true, algorithm = predicted vs true, calibration = actual vs predicted,
 with edge errors directed from the achieved outline to the reference one.
@@ -62,7 +67,6 @@ from .sensors import (
     OctConfig,
     PinholeCamera,
     ScenePhantom,
-    SpectrumConfig,
     intersect_scene,
     project_points,
     project_world_to_image,
@@ -73,7 +77,6 @@ from .sensors import (
 from .spectra import (
     HEALTHY,
     TUMOR,
-    PreprocessConfig,
     ThresholdClassifier,
     TrainConfig,
     classification_metrics,
@@ -168,10 +171,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown profile '{self.profile}'")
         if self.classifier not in ("threshold", "mlp", "perfect"):
             raise ConfigError(f"unknown classifier '{self.classifier}'")
-        if self.scan_points < 4:
-            raise ConfigError("scan_points must be >= 4")
+        side = int(round(np.sqrt(self.scan_points)))
+        if side < 2 or side * side != self.scan_points:
+            raise ConfigError("scan_points must be a perfect square >= 4")
         if self.uncertain_policy not in (HEALTHY, TUMOR):
             raise ConfigError("uncertain_policy must map to a hard label")
+        try:
+            ScenePhantom.from_dict(self.scene)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid scene: {exc}") from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -207,6 +215,30 @@ class TrialResult:
     artifacts: dict
     report: dict
     timings: dict
+
+
+def _run_stages(stages, cfg: ExperimentConfig, out_dir, report_name: str,
+                through_stage: str | None = None) -> TrialResult:
+    """Drive one runner's stage generator, then write its report once.
+
+    ``stages(cfg, out, result)`` fills ``result.artifacts`` and
+    ``result.report`` and yields each stage's name once the stage and its
+    artifact writes are done. Each stage is timed from the end of the one
+    before it; the run stops after ``through_stage``.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    result = TrialResult({}, {}, {})
+    t0 = time.perf_counter()
+    for stage in stages(cfg, out, result):
+        t1 = time.perf_counter()
+        result.timings[stage] = t1 - t0
+        t0 = t1
+        if stage == through_stage:
+            break
+    result.artifacts["report"] = rio.write_json(out / report_name,
+                                                result.report)
+    return result
 
 
 def _rng(cfg: ExperimentConfig, salt: int):
@@ -255,6 +287,11 @@ def _effective_calibrations(cfg, perfect_when_noiseless: bool):
     return truth, estimated, observations
 
 
+def _write_calibration(out: Path, estimated: LaserCalibration) -> Path:
+    return rio.write_json(out / "laser_calibration.json",
+                          rio.laser_calibration_to_dict(estimated))
+
+
 def _execute_spot(cfg, truth, beta, scene, rng):
     """Where the real beam lands for a commanded waypoint (plus spot noise)."""
     ray = Ray(waypoint_position(truth.frame, truth.alpha, beta), truth.v_w)
@@ -265,18 +302,54 @@ def _execute_spot(cfg, truth, beta, scene, rng):
     return spot
 
 
-def _classify_spectrum(cfg, spectrum, model=None):
+def _execute_plan(cfg, truth, plan, scene, rng) -> np.ndarray:
+    """Where the real beam lands for every waypoint of a plan, in order."""
+    return np.array([
+        _execute_spot(cfg, truth, plan.waypoints[k], scene, rng)
+        for k in range(len(plan))
+    ])
+
+
+def _centred_raster(cfg, scene, estimated):
+    """The commanded scan grid, centred on the scan window centre."""
+    cx, cy = _scan_center(cfg)
+    beta_c = solve_ik(estimated, [cx, cy, float(scene.height(cx, cy))]).beta
+    return raster_pattern(cfg.scan_extent, points=cfg.scan_points,
+                          origin=(beta_c[0] - cfg.scan_extent[0] / 2.0,
+                                  beta_c[1] - cfg.scan_extent[1] / 2.0))
+
+
+def _scan_label(cfg, true_label: str, k: int, model=None):
+    """(label, spectrum) of scan point ``k``.
+
+    The spectrum is synthesized from the true label; the label is the truth
+    itself for the 'perfect' classifier, else the classifier's verdict on
+    that spectrum.
+    """
+    spectrum = synth_spectrum(true_label, seed=cfg.seed * 1_000_000 + k)
+    if cfg.classifier == "perfect":
+        return true_label, spectrum
     if cfg.classifier == "threshold":
         verdict = threshold_classify(PHANTOM_RULE, preprocess(spectrum))
-        return cfg.uncertain_policy if verdict == "uncertain" else verdict
-    if cfg.classifier == "mlp":
-        x = preprocess(spectrum).intensities
-        return TUMOR if mlp_predict(model, x) == 1 else HEALTHY
-    raise ValueError("perfect classifier has no spectrum path")
+        if verdict == "uncertain":
+            verdict = cfg.uncertain_policy
+        return verdict, spectrum
+    x = preprocess(spectrum).intensities
+    return (TUMOR if mlp_predict(model, x) == 1 else HEALTHY), spectrum
+
+
+def _tumor_codes(labels) -> list[int]:
+    return [1 if label == TUMOR else 0 for label in labels]
+
+
+def _classification(labels, true_labels) -> dict:
+    """Binary scan-label metrics with tumor as the positive class."""
+    return classification_metrics(
+        _tumor_codes(labels), _tumor_codes(true_labels)).as_dict()
 
 
 def _train_scan_classifier(cfg):
-    """Seeded corpus + training for the e2e 'mlp' classifier choice."""
+    """Seeded corpus + training for the 'mlp' classifier choice."""
     per_class = cfg.mlp_train_per_class
     rows, labels = [], []
     for c, label in enumerate((HEALTHY, TUMOR)):
@@ -298,13 +371,17 @@ def _train_scan_classifier(cfg):
 
 def run_marker_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
     """Nine fiducials on a 3x3 grid at varied heights; fire and measure."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timings = {}
-    t0 = time.perf_counter()
+    return _run_stages(_marker_stages, cfg, out_dir, "marker_report.json")
+
+
+def _marker_stages(cfg, out, run):
     truth, estimated, observations = _effective_calibrations(
         cfg, perfect_when_noiseless=False)
-    timings["calibrate"] = time.perf_counter() - t0
+    run.artifacts["calibration"] = _write_calibration(out, estimated)
+    if observations:
+        run.artifacts["observations"] = rio.write_spot_observations_csv(
+            out / "calibration_observations.csv", observations)
+    yield "calibrate"
 
     cx, cy = _scan_center(cfg)
     xs = np.linspace(cx - 5.0, cx + 5.0, 3)
@@ -315,11 +392,9 @@ def run_marker_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
             targets.append([x, y, 2.0 + 1.25 * ((i + j) % 3)])
     targets = np.array(targets)
 
-    t0 = time.perf_counter()
     plan = plan_trajectory(estimated, targets)
     rng = _rng(cfg, _SALT_SPOT)
     errors = []
-    actuals = []
     for k in range(len(plan)):
         ray = Ray(waypoint_position(truth.frame, truth.alpha, plan.waypoints[k]),
                   truth.v_w)
@@ -328,12 +403,10 @@ def run_marker_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
         if not cfg.noiseless:
             plane_hit = plane_hit + np.array([
                 *rng.normal(0.0, PROFILES[cfg.profile].spot_sigma, 2), 0.0])
-        actuals.append(plane_hit)
         errors.append(float(np.linalg.norm(plane_hit[:2] - targets[k][:2])))
-    timings["execute"] = time.perf_counter() - t0
 
     mean, std, rmse = summarize(errors)
-    report = {
+    run.report.update({
         "experiment": "marker",
         "profile": cfg.profile,
         "noiseless": cfg.noiseless,
@@ -343,18 +416,10 @@ def run_marker_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
         "std_mm": std,
         "rmse_mm": rmse,
         "calibration_residual_rms_mm": estimated.residual_rms,
-    }
-    artifacts = {
-        "report": rio.write_json(out / "marker_report.json", report),
-        "plan": rio.write_cut_plan_csv(out / "marker_plan.csv", plan),
-        "calibration": rio.write_json(
-            out / "laser_calibration.json",
-            rio.laser_calibration_to_dict(estimated)),
-    }
-    if observations:
-        artifacts["observations"] = rio.write_spot_observations_csv(
-            out / "calibration_observations.csv", observations)
-    return TrialResult(artifacts, report, timings)
+    })
+    run.artifacts["plan"] = rio.write_cut_plan_csv(
+        out / "marker_plan.csv", plan)
+    yield "execute"
 
 
 def s_curve_targets(cfg: ExperimentConfig, scene: ScenePhantom,
@@ -370,30 +435,25 @@ def s_curve_targets(cfg: ExperimentConfig, scene: ScenePhantom,
 
 def run_trajectory_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
     """Trace an S-curve; report nearest-neighbor edge errors to the targets."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timings = {}
+    return _run_stages(_trajectory_stages, cfg, out_dir,
+                       "trajectory_report.json")
+
+
+def _trajectory_stages(cfg, out, run):
     scene = _scene(cfg)
-    t0 = time.perf_counter()
     truth, estimated, _ = _effective_calibrations(
         cfg, perfect_when_noiseless=False)
-    timings["calibrate"] = time.perf_counter() - t0
+    run.artifacts["calibration"] = _write_calibration(out, estimated)
+    yield "calibrate"
 
     targets = s_curve_targets(cfg, scene)
-    t0 = time.perf_counter()
     plan = plan_trajectory(estimated, targets)
-    rng = _rng(cfg, _SALT_SPOT)
-    actuals = np.array([
-        _execute_spot(cfg, truth, plan.waypoints[k], scene, rng)
-        for k in range(len(plan))
-    ])
-    timings["execute"] = time.perf_counter() - t0
-
+    actuals = _execute_plan(cfg, truth, plan, scene, _rng(cfg, _SALT_SPOT))
     errors = [
         nearest_neighbor(a[:2], targets[:, :2])[1] for a in actuals
     ]
     mean, std, rmse = summarize(errors)
-    report = {
+    run.report.update({
         "experiment": "trajectory",
         "profile": cfg.profile,
         "noiseless": cfg.noiseless,
@@ -403,15 +463,10 @@ def run_trajectory_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
         "std_mm": std,
         "rmse_mm": rmse,
         "max_mm": float(np.max(errors)),
-    }
-    artifacts = {
-        "report": rio.write_json(out / "trajectory_report.json", report),
-        "plan": rio.write_cut_plan_csv(out / "trajectory_plan.csv", plan),
-        "calibration": rio.write_json(
-            out / "laser_calibration.json",
-            rio.laser_calibration_to_dict(estimated)),
-    }
-    return TrialResult(artifacts, report, timings)
+    })
+    run.artifacts["plan"] = rio.write_cut_plan_csv(
+        out / "trajectory_plan.csv", plan)
+    yield "execute"
 
 
 def _true_region(scene: ScenePhantom) -> Region2D:
@@ -437,32 +492,25 @@ def _region_reports(true_region, predicted_poly, actual_poly):
 
 def run_roi_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
     """Raster-scan a demarcated region, classify, map, cut, and evaluate."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timings = {}
+    return _run_stages(_roi_stages, cfg, out_dir, "roi_report.json")
+
+
+def _roi_stages(cfg, out, run):
     scene = _scene(cfg)
     true_region = _true_region(scene)
-
-    t0 = time.perf_counter()
     truth, estimated, _ = _effective_calibrations(
         cfg, perfect_when_noiseless=True)
-    timings["calibrate"] = time.perf_counter() - t0
+    run.artifacts["calibration"] = _write_calibration(out, estimated)
+    yield "calibrate"
 
     model = None
     if cfg.classifier == "mlp":
-        t0 = time.perf_counter()
         model, _ = _train_scan_classifier(cfg)
-        timings["train"] = time.perf_counter() - t0
+        yield "train"
 
-    # center the commanded grid on the scan window center
-    cx, cy = _scan_center(cfg)
-    center_target = [cx, cy, float(scene.height(cx, cy))]
-    beta_c = solve_ik(estimated, center_target).beta
-    pattern = raster_pattern(cfg.scan_extent, points=cfg.scan_points,
-                             origin=(beta_c[0] - cfg.scan_extent[0] / 2.0,
-                                     beta_c[1] - cfg.scan_extent[1] / 2.0))
-
-    t0 = time.perf_counter()
+    # spots come from the analytic scene: the planned beam for the map, the
+    # executed one for the ground-truth label
+    pattern = _centred_raster(cfg, scene, estimated)
     rng = _rng(cfg, _SALT_SPOT)
     predicted_spots = []
     labels = []
@@ -475,33 +523,17 @@ def run_roi_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
         measured = _execute_spot(cfg, truth, beta, scene, rng)
         true_label = scene.label_at(measured[0], measured[1])
         true_labels.append(true_label)
-        if cfg.classifier == "perfect":
-            labels.append(true_label)
-        else:
-            spectrum = synth_spectrum(
-                true_label, seed=cfg.seed * 1_000_000 + k)
-            labels.append(_classify_spectrum(cfg, spectrum, model))
-    timings["scan"] = time.perf_counter() - t0
+        labels.append(_scan_label(cfg, true_label, k, model)[0])
+    yield "scan"
 
     tags = build_tumor_tags(predicted_spots, labels)
     boundary = boundary_from_tags(tags)
     region = select_cut_targets(tags, boundary)
     plan = plan_trajectory(estimated, region.targets)
-
-    t0 = time.perf_counter()
-    actual_spots = np.array([
-        _execute_spot(cfg, truth, plan.waypoints[k], scene, rng)
-        for k in range(len(plan))
-    ])
-    timings["execute"] = time.perf_counter() - t0
-
+    actual_spots = _execute_plan(cfg, truth, plan, scene, rng)
     reports = _region_reports(true_region, boundary.vertices,
                               convex_hull(actual_spots[:, :2]))
-    cls = classification_metrics(
-        [1 if l == TUMOR else 0 for l in labels],
-        [1 if l == TUMOR else 0 for l in true_labels],
-    )
-    report = {
+    run.report.update({
         "experiment": "roi",
         "profile": cfg.profile,
         "noiseless": cfg.noiseless,
@@ -509,26 +541,22 @@ def run_roi_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
         "classifier": cfg.classifier,
         "scan_points": cfg.scan_points,
         "step_mm": list(pattern.step),
-        "classification": cls.as_dict(),
+        "classification": _classification(labels, true_labels),
         "regions": {r.kind: r.as_dict() for r in reports},
-    }
-    artifacts = {
-        "report": rio.write_json(out / "roi_report.json", report),
+    })
+    run.artifacts.update({
         "tags": rio.write_ply_cloud(
             out / "roi_tags.ply",
             [t.position for t in tags],
-            label=[1 if t.label == TUMOR else 0 for t in tags]),
+            label=_tumor_codes(t.label for t in tags)),
         "boundary": rio.write_json(
             out / "roi_boundary.json",
             {"vertices": boundary.vertices.tolist(), "shrink": boundary.shrink}),
         "plan": rio.write_cut_plan_csv(out / "roi_plan.csv", plan),
         "ledger": rio.append_region_reports_csv(
             out / "region_ledger.csv", f"roi-seed{cfg.seed}", reports),
-        "calibration": rio.write_json(
-            out / "laser_calibration.json",
-            rio.laser_calibration_to_dict(estimated)),
-    }
-    return TrialResult(artifacts, report, timings)
+    })
+    yield "execute"
 
 
 # ---------------------------------------------------------------------------
@@ -608,24 +636,21 @@ def run_end_to_end(cfg: ExperimentConfig, out_dir,
     """
     if through_stage not in E2E_STAGES:
         raise ConfigError(f"unknown stage '{through_stage}'")
-    last = E2E_STAGES.index(through_stage)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timings = {}
-    artifacts = {}
-    report = {"experiment": "e2e", "seed": cfg.seed, "profile": cfg.profile,
-              "classifier": cfg.classifier, "noiseless": cfg.noiseless}
+    return _run_stages(_e2e_stages, cfg, out_dir, "e2e_report.json",
+                       through_stage)
+
+
+def _e2e_stages(cfg, out, run):
+    artifacts, report = run.artifacts, run.report
+    report.update({"experiment": "e2e", "seed": cfg.seed,
+                   "profile": cfg.profile, "classifier": cfg.classifier,
+                   "noiseless": cfg.noiseless})
     scene = _scene(cfg)
 
-    # --- calibrate ---------------------------------------------------------
-    t0 = time.perf_counter()
     truth, estimated, observations = _effective_calibrations(
         cfg, perfect_when_noiseless=True)
     cameras, cam_stats = _estimate_cameras(cfg, scene)
-    timings["calibrate"] = time.perf_counter() - t0
-    artifacts["laser_calibration"] = rio.write_json(
-        out / "laser_calibration.json",
-        rio.laser_calibration_to_dict(estimated))
+    artifacts["laser_calibration"] = _write_calibration(out, estimated)
     artifacts["camera_extrinsics"] = rio.write_json(
         out / "camera_extrinsics.json", [
             {"rotation": cam.rotation.tolist(),
@@ -638,41 +663,29 @@ def run_end_to_end(cfg: ExperimentConfig, out_dir,
             out / "calibration_observations.csv", observations)
     report["camera_rms_px"] = [st.rms_px for st in cam_stats]
     report["laser_residual_rms"] = estimated.residual_rms
-    if last == 0:
-        artifacts["report"] = rio.write_json(out / "e2e_report.json", report)
-        return TrialResult(artifacts, report, timings)
+    yield "calibrate"
 
-    # --- scan: volume, surface, colorize -----------------------------------
-    t0 = time.perf_counter()
+    # volume, surface, colorize
     oct_cfg = OctConfig(noise_amplitude=cfg.oct_noise)
     volume = render_oct_volume(scene, (0.0, 0.0), oct_cfg,
                                seed=cfg.seed + _SALT_OCT)
     surface = segment_surface(volume)
     image = render_camera_image(scene, cameras[0], oct_cfg)
     colored, in_view = colorize_surface(surface, cameras[0], image)
-    timings["scan"] = time.perf_counter() - t0
     artifacts["volume"], artifacts["volume_sidecar"] = rio.write_oct_volume(
         out / "oct_volume", volume)
     artifacts["surface"] = rio.write_surface_ply(out / "surface.ply", colored)
     report["surface_points"] = int(surface.valid_mask().sum())
-    if last == 1:
-        artifacts["report"] = rio.write_json(out / "e2e_report.json", report)
-        return TrialResult(artifacts, report, timings)
+    yield "scan"
 
-    # --- classify: raster scan with spot estimation ------------------------
-    t0 = time.perf_counter()
+    # raster scan with spot estimation
     model = None
-    history = None
     if cfg.classifier == "mlp":
         model, history = _train_scan_classifier(cfg)
         artifacts["model"] = rio.write_mlp_json(out / "mlp_model.json", model)
         report["mlp_final_loss"] = history[-1]
 
-    cx, cy = _scan_center(cfg)
-    beta_c = solve_ik(estimated, [cx, cy, float(scene.height(cx, cy))]).beta
-    pattern = raster_pattern(cfg.scan_extent, points=cfg.scan_points,
-                             origin=(beta_c[0] - cfg.scan_extent[0] / 2.0,
-                                     beta_c[1] - cfg.scan_extent[1] / 2.0))
+    pattern = _centred_raster(cfg, scene, estimated)
     rng_spot = _rng(cfg, _SALT_SPOT)
     rng_px = _rng(cfg, _SALT_PIXELS)
     locator = SpotLocator(surface, cameras[0], cameras[1],
@@ -703,29 +716,19 @@ def run_end_to_end(cfg: ExperimentConfig, out_dir,
         spots.append(est.fused)
         true_label = scene.label_at(measured[0], measured[1])
         true_labels.append(true_label)
-        spectrum = synth_spectrum(true_label, seed=cfg.seed * 1_000_000 + k)
+        label, spectrum = _scan_label(cfg, true_label, k, model)
+        labels.append(label)
         if wavelengths is None:
             wavelengths = spectrum.wavelengths
         spectra_rows.append(spectrum.intensities)
-        if cfg.classifier == "perfect":
-            labels.append(true_label)
-        else:
-            labels.append(_classify_spectrum(cfg, spectrum, model))
-    timings["classify"] = time.perf_counter() - t0
     report["unmapped_points"] = unmapped
     artifacts["spectra"], artifacts["spectra_sidecar"] = rio.write_spectra_csv(
         out / "scan_spectra", wavelengths, spectra_rows,
         subjects=[f"scan{cfg.seed}"] * len(spectra_rows), labels=labels)
-    cls = classification_metrics(
-        [1 if l == TUMOR else 0 for l in labels],
-        [1 if l == TUMOR else 0 for l in true_labels])
-    report["classification"] = cls.as_dict()
-    if last == 2:
-        artifacts["report"] = rio.write_json(out / "e2e_report.json", report)
-        return TrialResult(artifacts, report, timings)
+    report["classification"] = _classification(labels, true_labels)
+    yield "classify"
 
-    # --- map: tags, boundary ------------------------------------------------
-    t0 = time.perf_counter()
+    # tags, boundary
     colors = []
     valid_idx = np.flatnonzero(colored.valid_mask())
     valid_xy = colored.points[valid_idx][:, :2]
@@ -734,35 +737,23 @@ def run_end_to_end(cfg: ExperimentConfig, out_dir,
         colors.append(tuple(int(c) for c in colored.color[valid_idx[idx]]))
     tags = build_tumor_tags(spots, labels, colors=colors)
     boundary = boundary_from_tags(tags)
-    timings["map"] = time.perf_counter() - t0
     artifacts["tumor_map"] = rio.write_ply_cloud(
         out / "tumor_map.ply", [t.position for t in tags],
         color=[t.color for t in tags],
-        label=[1 if t.label == TUMOR else 0 for t in tags])
+        label=_tumor_codes(t.label for t in tags))
     artifacts["boundary"] = rio.write_json(
         out / "boundary.json",
         {"vertices": boundary.vertices.tolist(), "shrink": boundary.shrink})
-    if last == 3:
-        artifacts["report"] = rio.write_json(out / "e2e_report.json", report)
-        return TrialResult(artifacts, report, timings)
+    yield "map"
 
-    # --- plan ---------------------------------------------------------------
-    t0 = time.perf_counter()
     region = select_cut_targets(tags, boundary)
     plan = plan_trajectory(estimated, region.targets)
-    timings["plan"] = time.perf_counter() - t0
     artifacts["cut_plan"] = rio.write_cut_plan_csv(out / "cut_plan.csv", plan)
     report["cut_targets"] = len(plan)
-    if last == 4:
-        artifacts["report"] = rio.write_json(out / "e2e_report.json", report)
-        return TrialResult(artifacts, report, timings)
+    yield "plan"
 
-    # --- resect: execute the plan, mark the footprint -----------------------
-    t0 = time.perf_counter()
-    actual_spots = np.array([
-        _execute_spot(cfg, truth, plan.waypoints[k], scene, rng_spot)
-        for k in range(len(plan))
-    ])
+    # execute the plan, mark the footprint
+    actual_spots = _execute_plan(cfg, truth, plan, scene, rng_spot)
     radius = cfg.spot_diameter / 2.0
     surf_xy = colored.points[:, :2]
     cut_mask = np.zeros(len(surf_xy), dtype=bool)
@@ -772,24 +763,16 @@ def run_end_to_end(cfg: ExperimentConfig, out_dir,
     post_color[cut_mask] = (120, 120, 120)  # coagulation signature
     post = SurfaceCloud(colored.rows, colored.cols, colored.points,
                         color=post_color, valid=colored.valid)
-    timings["resect"] = time.perf_counter() - t0
     artifacts["actual_spots"] = rio.write_ply_cloud(
         out / "actual_spots.ply", actual_spots)
     artifacts["post_surface"] = rio.write_surface_ply(
         out / "post_resection_surface.ply", post)
     report["resected_cells"] = int(cut_mask.sum())
-    if last == 5:
-        artifacts["report"] = rio.write_json(out / "e2e_report.json", report)
-        return TrialResult(artifacts, report, timings)
+    yield "resect"
 
-    # --- evaluate ------------------------------------------------------------
-    t0 = time.perf_counter()
-    true_region = _true_region(scene)
-    reports = _region_reports(true_region, boundary.vertices,
+    reports = _region_reports(_true_region(scene), boundary.vertices,
                               convex_hull(actual_spots[:, :2]))
-    timings["evaluate"] = time.perf_counter() - t0
     report["regions"] = {r.kind: r.as_dict() for r in reports}
     artifacts["ledger"] = rio.append_region_reports_csv(
         out / "region_ledger.csv", f"e2e-seed{cfg.seed}", reports)
-    artifacts["report"] = rio.write_json(out / "e2e_report.json", report)
-    return TrialResult(artifacts, report, timings)
+    yield "evaluate"

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CollinearTags,
     EmptyRegion,
     LengthMismatch,
     NoCalibration,
@@ -31,131 +30,16 @@ from .geometry import (
     SurfaceCloud,
     TriMesh,
     as_vec3,
+    convex_hull,
     nearest_neighbor,
+    point_in_polygon,
+    polygon_is_simple,
     project_to_plane_z,
     ray_mesh_intersect,
     triangulate_grid,
 )
 from .sensors import PinholeCamera, project_points
 from .spectra import HEALTHY, TUMOR
-
-EDGE_EPS = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# 2D polygon primitives
-# ---------------------------------------------------------------------------
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points) -> np.ndarray:
-    """Monotone-chain convex hull, CCW, collinear boundary points dropped.
-
-    Returns the hull vertices without repeating the first at the end.
-    Raises CollinearTags when the points do not span two dimensions.
-    """
-    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
-    if len(pts) < 3:
-        raise CollinearTags("need at least 3 distinct points")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def half(chain_pts):
-        chain = []
-        for p in chain_pts:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) < 3:
-        raise CollinearTags("all points are collinear")
-    return hull
-
-
-def point_on_segment(p, a, b, eps: float = EDGE_EPS) -> bool:
-    ab = b - a
-    ap = p - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return bool(np.linalg.norm(ap) <= eps)
-    t = np.clip(float(ap @ ab) / denom, 0.0, 1.0)
-    return bool(np.linalg.norm(ap - t * ab) <= eps)
-
-
-def point_in_polygon(point, vertices, include_boundary: bool = True) -> bool:
-    """Even-odd membership test; boundary points count as inside by default."""
-    p = np.asarray(point, dtype=float).reshape(2)
-    verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    n = len(verts)
-    if include_boundary:
-        for i in range(n):
-            if point_on_segment(p, verts[i], verts[(i + 1) % n]):
-                return True
-    inside = False
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        if (y1 > p[1]) != (y2 > p[1]):
-            t = (p[1] - y1) / (y2 - y1)
-            if p[0] < x1 + t * (x2 - x1):
-                inside = not inside
-    return inside
-
-
-def points_in_polygon(points, vertices) -> np.ndarray:
-    """Vectorized even-odd test (no boundary handling) for raster work."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    inside = np.zeros(len(pts), dtype=bool)
-    n = len(verts)
-    x, y = pts[:, 0], pts[:, 1]
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        crosses = (y1 > y) != (y2 > y)
-        if not np.any(crosses):
-            continue
-        t = (y[crosses] - y1) / (y2 - y1)
-        hits = x[crosses] < x1 + t * (x2 - x1)
-        idx = np.flatnonzero(crosses)[hits]
-        inside[idx] = ~inside[idx]
-    return inside
-
-
-def _segments_cross(a, b, c, d) -> bool:
-    """Proper intersection of open segments ab and cd."""
-    d1 = _cross(c, d, a)
-    d2 = _cross(c, d, b)
-    d3 = _cross(a, b, c)
-    d4 = _cross(a, b, d)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def polygon_is_simple(vertices) -> bool:
-    verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = verts[j], verts[(j + 1) % n]
-            if _segments_cross(a, b, c, d):
-                return False
-    return True
-
-
-def polygon_area(vertices) -> float:
-    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +144,13 @@ class SpotLocator:
             self._views.append((uv[visible], visible))
 
     def locate(self, pixel_left, pixel_right, laser_ray: Ray) -> SpotEstimate:
+        """Locate one laser spot on the scanned surface.
+
+        Per-camera estimate: the valid surface point whose projection lands
+        nearest the observed pixel. Ray estimate: beam intersection with the
+        triangulated surface. The fused position is the plain mean of the
+        three.
+        """
         cam_estimates = []
         for (uv, visible), pixel in zip(self._views, (pixel_left, pixel_right)):
             idx, _ = nearest_neighbor(np.asarray(pixel, dtype=float), uv)
@@ -269,20 +160,6 @@ class SpotLocator:
             raise NoRayHit("laser ray misses the surface mesh")
         return SpotEstimate.from_estimates(
             cam_estimates[0], cam_estimates[1], hit[0])
-
-
-def estimate_spot_3d(pixel_left, pixel_right,
-                     camera_left: PinholeCamera, camera_right: PinholeCamera,
-                     surface: SurfaceCloud, laser_ray: Ray,
-                     mesh: TriMesh | None = None) -> SpotEstimate:
-    """Locate one laser spot on the scanned surface.
-
-    Per-camera estimate: the valid surface point whose projection lands
-    nearest the observed pixel. Ray estimate: beam intersection with the
-    triangulated surface. The fused position is the plain mean of the three.
-    """
-    locator = SpotLocator(surface, camera_left, camera_right, mesh=mesh)
-    return locator.locate(pixel_left, pixel_right, laser_ray)
 
 
 def build_tumor_tags(spots, labels, colors=None, spectrum_ids=None):

@@ -1,14 +1,17 @@
 """Damped least-squares solver with analytic Jacobians.
 
-Levenberg-Marquardt with additive parameter updates: steps are accepted only
-when they reduce the sum of squared residuals, so the recorded cost history
-is non-increasing by construction. Tolerances follow the calibration
-contract (gradient and step tolerance 1e-12, at most 200 iterations).
+Levenberg-Marquardt: steps are accepted only when they reduce the sum of
+squared residuals, so the recorded cost history is non-increasing by
+construction. Updates are additive unless the caller supplies a ``retract``
+that maps a tangent step onto its parameter manifold (for rotations, see
+Sola et al., "A micro Lie theory for state estimation in robotics", 2018).
+Tolerances follow the calibration contract (gradient and step tolerance
+1e-12, at most 200 iterations).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +28,13 @@ class LeastSquaresResult:
 
 def levenberg_marquardt(residual, jacobian, x0, max_iter: int = 200,
                         gtol: float = 1e-12, xtol: float = 1e-12,
-                        lam0: float = 1e-3) -> LeastSquaresResult:
+                        lam0: float = 1e-3,
+                        retract=np.add) -> LeastSquaresResult:
     """Minimize sum(residual(x)**2) starting from x0.
 
-    ``residual`` maps (p,) -> (m,), ``jacobian`` maps (p,) -> (m, p).
+    ``residual`` maps (p,) -> (m,), ``jacobian`` maps (p,) -> (m, k) over k
+    step directions, and ``retract(x, step)`` applies a (k,) step to x
+    (default ``x + step``, where k = p).
     Returns the best point found even when tolerances were not reached;
     callers decide whether non-convergence is an error.
     """
@@ -50,11 +56,12 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter: int = 200,
         accepted = False
         for _ in range(60):
             try:
-                step = np.linalg.solve(jtj + lam * np.eye(len(x)), -(j.T @ r))
+                step = np.linalg.solve(jtj + lam * np.eye(j.shape[1]),
+                                       -(j.T @ r))
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            x_trial = x + step
+            x_trial = retract(x, step)
             r_trial = residual(x_trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:

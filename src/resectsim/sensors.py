@@ -13,13 +13,12 @@ calibrated in.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BehindCamera, EmptySurface, WindowOutOfDomain
-from .geometry import LABEL_HEALTHY, LABEL_TUMOR, SurfaceCloud, as_vec3
+from .geometry import SurfaceCloud, as_vec3, point_in_polygon
 from .spectra import HEALTHY, TUMOR, Spectrum
 
 DEFAULT_DOMAIN = (-100.0, -100.0, 100.0, 100.0)
@@ -39,13 +38,29 @@ class ScenePhantom:
       {"label": "tumor", "kind": "polygon", "vertices": [[x, y], ...]}
 
     Albedo maps region labels to reflectivity in [0, 1]; key "default" covers
-    unlabeled surface.
+    unlabeled surface. Unknown kinds, and sphere caps or bumps without a
+    positive size, are rejected on construction.
     """
 
     primitives: tuple
     regions: tuple = ()
     albedo: dict = field(default_factory=lambda: {"default": 0.9})
     domain: tuple = DEFAULT_DOMAIN
+
+    def __post_init__(self):
+        for p in self.primitives:
+            kind = p["kind"]
+            if kind == "sphere_cap":
+                if not (p["radius"] > 0 and p["height"] > 0):
+                    raise ValueError("sphere_cap radius and height must be > 0")
+            elif kind == "gauss_bump":
+                if not p["sigma"] > 0:
+                    raise ValueError("gauss_bump sigma must be > 0")
+            elif kind != "plane":
+                raise ValueError(f"unknown primitive kind: {kind}")
+        for reg in self.regions:
+            if reg["kind"] not in ("disc", "polygon"):
+                raise ValueError(f"unknown region kind: {reg['kind']}")
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ScenePhantom":
@@ -55,11 +70,6 @@ class ScenePhantom:
             albedo=dict(spec.get("albedo", {"default": 0.9})),
             domain=tuple(spec.get("domain", DEFAULT_DOMAIN)),
         )
-
-    @classmethod
-    def from_json(cls, path) -> "ScenePhantom":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
     def height(self, x, y):
         """Surface height (mm) at (x, y); accepts scalars or arrays."""
@@ -77,29 +87,23 @@ class ScenePhantom:
                 d2 = (x - cx) ** 2 + (y - cy) ** 2
                 cap = np.sqrt(np.clip(big_r * big_r - d2, 0.0, None)) - (big_r - h)
                 z = z + np.where(d2 <= r * r, np.clip(cap, 0.0, None), 0.0)
-            elif kind == "gauss_bump":
+            else:  # gauss_bump
                 cx, cy = p["center"]
                 s, h = p["sigma"], p["height"]
                 d2 = (x - cx) ** 2 + (y - cy) ** 2
                 z = z + h * np.exp(-d2 / (2.0 * s * s))
-            else:
-                raise ValueError(f"unknown primitive kind: {kind}")
         return z if z.shape else float(z)
 
     def _region_hits(self, x: float, y: float):
         hit = None
         for reg in self.regions:
-            kind = reg["kind"]
-            if kind == "disc":
+            if reg["kind"] == "disc":
                 cx, cy = reg["center"]
                 if (x - cx) ** 2 + (y - cy) ** 2 <= reg["radius"] ** 2:
                     hit = reg
-            elif kind == "polygon":
-                verts = np.asarray(reg["vertices"], dtype=float)
-                if _point_in_polygon_even_odd(x, y, verts):
-                    hit = reg
-            else:
-                raise ValueError(f"unknown region kind: {kind}")
+            elif point_in_polygon((x, y), reg["vertices"],
+                                  include_boundary=False):
+                hit = reg
         return hit
 
     def label_at(self, x: float, y: float) -> str:
@@ -110,19 +114,6 @@ class ScenePhantom:
         reg = self._region_hits(float(x), float(y))
         key = reg["label"] if reg is not None else "default"
         return float(self.albedo.get(key, self.albedo.get("default", 0.9)))
-
-
-def _point_in_polygon_even_odd(x, y, verts) -> bool:
-    inside = False
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            t = (y - y1) / (y2 - y1)
-            if x < x1 + t * (x2 - x1):
-                inside = not inside
-    return inside
 
 
 @dataclass(frozen=True)
@@ -149,10 +140,6 @@ class OctConfig:
     @property
     def pitch_y(self) -> float:
         return self.extent_y / self.n_bscans
-
-    @property
-    def depth_range(self) -> float:
-        return self.n_axial * self.axial_pitch
 
 
 @dataclass(frozen=True)
@@ -371,11 +358,6 @@ def synth_spectrum(label: str, seed: int,
     if cfg.noise_sigma > 0:
         base = base + rng.normal(0.0, cfg.noise_sigma, size=base.shape)
     return Spectrum(wl, np.clip(base, 0.0, None), state="raw")
-
-
-def label_code(label: str) -> int:
-    """Map string labels to the integer codes used on surface grids."""
-    return LABEL_TUMOR if label == TUMOR else LABEL_HEALTHY
 
 
 def intersect_scene(ray, scene: ScenePhantom, t_max: float = 500.0,

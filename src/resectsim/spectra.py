@@ -13,7 +13,7 @@ only meaningful when no subject contributes to both train and test sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import savgol_filter
@@ -255,12 +255,6 @@ def nll_loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
     return loss, gw, gb
 
 
-def nll_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
-    """Analytic gradients of the mean NLL wrt every weight and bias."""
-    _, gw, gb = nll_loss_and_gradients(model, x, y)
-    return gw, gb
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 150
@@ -362,7 +356,7 @@ def gradient_check(model: MlpModel, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=int)
     if len(x) == 0:
         raise EmptyInput("gradient check needs a nonempty batch")
-    gw, gb = nll_gradients(model, x, y)
+    _, gw, gb = nll_loss_and_gradients(model, x, y)
     pairs = list(zip(model.weights, gw)) + list(zip(model.biases, gb))
     sizes = [a.size for a, _ in pairs]
     total = sum(sizes)

@@ -48,6 +48,23 @@ class TestExitCodes:
         rc = main(["--config", str(path), "--out", str(tmp_path / "o"), "e2e"])
         assert rc == 3
 
+    @pytest.mark.parametrize("command, extra", [
+        (["e2e"], {"scan_points": 50}),
+        (["phantom", "roi"], {"scene": {
+            "primitives": [{"kind": "sphere_cap", "center": [6.3, 6.4],
+                            "radius": 4.0, "height": 0}],
+            "regions": [{"label": "tumor", "kind": "disc",
+                         "center": [6.3, 6.4], "radius": 5.0}]}}),
+    ], ids=["non-square-scan-points", "flat-sphere-cap"])
+    def test_invalid_config_exits_2_before_writing(self, tmp_path, capsys,
+                                                   command, extra):
+        cfg = write_cfg(tmp_path, **extra)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                   *command])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

@@ -56,8 +56,9 @@ class TestConfig:
         assert cfg.scan_points == 64
 
     def test_counts_floor(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(seed=1, scan_points=2)
+        for count in (2, 50):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(seed=1, scan_points=count)
 
 
 class TestProfiles:
@@ -157,11 +158,18 @@ class TestRoi:
             run_roi_experiment(cfg, tmp_path)
 
 
+FULL_RUN_CFG = ExperimentConfig(seed=3, noiseless=True, scan_points=64,
+                                classifier="threshold")
+
+
+@pytest.fixture(scope="class")
+def full_run(tmp_path_factory):
+    return run_end_to_end(FULL_RUN_CFG, tmp_path_factory.mktemp("full"))
+
+
 class TestEndToEnd:
-    def test_noiseless_64_points(self, tmp_path):
-        cfg = ExperimentConfig(seed=3, noiseless=True, scan_points=64,
-                               classifier="threshold")
-        r = run_end_to_end(cfg, tmp_path)
+    def test_noiseless_64_points(self, full_run):
+        r = full_run
         assert r.report["regions"]["algorithm"]["iou"] >= 0.5
         assert r.report["regions"]["calibration"]["iou"] >= 0.999
         expected = {"laser_calibration", "camera_extrinsics", "volume",
@@ -178,14 +186,30 @@ class TestEndToEnd:
         with pytest.raises(TooFewTumorTags):
             run_end_to_end(cfg, tmp_path)
 
-    def test_stage_truncation(self, tmp_path):
-        cfg = ExperimentConfig(seed=3, noiseless=True, scan_points=64)
-        r = run_end_to_end(cfg, tmp_path, through_stage="calibrate")
+    def test_stage_truncation(self, tmp_path, full_run):
+        r = run_end_to_end(FULL_RUN_CFG, tmp_path / "calibrate",
+                           through_stage="calibrate")
         assert "laser_calibration" in r.artifacts
         assert "volume" not in r.artifacts
-        r = run_end_to_end(cfg, tmp_path, through_stage="scan")
+        r = run_end_to_end(FULL_RUN_CFG, tmp_path / "scan",
+                           through_stage="scan")
         assert "volume" in r.artifacts
         assert "tumor_map" not in r.artifacts
+
+        # a truncated run writes a byte-identical prefix of the full run
+        r = run_end_to_end(FULL_RUN_CFG, tmp_path / "plan",
+                           through_stage="plan")
+        assert list(r.timings) == ["calibrate", "scan", "classify", "map",
+                                   "plan"]
+        assert "cut_plan" in r.artifacts
+        assert "actual_spots" not in r.artifacts
+        full_dir = full_run.artifacts["report"].parent
+        for path in (tmp_path / "plan").iterdir():
+            if path.name != "e2e_report.json":
+                assert filecmp.cmp(path, full_dir / path.name,
+                                   shallow=False), path.name
+        assert (list(r.report.items())
+                == list(full_run.report.items())[:len(r.report)])
 
     def test_mlp_classifier_path(self, tmp_path):
         cfg = ExperimentConfig(seed=3, noiseless=True, scan_points=64,

@@ -9,20 +9,22 @@ from resectsim.errors import (
     NoRayHit,
     TooFewTumorTags,
 )
-from resectsim.geometry import Ray
-from resectsim.mapping import (
-    BoundaryPolygon,
-    SpotEstimate,
-    TumorTag,
-    boundary_from_tags,
-    build_tumor_tags,
-    colorize_surface,
+from resectsim.geometry import (
+    Ray,
     convex_hull,
-    estimate_spot_3d,
     point_in_polygon,
     points_in_polygon,
     polygon_area,
     polygon_is_simple,
+)
+from resectsim.mapping import (
+    BoundaryPolygon,
+    SpotEstimate,
+    SpotLocator,
+    TumorTag,
+    boundary_from_tags,
+    build_tumor_tags,
+    colorize_surface,
     select_cut_targets,
 )
 from resectsim.sensors import (
@@ -257,7 +259,7 @@ class TestSpotEstimate:
         pl = project_world_to_image(left, true_spot)
         pr = project_world_to_image(right, true_spot)
         ray = Ray([6.3, 6.4, 50.0], [0.0, 0.0, -1.0])
-        est = estimate_spot_3d(pl, pr, left, right, cloud, ray)
+        est = SpotLocator(cloud, left, right).locate(pl, pr, ray)
         spacing = max(cfg.pitch_x, cfg.pitch_y)
         for e in (est.from_left_camera, est.from_right_camera,
                   est.from_ray_trace, est.fused):
@@ -267,7 +269,7 @@ class TestSpotEstimate:
         cloud, left, right, _ = flat_surface_setup()
         ray = Ray([100.0, 100.0, 50.0], [0.0, 0.0, -1.0])
         with pytest.raises(NoRayHit):
-            estimate_spot_3d([640, 360], [640, 360], left, right, cloud, ray)
+            SpotLocator(cloud, left, right).locate([640, 360], [640, 360], ray)
 
 
 class TestColorize:

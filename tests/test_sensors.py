@@ -24,6 +24,23 @@ def identity_camera(fx=800.0, fy=800.0, cx=640.0, cy=360.0):
     return PinholeCamera(fx, fy, cx, cy, np.eye(3), np.zeros(3))
 
 
+class TestSceneSpec:
+    @pytest.mark.parametrize("primitive, region", [
+        ({"kind": "sphere_cap", "center": [0, 0], "radius": 4.0,
+          "height": 0.0}, None),
+        ({"kind": "sphere_cap", "center": [0, 0], "radius": 0.0,
+          "height": 1.0}, None),
+        ({"kind": "gauss_bump", "center": [0, 0], "sigma": 0.0,
+          "height": 1.0}, None),
+        ({"kind": "cone"}, None),
+        ({"kind": "plane", "z": 3.0}, {"label": "tumor", "kind": "ring"}),
+    ])
+    def test_invalid_spec_rejected_on_construction(self, primitive, region):
+        with pytest.raises(ValueError):
+            ScenePhantom(primitives=(primitive,),
+                         regions=() if region is None else (region,))
+
+
 class TestRender:
     def test_flat_peak_index(self):
         vol = render_oct_volume(FLAT3, (0.0, 0.0), SMALL)
