@@ -287,6 +287,7 @@ class ExtrinsicStats:
     rms_mm: float
     iterations: int
     cost_history: tuple
+    stop: str  # LeastSquaresResult.stop of the pose solve
 
 
 def _skew(v):
@@ -415,6 +416,7 @@ def estimate_camera_extrinsics(camera: PinholeCamera, correspondences,
         rms_mm=float(np.sqrt(np.mean(mm**2))),
         iterations=result.iterations,
         cost_history=tuple(result.cost_history),
+        stop=result.stop,
     )
     posed = PinholeCamera(camera.fx, camera.fy, camera.cx, camera.cy,
                           r, t, camera.width, camera.height)

@@ -18,6 +18,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +150,16 @@ class TriMesh:
         if len(t) and (t.min() < 0 or t.max() >= len(v)):
             raise ValueError("triangle index out of range")
 
+    @cached_property
+    def bounds(self):
+        """Per-triangle xy boxes and the z range of all triangles, built on
+        first use: ``(lo, hi, zmin, zmax)`` with ``lo[0]``/``hi[0]`` the
+        (T,) x bounds and ``lo[1]``/``hi[1]`` the y bounds."""
+        corners = self.vertices[self.triangles].T  # (3 axes, 3 corners, T)
+        return (np.ascontiguousarray(corners[:2].min(axis=1)),
+                np.ascontiguousarray(corners[:2].max(axis=1)),
+                float(corners[2].min()), float(corners[2].max()))
+
 
 def ray_plane_intersect(ray: Ray, plane: PlaneFrame) -> np.ndarray:
     """Intersection of a beam with a virtual plane.
@@ -166,50 +177,54 @@ def ray_plane_intersect(ray: Ray, plane: PlaneFrame) -> np.ndarray:
 def triangulate_grid(surface: SurfaceCloud) -> TriMesh:
     """Split every grid cell into two triangles along the (r,c)-(r+1,c+1) diagonal.
 
-    Cells touching an invalid grid node are skipped, as are zero-area
-    triangles (repeated points). Vertex array is the full grid, so vertex
-    indices match surface point indices.
+    Triangles come row by row, then column by column, with (a, d, e) before
+    (a, e, b) in each cell. Triangles touching an invalid grid node are
+    skipped, as are zero-area triangles (repeated points). Vertex array is
+    the full grid, so vertex indices match surface point indices.
     """
     rows, cols = surface.rows, surface.cols
     if rows < 2 or cols < 2:
         raise GridTooSmall(f"grid is {rows}x{cols}; need at least 2x2")
     pts = surface.points
-    ok = surface.valid_mask()
-
-    tris = []
-    for r in range(rows - 1):
-        for c in range(cols - 1):
-            a = r * cols + c
-            b = r * cols + (c + 1)
-            d = (r + 1) * cols + c
-            e = (r + 1) * cols + (c + 1)
-            for tri in ((a, d, e), (a, e, b)):
-                i, j, k = tri
-                if not (ok[i] and ok[j] and ok[k]):
-                    continue
-                area = 0.5 * np.linalg.norm(
-                    np.cross(pts[j] - pts[i], pts[k] - pts[i])
-                )
-                if area <= DEGENERATE_AREA:
-                    continue
-                tris.append(tri)
-    return TriMesh(pts, np.array(tris, dtype=int).reshape(-1, 3))
+    a = (np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)).ravel()
+    b, d = a + 1, a + cols
+    e = d + 1
+    tris = np.stack([a, d, e, a, e, b], axis=1).reshape(-1, 3)
+    tris = tris[surface.valid_mask()[tris].all(axis=1)]
+    n = np.cross(pts[tris[:, 1]] - pts[tris[:, 0]],
+                 pts[tris[:, 2]] - pts[tris[:, 0]])
+    area = 0.5 * np.sqrt(np.einsum("ij,ij->i", n, n))
+    return TriMesh(pts, tris[~(area <= DEGENERATE_AREA)])
 
 
 def ray_mesh_intersect(ray: Ray, mesh: TriMesh):
     """Nearest positive-parameter ray/triangle hit, or None.
 
-    Vectorized Moller-Trumbore over all triangles; ties on the ray parameter
-    break to the lowest triangle index. Equivalent to brute force because
-    every triangle is tested.
+    Moller-Trumbore ("Fast, Minimum Storage Ray-Triangle Intersection",
+    1997), vectorized over the candidate triangles in ascending index order;
+    ties on the ray parameter break to the lowest triangle index. Candidates
+    are the triangles whose xy bounding box overlaps the xy shadow of the
+    ray's part inside the mesh's z range (padded by 1e-9 relative), since no
+    other triangle can hold a hit. A ray with |d_z| <= 1e-12 has no bounded
+    shadow and tests every triangle.
     """
-    tris = mesh.triangles
-    if len(tris) == 0:
+    if len(mesh.triangles) == 0:
         return None
+    d = ray.direction
+    cand = np.arange(len(mesh.triangles))
+    if abs(d[2]) > 1e-12:
+        lo, hi, zmin, zmax = mesh.bounds
+        # ray parameters where it crosses the slab's faces, clipped to t >= 0
+        t = np.maximum((np.array([zmin, zmax]) - ray.origin[2]) / d[2], 0.0)
+        seg = ray.origin[:2] + t[:, None] * d[:2]
+        pad = 1e-9 * (1.0 + float(np.max(np.abs(seg))))
+        s_lo, s_hi = seg.min(axis=0) - pad, seg.max(axis=0) + pad
+        cand = np.flatnonzero((lo[0] <= s_hi[0]) & (hi[0] >= s_lo[0])
+                              & (lo[1] <= s_hi[1]) & (hi[1] >= s_lo[1]))
+    tris = mesh.triangles[cand]
     v0 = mesh.vertices[tris[:, 0]]
     e1 = mesh.vertices[tris[:, 1]] - v0
     e2 = mesh.vertices[tris[:, 2]] - v0
-    d = ray.direction
     p = np.cross(np.broadcast_to(d, e2.shape), e2)
     det = np.einsum("ij,ij->i", e1, p)
     usable = np.abs(det) > 1e-12
@@ -224,7 +239,7 @@ def ray_mesh_intersect(ray: Ray, mesh: TriMesh):
         return None
     t_masked = np.where(hit, t, np.inf)
     idx = int(np.argmin(t_masked))
-    return ray.at(float(t[idx])), idx
+    return ray.at(float(t[idx])), int(cand[idx])
 
 
 def nearest_neighbor(query, cloud) -> tuple[int, float]:

@@ -176,6 +176,17 @@ class ExperimentConfig:
             raise ConfigError("scan_points must be a perfect square >= 4")
         if self.uncertain_policy not in (HEALTHY, TUMOR):
             raise ConfigError("uncertain_policy must map to a hard label")
+        if not (len(self.scan_extent) == 2
+                and all(e > 0 for e in self.scan_extent)):
+            raise ConfigError("scan_extent must be two positive lengths")
+        if not self.spot_diameter > 0:
+            raise ConfigError("spot_diameter must be positive")
+        if self.mlp_epochs < 1 or self.mlp_train_per_class < 1:
+            raise ConfigError("mlp_epochs and mlp_train_per_class must be >= 1")
+        try:
+            OctConfig(noise_amplitude=self.oct_noise)
+        except ValueError as exc:
+            raise ConfigError(f"invalid oct_noise: {exc}") from exc
         try:
             ScenePhantom.from_dict(self.scene)
         except (KeyError, TypeError, ValueError) as exc:
@@ -190,9 +201,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
-        if "scan_extent" in d:
-            d["scan_extent"] = tuple(d["scan_extent"])
         try:
+            if "scan_extent" in d:
+                d["scan_extent"] = tuple(d["scan_extent"])
             return cls(**d)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc

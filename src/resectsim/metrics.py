@@ -101,32 +101,42 @@ def rasterize_pair(a: Region2D, b: Region2D, pitch: float = DEFAULT_PITCH):
             _raster_on(b, lo[0], lo[1], nx, ny, pitch))
 
 
-def region_iou(a: Region2D, b: Region2D, pitch: float = DEFAULT_PITCH) -> float:
-    ma, mb = rasterize_pair(a, b, pitch)
+def _iou(ma: np.ndarray, mb: np.ndarray) -> float:
     union = int(np.sum(ma | mb))
     if union == 0:
         raise EmptyUnion("both regions rasterize to nothing")
     return float(np.sum(ma & mb)) / union
 
 
-def undercut_ratio(true_r: Region2D, actual_r: Region2D,
-                   pitch: float = DEFAULT_PITCH) -> float:
-    """Fraction of the reference region that was not covered."""
-    mt, ma = rasterize_pair(true_r, actual_r, pitch)
+def _true_area(mt: np.ndarray) -> int:
     t_area = int(mt.sum())
     if t_area == 0:
         raise EmptyTrueRegion("reference region rasterizes to nothing")
-    return float(np.sum(mt & ~ma)) / t_area
+    return t_area
+
+
+def _undercut(mt: np.ndarray, ma: np.ndarray) -> float:
+    return float(np.sum(mt & ~ma)) / _true_area(mt)
+
+
+def _overcut(mt: np.ndarray, ma: np.ndarray) -> float:
+    return float(np.sum(ma & ~mt)) / _true_area(mt)
+
+
+def region_iou(a: Region2D, b: Region2D, pitch: float = DEFAULT_PITCH) -> float:
+    return _iou(*rasterize_pair(a, b, pitch))
+
+
+def undercut_ratio(true_r: Region2D, actual_r: Region2D,
+                   pitch: float = DEFAULT_PITCH) -> float:
+    """Fraction of the reference region that was not covered."""
+    return _undercut(*rasterize_pair(true_r, actual_r, pitch))
 
 
 def overcut_ratio(true_r: Region2D, actual_r: Region2D,
                   pitch: float = DEFAULT_PITCH) -> float:
     """Area covered outside the reference region, over the reference area."""
-    mt, ma = rasterize_pair(true_r, actual_r, pitch)
-    t_area = int(mt.sum())
-    if t_area == 0:
-        raise EmptyTrueRegion("reference region rasterizes to nothing")
-    return float(np.sum(ma & ~mt)) / t_area
+    return _overcut(*rasterize_pair(true_r, actual_r, pitch))
 
 
 def sample_polygon_boundary(vertices, spacing: float = 0.05) -> np.ndarray:
@@ -244,11 +254,12 @@ def compare_regions(kind: str, reference: Region2D, achieved: Region2D,
         sample_polygon_boundary(dst.polygon, boundary_spacing),
     )
     mean, std, rmse = summarize(errs)
+    m_ref, m_ach = rasterize_pair(reference, achieved, pitch)
     return RegionReport(
         kind=kind,
         edge_errors=tuple(float(e) for e in errs),
         mean=mean, std=std, rmse=rmse,
-        iou=region_iou(reference, achieved, pitch),
-        undercut=undercut_ratio(reference, achieved, pitch),
-        overcut=overcut_ratio(reference, achieved, pitch),
+        iou=_iou(m_ref, m_ach),
+        undercut=_undercut(m_ref, m_ach),
+        overcut=_overcut(m_ref, m_ach),
     )

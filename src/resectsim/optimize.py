@@ -24,6 +24,7 @@ class LeastSquaresResult:
     iterations: int
     converged: bool
     jacobian: np.ndarray
+    stop: str  # "gradient" | "step" | "no_descent" | "max_iter"
 
 
 def levenberg_marquardt(residual, jacobian, x0, max_iter: int = 200,
@@ -36,21 +37,23 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter: int = 200,
     step directions, and ``retract(x, step)`` applies a (k,) step to x
     (default ``x + step``, where k = p).
     Returns the best point found even when tolerances were not reached;
-    callers decide whether non-convergence is an error.
+    callers decide whether non-convergence is an error. ``stop`` names the
+    exit: gradient or step tolerance met, no descent step at maximum damping
+    (still reported as converged), or the iteration limit.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = residual(x)
     cost = float(r @ r)
     history = [cost]
     lam = lam0
-    converged = False
+    stop = "max_iter"
     j = jacobian(x)
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
         g = 2.0 * j.T @ r
         if np.max(np.abs(g)) <= gtol:
-            converged = True
+            stop = "gradient"
             break
         jtj = j.T @ j
         accepted = False
@@ -72,11 +75,12 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter: int = 200,
                 break
             lam *= 10.0
         if not accepted:
-            converged = True  # no descent step exists at damping limit
+            stop = "no_descent"
             break
         j = jacobian(x)
         if np.linalg.norm(step) <= xtol * (1.0 + np.linalg.norm(x)):
-            converged = True
+            stop = "step"
             break
 
-    return LeastSquaresResult(x, cost, history, iterations, converged, j)
+    return LeastSquaresResult(x, cost, history, iterations,
+                              stop != "max_iter", j, stop)

@@ -238,6 +238,9 @@ class TestCameraExtrinsics:
         _, stats = estimate_camera_extrinsics(self.intrinsics_only(), corr)
         hist = np.array(stats.cost_history)
         assert np.all(np.diff(hist) <= 0)
+        # only the step-tolerance exit ends right after an accepted step
+        assert stats.stop in ("gradient", "step", "no_descent")
+        assert (stats.stop == "step") == (stats.iterations == len(hist) - 1)
 
     def test_mm_equivalents_scale(self):
         cam = true_camera()

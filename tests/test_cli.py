@@ -55,7 +55,15 @@ class TestExitCodes:
                             "radius": 4.0, "height": 0}],
             "regions": [{"label": "tumor", "kind": "disc",
                          "center": [6.3, 6.4], "radius": 5.0}]}}),
-    ], ids=["non-square-scan-points", "flat-sphere-cap"])
+        (["e2e"], {"oct_noise": 0.25, "scan_points": 16}),
+        (["e2e"], {"mlp_epochs": 0}),
+        (["e2e"], {"mlp_train_per_class": 0}),
+        (["phantom", "roi"], {"spot_diameter": 0.0}),
+        (["e2e"], {"scan_extent": [13.0, -1.0]}),
+        (["e2e"], {"scan_extent": 13.0}),
+    ], ids=["non-square-scan-points", "flat-sphere-cap", "oct-noise-too-high",
+            "zero-mlp-epochs", "zero-mlp-train-per-class", "zero-spot-diameter",
+            "negative-scan-extent", "scalar-scan-extent"])
     def test_invalid_config_exits_2_before_writing(self, tmp_path, capsys,
                                                    command, extra):
         cfg = write_cfg(tmp_path, **extra)

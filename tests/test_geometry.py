@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resectsim.errors import EmptyCloud, GridTooSmall, ParallelRay
 from resectsim.geometry import (
+    DEGENERATE_AREA,
     PlaneFrame,
     Ray,
     ReferenceFrame,
@@ -40,6 +43,171 @@ def brute_force_hit(ray, mesh):
     if best is None:
         return None
     return ray.at(best[0]), best[1]
+
+
+def loop_triangulate_grid(surface):
+    """Oracle: the per-cell loop, one cross product per triangle."""
+    rows, cols = surface.rows, surface.cols
+    pts = surface.points
+    ok = surface.valid_mask()
+    tris = []
+    for r in range(rows - 1):
+        for c in range(cols - 1):
+            a = r * cols + c
+            b = r * cols + (c + 1)
+            d = (r + 1) * cols + c
+            e = (r + 1) * cols + (c + 1)
+            for tri in ((a, d, e), (a, e, b)):
+                i, j, k = tri
+                if not (ok[i] and ok[j] and ok[k]):
+                    continue
+                area = 0.5 * np.linalg.norm(
+                    np.cross(pts[j] - pts[i], pts[k] - pts[i])
+                )
+                if area <= DEGENERATE_AREA:
+                    continue
+                tris.append(tri)
+    return TriMesh(pts, np.array(tris, dtype=int).reshape(-1, 3))
+
+
+def all_triangle_ray_mesh_intersect(ray, mesh):
+    """Oracle: the same Moller-Trumbore arithmetic over every triangle."""
+    tris = mesh.triangles
+    if len(tris) == 0:
+        return None
+    v0 = mesh.vertices[tris[:, 0]]
+    e1 = mesh.vertices[tris[:, 1]] - v0
+    e2 = mesh.vertices[tris[:, 2]] - v0
+    d = ray.direction
+    p = np.cross(np.broadcast_to(d, e2.shape), e2)
+    det = np.einsum("ij,ij->i", e1, p)
+    usable = np.abs(det) > 1e-12
+    inv_det = np.where(usable, 1.0 / np.where(usable, det, 1.0), 0.0)
+    tvec = ray.origin - v0
+    u = np.einsum("ij,ij->i", tvec, p) * inv_det
+    q = np.cross(tvec, e1)
+    v = np.einsum("j,ij->i", d, q) * inv_det
+    t = np.einsum("ij,ij->i", e2, q) * inv_det
+    hit = usable & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 1e-12)
+    if not np.any(hit):
+        return None
+    t_masked = np.where(hit, t, np.inf)
+    idx = int(np.argmin(t_masked))
+    return ray.at(float(t[idx])), idx
+
+
+def assert_same_hit(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[1] == want[1]
+        assert got[0].tobytes() == want[0].tobytes()
+
+
+@st.composite
+def grid_surfaces(draw):
+    """Small grids: flat, stepped or random relief, some invalid nodes and
+    some points repeated onto a neighbor (zero-area triangles)."""
+    rows = draw(st.integers(2, 12))
+    cols = draw(st.integers(2, 12))
+    pitch = draw(st.sampled_from([0.05, 0.7, 1.0]))
+    relief = draw(st.sampled_from(["flat", "steps", "random"]))
+    invalid_share = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    repeats = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = rows * cols
+    y, x = np.mgrid[0:rows, 0:cols] * pitch
+    z = {"flat": np.full(n, 1.5),
+         "steps": 0.5 * rng.integers(0, 3, n),
+         "random": rng.uniform(-2.0, 2.0, n)}[relief]
+    pts = np.column_stack([x.ravel(), y.ravel(), z])
+    for _ in range(repeats):
+        i = int(rng.integers(0, n))
+        j = min(i + int(rng.choice([1, cols, cols + 1])), n - 1)
+        pts[j] = pts[i]
+    return SurfaceCloud(rows, cols, pts, valid=rng.random(n) >= invalid_share)
+
+
+RAY_KINDS = ("vertex", "edge", "tilted", "upward", "inside", "horizontal",
+             "dz_1e-13", "dz_1e-11")
+
+
+@st.composite
+def rays_at(draw, mesh):
+    """Rays aimed at a mesh: exactly vertical through a vertex or the middle
+    of a triangle edge, tilted down, upward from below, from inside the z
+    range, horizontal, and with |d_z| just under and over 1e-12."""
+    kind = draw(st.sampled_from(RAY_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = mesh.vertices
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    sign = rng.choice([-1.0, 1.0])
+
+    def xy():
+        return rng.uniform(lo[:2] - 1.0, hi[:2] + 1.0)
+
+    if kind == "edge" and len(mesh.triangles):
+        tri = mesh.triangles[rng.integers(len(mesh.triangles))]
+        i, j = rng.choice(tri, 2, replace=False)
+        p = (v[i] + v[j]) / 2.0
+        return Ray([p[0], p[1], hi[2] + 5.0], [0.0, 0.0, -1.0])
+    if kind in ("vertex", "edge"):
+        p = v[rng.integers(len(v))]
+        return Ray([p[0], p[1], hi[2] + 5.0], [0.0, 0.0, -1.0])
+    if kind == "tilted":
+        origin = [*xy(), hi[2] + rng.uniform(0.5, 10.0)]
+        return Ray(origin, [*xy(), lo[2] - 1.0] - np.asarray(origin))
+    if kind == "upward":
+        origin = [*xy(), lo[2] - rng.uniform(0.5, 5.0)]
+        return Ray(origin, [*xy(), hi[2] + 1.0] - np.asarray(origin))
+    origin = [*xy(), rng.uniform(lo[2], hi[2])]
+    if kind == "inside":
+        return Ray(origin, rng.normal(size=3))
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    dz = {"horizontal": 0.0, "dz_1e-13": 1e-13, "dz_1e-11": 1e-11}[kind]
+    return Ray(origin, [np.cos(angle), np.sin(angle), sign * dz])
+
+
+class TestFastKernelsMatchOracles:
+    @given(grid_surfaces())
+    def test_triangulation(self, surface):
+        got = triangulate_grid(surface)
+        want = loop_triangulate_grid(surface)
+        assert got.triangles.dtype == want.triangles.dtype
+        assert got.triangles.shape == want.triangles.shape
+        assert np.array_equal(got.triangles, want.triangles)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+
+    @settings(max_examples=150)
+    @given(grid_surfaces(), st.data())
+    def test_ray_trace(self, surface, data):
+        mesh = triangulate_grid(surface)
+        for _ in range(8):
+            ray = data.draw(rays_at(mesh))
+            assert_same_hit(ray_mesh_intersect(ray, mesh),
+                            all_triangle_ray_mesh_intersect(ray, mesh))
+
+    def test_flat_grid_vertices_and_edges(self):
+        # every vertex and every edge midpoint, where hits tie between
+        # triangles and the lowest index must win
+        mesh = triangulate_grid(grid_cloud(lambda x, y: 2.0, 6, 6, 0.7))
+        v = mesh.vertices
+        edges = {tuple(sorted((int(t[i]), int(t[(i + 1) % 3]))))
+                 for t in mesh.triangles for i in range(3)}
+        targets = [p for p in v] + [(v[i] + v[j]) / 2.0 for i, j in edges]
+        hits = 0
+        for p in targets:
+            for origin, direction in (
+                    ([p[0], p[1], 9.0], [0.0, 0.0, -1.0]),
+                    ([p[0], p[1], -3.0], [0.0, 0.0, 1.0]),
+                    ([p[0] - 4.0, p[1] + 1.0, 9.0], [4.0, -1.0, -7.0]),
+                    ([p[0] - 1.0, p[1], 2.0], [1.0, 0.0, 0.0])):
+                ray = Ray(origin, direction)
+                want = all_triangle_ray_mesh_intersect(ray, mesh)
+                assert_same_hit(ray_mesh_intersect(ray, mesh), want)
+                hits += want is not None
+        assert hits > 2 * len(targets)
 
 
 class TestRayPlane:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resectsim.errors import (
     DegenerateSamples,
@@ -208,3 +210,30 @@ class TestCompareRegions:
         assert 0 < rep.iou < 1
         assert rep.undercut > 0
         assert rep.mean <= 0.2 + 1e-9
+
+    def test_empty_union_reported_before_empty_reference(self):
+        speck = Region2D.from_polygon([(0, 0), (1e-4, 0), (0, 1e-4)])
+        with pytest.raises(EmptyUnion):
+            compare_regions("system", speck, speck)
+        with pytest.raises(EmptyTrueRegion):
+            compare_regions("system", speck, square())
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_ratios_equal_public_functions(self, seed):
+        # star-shaped polygons around nearby centres: overlapping, nested
+        # or disjoint, each rasterized once by compare_regions
+        rng = np.random.default_rng(seed)
+
+        def star():
+            n = int(rng.integers(3, 12))
+            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            r = rng.uniform(0.2, 1.5, n)
+            c = rng.uniform(-1.0, 1.0, 2)
+            return Region2D.from_polygon(
+                c + np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
+
+        ref, ach = star(), star()
+        rep = compare_regions("system", ref, ach, pitch=0.05)
+        assert rep.iou == region_iou(ref, ach, 0.05)
+        assert rep.undercut == undercut_ratio(ref, ach, 0.05)
+        assert rep.overcut == overcut_ratio(ref, ach, 0.05)
