@@ -12,6 +12,10 @@ slow scan axis (y) and columns along the fast axis (x). Grid triangulation
 uses the fixed (r, c) to (r+1, c+1) diagonal so ray-trace results are
 deterministic.
 
+2D polygons are (n, 2) vertex arrays, closed implicitly. ``points_in_polygon``
+is the one membership kernel: the even-odd crossing rule over an array of
+points (Hormann & Agathos, CGTA 20, 2001).
+
 All types are immutable after construction and all operations are pure.
 """
 
@@ -301,38 +305,9 @@ def convex_hull(points) -> np.ndarray:
     return hull
 
 
-def point_on_segment(p, a, b, eps: float = EDGE_EPS) -> bool:
-    ab = b - a
-    ap = p - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return bool(np.linalg.norm(ap) <= eps)
-    t = np.clip(float(ap @ ab) / denom, 0.0, 1.0)
-    return bool(np.linalg.norm(ap - t * ab) <= eps)
-
-
-def point_in_polygon(point, vertices, include_boundary: bool = True) -> bool:
-    """Even-odd membership test; boundary points count as inside by default."""
-    p = np.asarray(point, dtype=float).reshape(2)
-    verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    n = len(verts)
-    if include_boundary:
-        for i in range(n):
-            if point_on_segment(p, verts[i], verts[(i + 1) % n]):
-                return True
-    inside = False
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        if (y1 > p[1]) != (y2 > p[1]):
-            t = (p[1] - y1) / (y2 - y1)
-            if p[0] < x1 + t * (x2 - x1):
-                inside = not inside
-    return inside
-
-
-def points_in_polygon(points, vertices) -> np.ndarray:
-    """Vectorized even-odd test (no boundary handling) for raster work."""
+def points_in_polygon(points, vertices, include_boundary=False) -> np.ndarray:
+    """Even-odd membership of each point, (N,) bool; with ``include_boundary``
+    points within ``EDGE_EPS`` of an edge count as inside too."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
     inside = np.zeros(len(pts), dtype=bool)
@@ -348,6 +323,15 @@ def points_in_polygon(points, vertices) -> np.ndarray:
         hits = x[crosses] < x1 + t * (x2 - x1)
         idx = np.flatnonzero(crosses)[hits]
         inside[idx] = ~inside[idx]
+    if include_boundary:
+        for i in range(n):
+            ab = verts[(i + 1) % n] - verts[i]
+            ap = pts - verts[i]
+            denom = ab[0] * ab[0] + ab[1] * ab[1]
+            t = 0.0 if denom == 0.0 else np.clip(
+                (ap[:, 0] * ab[0] + ap[:, 1] * ab[1]) / denom, 0.0, 1.0)
+            dx, dy = ap[:, 0] - t * ab[0], ap[:, 1] - t * ab[1]
+            inside |= np.sqrt(dx * dx + dy * dy) <= EDGE_EPS
     return inside
 
 

@@ -630,10 +630,10 @@ def render_camera_image(scene: ScenePhantom, camera: PinholeCamera,
     rows = np.round(uv[:, 1]).astype(np.int64, copy=False)
     ok = in_front & (cols >= 0) & (cols < camera.width) & \
         (rows >= 0) & (rows < camera.height)
-    colors = np.array([
-        REGION_COLORS[scene.label_at(p[0], p[1])] for p in pts[ok]
-    ], dtype=np.uint8)
-    img[rows[ok], cols[ok]] = colors
+    names, inverse = np.unique(scene.label_at(pts[ok, 0], pts[ok, 1]),
+                               return_inverse=True)
+    palette = np.array([REGION_COLORS[n] for n in names], dtype=np.uint8)
+    img[rows[ok], cols[ok]] = palette[inverse]
     return img
 
 

@@ -318,8 +318,8 @@ def append_region_reports_csv(path, trial: str, reports) -> Path:
     return path
 
 
-def write_surface_ply(path, cloud: SurfaceCloud, only_valid: bool = True) -> Path:
-    mask = cloud.valid_mask() if only_valid else np.ones(len(cloud.points), bool)
+def write_surface_ply(path, cloud: SurfaceCloud) -> Path:
+    mask = cloud.valid_mask()
     color = cloud.color[mask] if cloud.color is not None else None
     label = cloud.label[mask] if cloud.label is not None else None
     return write_ply_cloud(path, cloud.points[mask], color, label)

@@ -32,7 +32,7 @@ from .geometry import (
     as_vec3,
     convex_hull,
     nearest_neighbor,
-    point_in_polygon,
+    points_in_polygon,
     polygon_is_simple,
     project_to_plane_z,
     ray_mesh_intersect,
@@ -41,6 +41,7 @@ from .geometry import (
 from .sensors import PinholeCamera, project_points
 from .spectra import HEALTHY, TUMOR
 
+OUT_OF_VIEW_COLOR = (0, 0, 0)  # surface points the camera does not see
 
 # ---------------------------------------------------------------------------
 # Tags and boundary
@@ -246,23 +247,21 @@ def boundary_from_tags(tags, shrink: float = 0.0) -> BoundaryPolygon:
 
 
 def select_cut_targets(tags, boundary: BoundaryPolygon) -> CutRegion:
-    """Tags whose projection falls inside or on the boundary, in scan order."""
-    members = []
-    for k, t in enumerate(tags):
-        if point_in_polygon(t.position[:2], boundary.vertices):
-            members.append(k)
-    if not members:
+    """Tags whose xy projection falls inside the boundary or within
+    ``EDGE_EPS`` of an edge (hull vertices included), in scan order."""
+    positions = np.array([t.position for t in tags], dtype=float).reshape(-1, 3)
+    members = np.flatnonzero(points_in_polygon(
+        positions[:, :2], boundary.vertices, include_boundary=True))
+    if not len(members):
         raise EmptyRegion("no tag projects inside the boundary")
-    targets = np.array([tags[k].position for k in members])
-    return CutRegion(tuple(members), boundary, targets)
+    return CutRegion(tuple(members.tolist()), boundary, positions[members])
 
 
-def colorize_surface(surface: SurfaceCloud, camera: PinholeCamera, image,
-                     sentinel=(0, 0, 0)):
+def colorize_surface(surface: SurfaceCloud, camera: PinholeCamera, image):
     """Attach per-point colors by nearest-pixel lookup.
 
     Returns (cloud_with_color, in_view) where in_view marks points that
-    projected inside the image; the rest carry the sentinel color.
+    projected inside the image; the rest carry ``OUT_OF_VIEW_COLOR``.
     """
     if camera is None:
         raise NoCalibration("colorize_surface needs a calibrated camera")
@@ -271,7 +270,7 @@ def colorize_surface(surface: SurfaceCloud, camera: PinholeCamera, image,
         raise ValueError("image must be (H, W, 3)")
     h, w = img.shape[:2]
     uv, in_front = project_points(camera, surface.points)
-    color = np.tile(np.asarray(sentinel, dtype=np.uint8), (len(surface.points), 1))
+    color = np.tile(np.asarray(OUT_OF_VIEW_COLOR, dtype=np.uint8), (len(surface.points), 1))
     in_view = np.zeros(len(surface.points), dtype=bool)
     ok = in_front & surface.valid_mask()
     cols = np.round(uv[ok, 0]).astype(int)

@@ -30,6 +30,7 @@ from .errors import (
 from .geometry import points_in_polygon
 
 DEFAULT_PITCH = 0.02  # mm
+BOUNDARY_SPACING = 0.05  # mm between edge-error samples
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,8 @@ def overcut_ratio(true_r: Region2D, actual_r: Region2D,
     return _overcut(*rasterize_pair(true_r, actual_r, pitch))
 
 
-def sample_polygon_boundary(vertices, spacing: float = 0.05) -> np.ndarray:
+def sample_polygon_boundary(vertices,
+                            spacing: float = BOUNDARY_SPACING) -> np.ndarray:
     """Points along the polygon outline at most ``spacing`` apart."""
     v = np.asarray(vertices, dtype=float).reshape(-1, 2)
     out = []
@@ -235,23 +237,17 @@ class RegionReport:
 
 
 def compare_regions(kind: str, reference: Region2D, achieved: Region2D,
-                    edge_direction: tuple = None,
-                    pitch: float = DEFAULT_PITCH,
-                    boundary_spacing: float = 0.05) -> RegionReport:
+                    pitch: float = DEFAULT_PITCH) -> RegionReport:
     """Full comparison: directional edge error plus IoU/undercut/overcut.
 
-    ``edge_direction`` optionally overrides the boundary pair (from, to);
-    by default errors run from the achieved outline to the reference one.
+    Edge errors run from the achieved outline, sampled every
+    ``BOUNDARY_SPACING`` mm, to the reference one.
     """
-    if edge_direction is None:
-        src, dst = achieved, reference
-    else:
-        src, dst = edge_direction
-    if src.polygon is None or dst.polygon is None:
+    if reference.polygon is None or achieved.polygon is None:
         raise ValueError("edge error needs polygon regions")
     errs, rmse = edge_error(
-        sample_polygon_boundary(src.polygon, boundary_spacing),
-        sample_polygon_boundary(dst.polygon, boundary_spacing),
+        sample_polygon_boundary(achieved.polygon, BOUNDARY_SPACING),
+        sample_polygon_boundary(reference.polygon, BOUNDARY_SPACING),
     )
     mean, std, rmse = summarize(errs)
     m_ref, m_ach = rasterize_pair(reference, achieved, pitch)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCamera, EmptySurface, WindowOutOfDomain
-from .geometry import SurfaceCloud, as_vec3, point_in_polygon
+from .errors import BehindCamera, EmptySurface, NoRayHit, WindowOutOfDomain
+from .geometry import SurfaceCloud, as_vec3, points_in_polygon
 from .spectra import HEALTHY, TUMOR, Spectrum
 
 DEFAULT_DOMAIN = (-100.0, -100.0, 100.0, 100.0)
@@ -38,8 +38,10 @@ class ScenePhantom:
       {"label": "tumor", "kind": "polygon", "vertices": [[x, y], ...]}
 
     Albedo maps region labels to reflectivity in [0, 1]; key "default" covers
-    unlabeled surface. Unknown kinds, and sphere caps or bumps without a
-    positive size, are rejected on construction.
+    unlabeled surface. Construction rejects unknown kinds, sphere caps, bumps
+    and discs without a positive size, polygons with fewer than 3 vertices
+    and region labels other than "healthy" and "tumor". ``height``,
+    ``label_at`` and ``albedo_at`` accept scalars or arrays.
     """
 
     primitives: tuple
@@ -59,8 +61,16 @@ class ScenePhantom:
             elif kind != "plane":
                 raise ValueError(f"unknown primitive kind: {kind}")
         for reg in self.regions:
-            if reg["kind"] not in ("disc", "polygon"):
-                raise ValueError(f"unknown region kind: {reg['kind']}")
+            kind, label = reg["kind"], reg.get("label")
+            if kind not in ("disc", "polygon"):
+                raise ValueError(f"unknown region kind: {kind}")
+            if label not in (HEALTHY, TUMOR):
+                raise ValueError(f"region label must be {HEALTHY!r} or "
+                                 f"{TUMOR!r}, not {label!r}")
+            if kind == "disc" and not reg["radius"] > 0:
+                raise ValueError("disc radius must be > 0")
+            if kind == "polygon" and len(reg["vertices"]) < 3:
+                raise ValueError("polygon needs at least 3 vertices")
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ScenePhantom":
@@ -94,26 +104,37 @@ class ScenePhantom:
                 z = z + h * np.exp(-d2 / (2.0 * s * s))
         return z if z.shape else float(z)
 
-    def _region_hits(self, x: float, y: float):
-        hit = None
-        for reg in self.regions:
+    def _region_index(self, x, y) -> np.ndarray:
+        """Index of the last region covering each point, or -1."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+        index = np.full(x.shape, -1)
+        for k, reg in enumerate(self.regions):
             if reg["kind"] == "disc":
                 cx, cy = reg["center"]
-                if (x - cx) ** 2 + (y - cy) ** 2 <= reg["radius"] ** 2:
-                    hit = reg
-            elif point_in_polygon((x, y), reg["vertices"],
-                                  include_boundary=False):
-                hit = reg
-        return hit
+                # float_power squares through pow() like Python's float ** 2;
+                # x * x rounds differently on about 0.1 % of inputs
+                hit = (np.float_power(x - cx, 2) + np.float_power(y - cy, 2)
+                       <= reg["radius"] ** 2)
+            else:
+                hit = points_in_polygon(np.column_stack([x.ravel(), y.ravel()]),
+                                        reg["vertices"]).reshape(x.shape)
+            index[hit] = k
+        return index
 
-    def label_at(self, x: float, y: float) -> str:
-        reg = self._region_hits(float(x), float(y))
-        return reg["label"] if reg is not None else HEALTHY
+    def label_at(self, x, y):
+        """Region label at (x, y); accepts scalars or arrays."""
+        labels = np.array([HEALTHY] + [r["label"] for r in self.regions])
+        out = labels[self._region_index(x, y) + 1]
+        return out if out.shape else str(out)
 
-    def albedo_at(self, x: float, y: float) -> float:
-        reg = self._region_hits(float(x), float(y))
-        key = reg["label"] if reg is not None else "default"
-        return float(self.albedo.get(key, self.albedo.get("default", 0.9)))
+    def albedo_at(self, x, y):
+        """Surface albedo at (x, y); accepts scalars or arrays."""
+        default = self.albedo.get("default", 0.9)
+        values = np.array([default] + [self.albedo.get(r["label"], default)
+                                       for r in self.regions], dtype=float)
+        out = values[self._region_index(x, y) + 1]
+        return out if out.shape else float(out)
 
 
 @dataclass(frozen=True)
@@ -192,9 +213,7 @@ def render_oct_volume(scene: ScenePhantom, window: tuple[float, float],
     height = scene.height(gx, gy)
     if not np.all(np.isfinite(height)):
         raise WindowOutOfDomain("height field not finite over the window")
-    albedo = np.array(
-        [[scene.albedo_at(x, y) for x in xs] for y in ys]
-    )
+    albedo = scene.albedo_at(gx, gy)
 
     k0 = height / cfg.axial_pitch  # fractional peak index per A-scan
     k = np.arange(cfg.n_axial, dtype=float)
@@ -368,7 +387,6 @@ def intersect_scene(ray, scene: ScenePhantom, t_max: float = 500.0,
     ray, then bisects. Raises NoRayHit when the ray never meets the surface
     within ``t_max``.
     """
-    from .errors import NoRayHit
 
     def gap(t):
         p = ray.at(t)

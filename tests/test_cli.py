@@ -61,9 +61,24 @@ class TestExitCodes:
         (["phantom", "roi"], {"spot_diameter": 0.0}),
         (["e2e"], {"scan_extent": [13.0, -1.0]}),
         (["e2e"], {"scan_extent": 13.0}),
+        (["phantom", "roi"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": 3.0}],
+            "regions": [{"kind": "disc", "center": [6.3, 6.4],
+                         "radius": 5.0}]}}),
+        (["phantom", "roi"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": 3.0}],
+            "regions": [{"label": "tumor", "kind": "polygon",
+                         "vertices": [[2.0, 2.0], [10.0, 10.0]]}]}}),
+        (["e2e"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": 3.0}],
+            "regions": [{"label": "tumor", "kind": "disc",
+                         "center": [6.3, 6.4], "radius": 5.0},
+                        {"label": "necrosis", "kind": "disc",
+                         "center": [9.0, 9.0], "radius": 2.0}]}}),
     ], ids=["non-square-scan-points", "flat-sphere-cap", "oct-noise-too-high",
             "zero-mlp-epochs", "zero-mlp-train-per-class", "zero-spot-diameter",
-            "negative-scan-extent", "scalar-scan-extent"])
+            "negative-scan-extent", "scalar-scan-extent", "region-without-label",
+            "two-vertex-polygon", "unknown-region-label"])
     def test_invalid_config_exits_2_before_writing(self, tmp_path, capsys,
                                                    command, extra):
         cfg = write_cfg(tmp_path, **extra)

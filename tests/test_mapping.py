@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resectsim.errors import (
     CollinearTags,
@@ -12,7 +14,6 @@ from resectsim.errors import (
 from resectsim.geometry import (
     Ray,
     convex_hull,
-    point_in_polygon,
     points_in_polygon,
     polygon_area,
     polygon_is_simple,
@@ -35,6 +36,8 @@ from resectsim.sensors import (
     render_oct_volume,
     segment_surface,
 )
+
+from oracles import point_in_polygon
 
 
 def tags_at(xy_list, label="tumor", z=0.0):
@@ -78,8 +81,7 @@ class TestConvexHull:
         pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
         hull = convex_hull(pts)
         assert len(hull) == 4
-        for p in pts:
-            assert point_in_polygon(p, hull)
+        assert points_in_polygon(pts, hull, include_boundary=True).all()
 
     def test_triangle(self):
         hull = convex_hull([(0, 0), (2, 0), (1, 1.5)])
@@ -101,22 +103,54 @@ class TestConvexHull:
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 10, size=(40, 2))
         hull = convex_hull(pts)
-        for p in pts:
-            assert point_in_polygon(p, hull)
+        assert points_in_polygon(pts, hull, include_boundary=True).all()
+
+
+@st.composite
+def star_polygons(draw):
+    """A star-shaped polygon (vertices snapped to a 0.25 grid half the time,
+    which gives horizontal edges and repeated vertices) and query points:
+    its vertices, edge midpoints, points 0.5e-9 and 2e-9 off each edge
+    midpoint and random points around it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(3, 12))
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    r = rng.uniform(0.2, 3.0, n)
+    poly = rng.uniform(-2.0, 2.0, 2) + np.column_stack(
+        [r * np.cos(ang), r * np.sin(ang)])
+    if draw(st.booleans()):
+        poly = np.round(poly * 4.0) / 4.0
+    edge = np.roll(poly, -1, axis=0) - poly
+    length = np.hypot(edge[:, 0], edge[:, 1])[:, None]
+    normal = np.column_stack([-edge[:, 1], edge[:, 0]]) / np.where(
+        length > 0, length, 1.0)
+    mids = poly + edge / 2.0
+    queries = np.vstack([
+        poly, mids,
+        *(mids + d * normal for d in (-2e-9, -0.5e-9, 0.5e-9, 2e-9)),
+        rng.uniform(poly.min(axis=0) - 0.5, poly.max(axis=0) + 0.5,
+                    size=(60, 2)),
+    ])
+    return poly, queries
 
 
 class TestPointInPolygon:
     SQUARE = np.array([(0, 0), (2, 0), (2, 2), (0, 2)], dtype=float)
 
+    @staticmethod
+    def inside(point, vertices):
+        return bool(points_in_polygon(point, vertices,
+                                      include_boundary=True)[0])
+
     def test_center(self):
-        assert point_in_polygon((1, 1), self.SQUARE)
+        assert self.inside((1, 1), self.SQUARE)
 
     def test_outside(self):
-        assert not point_in_polygon((5, 5), self.SQUARE)
+        assert not self.inside((5, 5), self.SQUARE)
 
     def test_edge_inclusive(self):
-        assert point_in_polygon((1, 0), self.SQUARE)
-        assert point_in_polygon((2, 2), self.SQUARE)
+        assert self.inside((1, 0), self.SQUARE)
+        assert self.inside((2, 2), self.SQUARE)
 
     def test_matches_scalar_ray_cast_oracle(self):
         rng = np.random.default_rng(17)
@@ -138,6 +172,15 @@ class TestPointInPolygon:
                         if x_int > q[0]:
                             count += 1
                 assert g == (count % 2 == 1)
+
+    @given(star_polygons(), st.booleans())
+    def test_matches_scalar_oracle(self, case, include_boundary):
+        poly, queries = case
+        got = points_in_polygon(queries, poly,
+                                include_boundary=include_boundary)
+        want = [point_in_polygon(q, poly, include_boundary=include_boundary)
+                for q in queries]
+        assert got.tolist() == want
 
 
 class TestBoundary:
@@ -181,8 +224,7 @@ class TestBoundary:
         xy = rng.uniform(0, 8, size=(25, 2))
         tags = tags_at(xy)
         b = boundary_from_tags(tags)
-        for t in tags:
-            assert point_in_polygon(t.position[:2], b.vertices)
+        assert points_in_polygon(xy, b.vertices, include_boundary=True).all()
 
 
 class TestSelect:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resectsim.errors import BehindCamera, EmptySurface, WindowOutOfDomain
 from resectsim.sensors import (
@@ -14,6 +16,8 @@ from resectsim.sensors import (
     segment_surface,
     synth_spectrum,
 )
+
+import oracles
 
 SMALL = OctConfig(n_bscans=8, n_lateral=16)
 FLAT3 = ScenePhantom(primitives=({"kind": "plane", "z": 3.0},),
@@ -34,11 +38,94 @@ class TestSceneSpec:
           "height": 1.0}, None),
         ({"kind": "cone"}, None),
         ({"kind": "plane", "z": 3.0}, {"label": "tumor", "kind": "ring"}),
+        ({"kind": "plane", "z": 3.0},
+         {"kind": "disc", "center": [0, 0], "radius": 1.0}),
+        ({"kind": "plane", "z": 3.0},
+         {"label": "necrosis", "kind": "disc", "center": [0, 0],
+          "radius": 1.0}),
+        ({"kind": "plane", "z": 3.0},
+         {"label": "tumor", "kind": "polygon", "vertices": [[0, 0], [1, 0]]}),
+        ({"kind": "plane", "z": 3.0},
+         {"label": "tumor", "kind": "disc", "center": [0, 0], "radius": 0.0}),
     ])
     def test_invalid_spec_rejected_on_construction(self, primitive, region):
         with pytest.raises(ValueError):
             ScenePhantom(primitives=(primitive,),
                          regions=() if region is None else (region,))
+
+
+@st.composite
+def painted_scenes(draw):
+    """Discs and star-shaped polygons that paint over each other (integer
+    or float coordinates, as JSON gives either) and query points: points on
+    disc rims, polygon vertices and edge midpoints, and random points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    regions = []
+    queries = [rng.uniform(-6.0, 6.0, size=(60, 2))]
+    for _ in range(int(rng.integers(1, 5))):
+        label = str(rng.choice(["healthy", "tumor"]))
+        c = rng.uniform(-3.0, 3.0, 2)
+        if rng.random() < 0.5:
+            r = float(rng.uniform(0.3, 3.0))
+            if rng.random() < 0.3:
+                c, r = np.round(c), int(round(r)) + 1
+            regions.append({"label": label, "kind": "disc",
+                            "center": c.tolist(), "radius": r})
+            ang = np.concatenate([np.arange(4) * np.pi / 2,
+                                  rng.uniform(0.0, 2.0 * np.pi, 12)])
+            queries.append(c + r * np.column_stack([np.cos(ang),
+                                                    np.sin(ang)]))
+        else:
+            n = int(rng.integers(3, 9))
+            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            r = rng.uniform(0.3, 3.0, n)
+            poly = c + np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+            regions.append({"label": label, "kind": "polygon",
+                            "vertices": poly.tolist()})
+            queries += [poly, (poly + np.roll(poly, -1, axis=0)) / 2.0]
+    albedo = draw(st.sampled_from([
+        {"default": 0.9, "tumor": 0.35},
+        {"default": 0.7, "healthy": 0.8, "tumor": 0.2},
+        {"tumor": 0.5},
+    ]))
+    scene = ScenePhantom(primitives=({"kind": "plane", "z": 3.0},),
+                         regions=tuple(regions), albedo=albedo)
+    return scene, np.vstack(queries)
+
+
+class TestRegionQueries:
+    @given(painted_scenes())
+    def test_arrays_match_scalar_oracle(self, case):
+        scene, q = case
+        x, y = q[:, 0], q[:, 1]
+        labels = [oracles.label_at(scene, *p) for p in q]
+        albedo = [oracles.albedo_at(scene, *p) for p in q]
+        assert scene.label_at(x, y).tolist() == labels
+        assert scene.albedo_at(x, y).tolist() == albedo
+        grid = scene.label_at(x[None, :], y[:3, None])
+        assert grid.shape == (3, len(q))
+        assert grid.tolist() == [
+            [oracles.label_at(scene, xi, yj) for xi in x] for yj in y[:3]]
+        for (xi, yi), want_label, want_albedo in list(
+                zip(q, labels, albedo))[:8]:
+            got_label = scene.label_at(xi, yi)
+            got_albedo = scene.albedo_at(xi, yi)
+            assert type(got_label) is str and got_label == want_label
+            assert type(got_albedo) is float and got_albedo == want_albedo
+
+    def test_rim_points_round_like_the_scalar_oracle(self):
+        # radii whose square rounds differently through pow() (Python's
+        # r ** 2) and r * r: a point exactly on such a rim must still get
+        # the scalar oracle's verdict
+        radii = [r for r in np.random.default_rng(5).uniform(0.5, 5.0, 20_000)
+                 .tolist() if r ** 2 != r * r]
+        for r in radii:
+            scene = ScenePhantom(primitives=FLAT3.primitives, regions=(
+                {"label": "tumor", "kind": "disc", "center": [0, 0],
+                 "radius": r},))
+            x, y = np.array([r, -r, 0.0, 0.0]), np.array([0.0, 0.0, r, -r])
+            assert scene.label_at(x, y).tolist() == [
+                oracles.label_at(scene, *p) for p in zip(x, y)]
 
 
 class TestRender:
