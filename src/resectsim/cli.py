@@ -7,7 +7,7 @@ artifacts; since every run is a pure function of (config, seed), recomputing
 is byte-identical to resuming.
 
 Exit codes: 0 success, 2 configuration error, 3 degenerate region (nothing
-to cut or segment), 4 solver failure.
+to cut or segment), 4 solver failure, 1 any other pipeline failure.
 """
 
 from __future__ import annotations

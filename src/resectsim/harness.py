@@ -20,6 +20,10 @@ all four: a stage's entry in TrialResult.timings runs from the end of the
 previous stage, so it includes that stage's artifact writes, and the
 report is written once, after the last stage that ran.
 
+Scanning. ROI and e2e share one raster scan, ``_raster_scan``: it fires the
+whole centred raster, then a runner-given ``locate(measured, beam)`` returns
+each executed spot's map position, or None to leave the point unmapped.
+
 Region comparisons follow the three-way convention: system = actual vs
 true, algorithm = predicted vs true, calibration = actual vs predicted,
 with edge errors directed from the achieved outline to the reference one.
@@ -46,9 +50,15 @@ from .calibration import (
     synthesize_spot_observations,
     waypoint_position,
 )
-from .errors import ConfigError, NoRayHit
-from .geometry import Ray, SurfaceCloud, nearest_neighbor, triangulate_grid
-from .kinematics import plan_trajectory, raster_pattern, solve_ik
+from .errors import ConfigError, NoRayHit, TooFewTumorTags
+from .geometry import SurfaceCloud, nearest_neighbor, triangulate_grid
+from .kinematics import (
+    forward_model,
+    plan_trajectory,
+    raster_pattern,
+    solve_ik,
+    target_plane,
+)
 from .mapping import (
     SpotLocator,
     boundary_from_tags,
@@ -303,22 +313,23 @@ def _write_calibration(out: Path, estimated: LaserCalibration) -> Path:
                           rio.laser_calibration_to_dict(estimated))
 
 
-def _execute_spot(cfg, truth, beta, scene, rng):
-    """Where the real beam lands for a commanded waypoint (plus spot noise)."""
-    ray = Ray(waypoint_position(truth.frame, truth.alpha, beta), truth.v_w)
-    spot = intersect_scene(ray, scene)
-    if not cfg.noiseless:
-        sigma = PROFILES[cfg.profile].spot_sigma
-        spot = spot + np.array([*rng.normal(0.0, sigma, 2), 0.0])
-    return spot
+def _spot_error(cfg, spots: np.ndarray, rng) -> np.ndarray:
+    """Spots moved by the profile's lateral spot error, two draws per spot.
+
+    Noiseless runs add nothing: adding 0.0 would turn a -0.0 into 0.0.
+    """
+    if cfg.noiseless:
+        return spots
+    lateral = rng.normal(0.0, PROFILES[cfg.profile].spot_sigma,
+                         (len(spots), 2))
+    return spots + np.column_stack([lateral, np.zeros(len(spots))])
 
 
 def _execute_plan(cfg, truth, plan, scene, rng) -> np.ndarray:
     """Where the real beam lands for every waypoint of a plan, in order."""
-    return np.array([
-        _execute_spot(cfg, truth, plan.waypoints[k], scene, rng)
-        for k in range(len(plan))
-    ])
+    spots = np.array([intersect_scene(truth.beam(beta), scene)
+                      for beta in plan.waypoints])
+    return _spot_error(cfg, spots, rng)
 
 
 def _centred_raster(cfg, scene, estimated):
@@ -347,6 +358,32 @@ def _scan_label(cfg, true_label: str, k: int, model=None):
         return verdict, spectrum
     x = preprocess(spectrum).intensities
     return (TUMOR if mlp_predict(model, x) == 1 else HEALTHY), spectrum
+
+
+def _raster_scan(cfg, scene, truth, estimated, model, rng, locate):
+    """Fire the centred raster, map every executed spot, label the mapped ones.
+
+    ``locate(measured, beam)`` takes one executed spot and the estimated
+    beam of its waypoint and returns the spot's map position, or None for an
+    unmapped point. Returns the pattern and, per mapped point in scan order,
+    the map positions, labels, true labels and spectra. Raises
+    TooFewTumorTags when no point maps.
+    """
+    pattern = _centred_raster(cfg, scene, estimated)
+    measured = _execute_plan(cfg, truth, pattern, scene, rng)
+    mapped, spots = [], []
+    for k, beta in enumerate(pattern.waypoints):
+        spot = locate(measured[k], estimated.beam(beta))
+        if spot is not None:
+            mapped.append(k)
+            spots.append(spot)
+    if not mapped:
+        raise TooFewTumorTags(f"none of {len(pattern)} scan points mapped")
+    true_labels = scene.label_at(measured[mapped, 0],
+                                 measured[mapped, 1]).tolist()
+    labels, spectra = zip(*(_scan_label(cfg, true_label, k, model)
+                            for k, true_label in zip(mapped, true_labels)))
+    return pattern, spots, list(labels), true_labels, list(spectra)
 
 
 def _tumor_codes(labels) -> list[int]:
@@ -404,17 +441,12 @@ def _marker_stages(cfg, out, run):
     targets = np.array(targets)
 
     plan = plan_trajectory(estimated, targets)
-    rng = _rng(cfg, _SALT_SPOT)
-    errors = []
-    for k in range(len(plan)):
-        ray = Ray(waypoint_position(truth.frame, truth.alpha, plan.waypoints[k]),
-                  truth.v_w)
-        plane_hit = ray.at(
-            (targets[k][2] - ray.origin[2]) / ray.direction[2])
-        if not cfg.noiseless:
-            plane_hit = plane_hit + np.array([
-                *rng.normal(0.0, PROFILES[cfg.profile].spot_sigma, 2), 0.0])
-        errors.append(float(np.linalg.norm(plane_hit[:2] - targets[k][:2])))
+    hits = _spot_error(cfg, np.array([
+        forward_model(truth, beta, target_plane(target))
+        for beta, target in zip(plan.waypoints, targets)
+    ]), _rng(cfg, _SALT_SPOT))
+    errors = [float(np.linalg.norm(hit[:2] - target[:2]))
+              for hit, target in zip(hits, targets)]
 
     mean, std, rmse = summarize(errors)
     run.report.update({
@@ -485,15 +517,14 @@ def _true_region(scene: ScenePhantom) -> Region2D:
         if reg["label"] == TUMOR:
             if reg["kind"] == "disc":
                 return Region2D.from_polygon(
-                    disc_polygon(reg["center"], reg["radius"]), role="true")
-            return Region2D.from_polygon(np.asarray(reg["vertices"]),
-                                         role="true")
+                    disc_polygon(reg["center"], reg["radius"]))
+            return Region2D.from_polygon(np.asarray(reg["vertices"]))
     raise ConfigError("scene declares no tumor region")
 
 
 def _region_reports(true_region, predicted_poly, actual_poly):
-    predicted = Region2D.from_polygon(predicted_poly, role="predicted")
-    actual = Region2D.from_polygon(actual_poly, role="actual")
+    predicted = Region2D.from_polygon(predicted_poly)
+    actual = Region2D.from_polygon(actual_poly)
     return [
         compare_regions("system", true_region, actual),
         compare_regions("algorithm", true_region, predicted),
@@ -519,22 +550,11 @@ def _roi_stages(cfg, out, run):
         model, _ = _train_scan_classifier(cfg)
         yield "train"
 
-    # spots come from the analytic scene: the planned beam for the map, the
-    # executed one for the ground-truth label
-    pattern = _centred_raster(cfg, scene, estimated)
+    # the map takes spots from the analytic scene along the estimated beam
     rng = _rng(cfg, _SALT_SPOT)
-    predicted_spots = []
-    labels = []
-    true_labels = []
-    for k, beta in enumerate(pattern.waypoints):
-        ray_est = Ray(
-            waypoint_position(estimated.frame, estimated.alpha, beta),
-            estimated.v_w)
-        predicted_spots.append(intersect_scene(ray_est, scene))
-        measured = _execute_spot(cfg, truth, beta, scene, rng)
-        true_label = scene.label_at(measured[0], measured[1])
-        true_labels.append(true_label)
-        labels.append(_scan_label(cfg, true_label, k, model)[0])
+    pattern, predicted_spots, labels, true_labels, _ = _raster_scan(
+        cfg, scene, truth, estimated, model, rng,
+        lambda measured, beam: intersect_scene(beam, scene))
     yield "scan"
 
     tags = build_tumor_tags(predicted_spots, labels)
@@ -696,46 +716,32 @@ def _e2e_stages(cfg, out, run):
         artifacts["model"] = rio.write_mlp_json(out / "mlp_model.json", model)
         report["mlp_final_loss"] = history[-1]
 
-    pattern = _centred_raster(cfg, scene, estimated)
     rng_spot = _rng(cfg, _SALT_SPOT)
     rng_px = _rng(cfg, _SALT_PIXELS)
     locator = SpotLocator(surface, cameras[0], cameras[1],
                           mesh=triangulate_grid(surface))
-    spots = []
-    labels = []
-    true_labels = []
-    wavelengths = None
-    spectra_rows = []
-    unmapped = 0  # scan exceeds the imaging field; edge spots have no geometry
     pixel_sigma = 0.0 if cfg.noiseless else PROFILES[cfg.profile].pixel_sigma
-    for k, beta in enumerate(pattern.waypoints):
-        measured = _execute_spot(cfg, truth, beta, scene, rng_spot)
+
+    def locate(measured, beam):
         hits = []
         for cam in cameras:
             uv = project_world_to_image(cam, measured)
             if pixel_sigma > 0:
                 uv = uv + rng_px.normal(0.0, pixel_sigma, 2)
             hits.append(uv)
-        ray_est = Ray(
-            waypoint_position(estimated.frame, estimated.alpha, beta),
-            estimated.v_w)
         try:
-            est = locator.locate(hits[0], hits[1], ray_est)
+            return locator.locate(hits[0], hits[1], beam).fused
         except NoRayHit:
-            unmapped += 1
-            continue
-        spots.append(est.fused)
-        true_label = scene.label_at(measured[0], measured[1])
-        true_labels.append(true_label)
-        label, spectrum = _scan_label(cfg, true_label, k, model)
-        labels.append(label)
-        if wavelengths is None:
-            wavelengths = spectrum.wavelengths
-        spectra_rows.append(spectrum.intensities)
-    report["unmapped_points"] = unmapped
+            # scan exceeds the imaging field; edge spots have no geometry
+            return None
+
+    pattern, spots, labels, true_labels, spectra = _raster_scan(
+        cfg, scene, truth, estimated, model, rng_spot, locate)
+    report["unmapped_points"] = len(pattern) - len(spots)
     artifacts["spectra"], artifacts["spectra_sidecar"] = rio.write_spectra_csv(
-        out / "scan_spectra", wavelengths, spectra_rows,
-        subjects=[f"scan{cfg.seed}"] * len(spectra_rows), labels=labels)
+        out / "scan_spectra", spectra[0].wavelengths,
+        [s.intensities for s in spectra],
+        subjects=[f"scan{cfg.seed}"] * len(spectra), labels=labels)
     report["classification"] = _classification(labels, true_labels)
     yield "classify"
 

@@ -18,26 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import LaserCalibration, waypoint_position
+from .calibration import LaserCalibration
 from .errors import BadStep, ParallelRay, Unreachable
-from .geometry import PlaneFrame, Ray, as_vec3, ray_plane_intersect
+from .geometry import PlaneFrame, as_vec3, ray_plane_intersect
 
 IK_TOLERANCE = 1e-9  # mm
-
-
-@dataclass(frozen=True)
-class LaserPose:
-    """Waypoint position and beam direction; build via laser_pose()."""
-
-    p_w: np.ndarray
-    v_w: np.ndarray
-
-
-def laser_pose(calibration: LaserCalibration, beta) -> LaserPose:
-    return LaserPose(
-        waypoint_position(calibration.frame, calibration.alpha, beta),
-        calibration.v_w,
-    )
 
 
 def target_plane(target) -> PlaneFrame:
@@ -55,8 +40,7 @@ def forward_model(calibration: LaserCalibration, beta,
     term at the frame origin would decouple the spot from beta entirely and
     is rejected here.
     """
-    pose = laser_pose(calibration, beta)
-    return ray_plane_intersect(Ray(pose.p_w, pose.v_w), plane)
+    return ray_plane_intersect(calibration.beam(beta), plane)
 
 
 def beta_jacobian(calibration: LaserCalibration, plane: PlaneFrame) -> np.ndarray:

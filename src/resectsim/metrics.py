@@ -1,7 +1,6 @@
 """Region comparison metrics and the two-sample significance test.
 
-Regions are 2D (projections along z): either simple polygons or rasterized
-masks. Area-based quantities (IoU, undercut, overcut) are computed on a
+Regions are 2D (projections along z) simple polygons. Area-based quantities (IoU, undercut, overcut) are computed on a
 common raster covering both regions; the default 0.02 mm pitch makes raster
 error negligible at the millimeter scales evaluated here. Edge error is
 directional: every boundary sample of the first region is matched to its
@@ -35,59 +34,28 @@ BOUNDARY_SPACING = 0.05  # mm between edge-error samples
 
 @dataclass(frozen=True)
 class Region2D:
-    """Planar region as a simple polygon or a boolean mask with a pitch."""
+    """Planar region as a simple polygon."""
 
-    polygon: np.ndarray | None = None
-    mask: np.ndarray | None = None
-    pitch: float | None = None
-    origin: tuple[float, float] = (0.0, 0.0)
-    role: str = ""
+    polygon: np.ndarray
 
     @classmethod
-    def from_polygon(cls, vertices, role: str = "") -> "Region2D":
+    def from_polygon(cls, vertices) -> "Region2D":
         v = np.asarray(vertices, dtype=float).reshape(-1, 2)
         if len(v) < 3:
             raise ValueError("polygon region needs at least 3 vertices")
-        return cls(polygon=v, role=role)
-
-    @classmethod
-    def from_mask(cls, mask, pitch: float, origin=(0.0, 0.0),
-                  role: str = "") -> "Region2D":
-        m = np.asarray(mask, dtype=bool)
-        if m.ndim != 2:
-            raise ValueError("mask must be 2D")
-        if pitch <= 0:
-            raise ValueError("mask pitch must be positive")
-        return cls(mask=m, pitch=float(pitch),
-                   origin=(float(origin[0]), float(origin[1])), role=role)
+        return cls(polygon=v)
 
     def bounds(self):
-        if self.polygon is not None:
-            lo = self.polygon.min(axis=0)
-            hi = self.polygon.max(axis=0)
-        else:
-            ny, nx = self.mask.shape
-            lo = np.array(self.origin)
-            hi = lo + np.array([nx * self.pitch, ny * self.pitch])
-        return lo, hi
+        return self.polygon.min(axis=0), self.polygon.max(axis=0)
 
 
 def _raster_on(region: Region2D, x0, y0, nx, ny, pitch) -> np.ndarray:
     xs = x0 + (np.arange(nx) + 0.5) * pitch
     ys = y0 + (np.arange(ny) + 0.5) * pitch
     gx, gy = np.meshgrid(xs, ys)
-    if region.polygon is not None:
-        flat = points_in_polygon(np.column_stack([gx.ravel(), gy.ravel()]),
-                                 region.polygon)
-        return flat.reshape(ny, nx)
-    ox, oy = region.origin
-    ci = np.floor((gx - ox) / region.pitch).astype(int)
-    cj = np.floor((gy - oy) / region.pitch).astype(int)
-    src_ny, src_nx = region.mask.shape
-    ok = (ci >= 0) & (ci < src_nx) & (cj >= 0) & (cj < src_ny)
-    out = np.zeros((ny, nx), dtype=bool)
-    out[ok] = region.mask[cj[ok], ci[ok]]
-    return out
+    flat = points_in_polygon(np.column_stack([gx.ravel(), gy.ravel()]),
+                             region.polygon)
+    return flat.reshape(ny, nx)
 
 
 def rasterize_pair(a: Region2D, b: Region2D, pitch: float = DEFAULT_PITCH):
@@ -243,8 +211,6 @@ def compare_regions(kind: str, reference: Region2D, achieved: Region2D,
     Edge errors run from the achieved outline, sampled every
     ``BOUNDARY_SPACING`` mm, to the reference one.
     """
-    if reference.polygon is None or achieved.polygon is None:
-        raise ValueError("edge error needs polygon regions")
     errs, rmse = edge_error(
         sample_polygon_boundary(achieved.polygon, BOUNDARY_SPACING),
         sample_polygon_boundary(reference.polygon, BOUNDARY_SPACING),

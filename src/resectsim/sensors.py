@@ -14,6 +14,7 @@ calibrated in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -39,9 +40,10 @@ class ScenePhantom:
 
     Albedo maps region labels to reflectivity in [0, 1]; key "default" covers
     unlabeled surface. Construction rejects unknown kinds, sphere caps, bumps
-    and discs without a positive size, polygons with fewer than 3 vertices
-    and region labels other than "healthy" and "tumor". ``height``,
-    ``label_at`` and ``albedo_at`` accept scalars or arrays.
+    and discs without a positive size, polygons with fewer than 3 vertices,
+    region labels other than "healthy" and "tumor" and albedo values that
+    are not numbers in [0, 1]. ``height``, ``label_at`` and ``albedo_at``
+    accept scalars or arrays.
     """
 
     primitives: tuple
@@ -71,6 +73,10 @@ class ScenePhantom:
                 raise ValueError("disc radius must be > 0")
             if kind == "polygon" and len(reg["vertices"]) < 3:
                 raise ValueError("polygon needs at least 3 vertices")
+        for key, value in self.albedo.items():
+            if not (isinstance(value, Real) and 0.0 <= value <= 1.0):
+                raise ValueError(f"albedo {key!r} must be a number in "
+                                 f"[0, 1], not {value!r}")
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ScenePhantom":

@@ -48,6 +48,17 @@ class TestExitCodes:
         rc = main(["--config", str(path), "--out", str(tmp_path / "o"), "e2e"])
         assert rc == 3
 
+    def test_no_mapped_scan_point_exit_3(self, tmp_path, capsys):
+        # a raster far wider than the imaging field: every spot misses the
+        # scanned surface, so the scan stops before writing any spectra
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"seed": 1, "scan_points": 4, "scan_extent": [400.0, 400.0]}))
+        rc = main(["--config", str(path), "--out", str(tmp_path / "o"), "e2e"])
+        assert rc == 3
+        assert "none of 4 scan points mapped" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "scan_spectra.csv").exists()
+
     @pytest.mark.parametrize("command, extra", [
         (["e2e"], {"scan_points": 50}),
         (["phantom", "roi"], {"scene": {
@@ -75,10 +86,21 @@ class TestExitCodes:
                          "center": [6.3, 6.4], "radius": 5.0},
                         {"label": "necrosis", "kind": "disc",
                          "center": [9.0, 9.0], "radius": 2.0}]}}),
+        (["e2e"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": 3.0}],
+            "regions": [{"label": "tumor", "kind": "disc",
+                         "center": [6.3, 6.4], "radius": 5.0}],
+            "albedo": {"default": 1.5, "tumor": 0.35}}}),
+        (["e2e"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": 3.0}],
+            "regions": [{"label": "tumor", "kind": "disc",
+                         "center": [6.3, 6.4], "radius": 5.0}],
+            "albedo": {"default": 0.9, "tumor": "dark"}}}),
     ], ids=["non-square-scan-points", "flat-sphere-cap", "oct-noise-too-high",
             "zero-mlp-epochs", "zero-mlp-train-per-class", "zero-spot-diameter",
             "negative-scan-extent", "scalar-scan-extent", "region-without-label",
-            "two-vertex-polygon", "unknown-region-label"])
+            "two-vertex-polygon", "unknown-region-label", "albedo-above-one",
+            "string-albedo"])
     def test_invalid_config_exits_2_before_writing(self, tmp_path, capsys,
                                                    command, extra):
         cfg = write_cfg(tmp_path, **extra)

@@ -12,6 +12,7 @@ from resectsim.harness import (
     run_marker_experiment,
     run_roi_experiment,
     run_trajectory_experiment,
+    _spot_error,
     truth_calibration,
 )
 
@@ -73,6 +74,27 @@ class TestProfiles:
     def test_fiber_quietest(self):
         assert PROFILES["fiber"].spot_sigma < PROFILES["diode"].spot_sigma
         assert PROFILES["fiber"].spot_sigma < PROFILES["tumorid"].spot_sigma
+
+
+class TestSpotError:
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_one_draw_replays_per_spot_draws(self, n):
+        cfg = ExperimentConfig(seed=3, noiseless=False, profile="tumorid")
+        sigma = PROFILES["tumorid"].spot_sigma
+        spots = np.random.default_rng(n).normal(size=(n, 3))
+        rng_a = np.random.default_rng([3, 2])
+        rng_b = np.random.default_rng([3, 2])
+        per_spot = np.array([s + np.array([*rng_b.normal(0.0, sigma, 2), 0.0])
+                             for s in spots])
+        got = _spot_error(cfg, spots, rng_a)
+        assert np.array_equal(got.view(np.uint64), per_spot.view(np.uint64))
+        assert rng_a.random() == rng_b.random()
+
+    def test_noiseless_adds_nothing(self):
+        cfg = ExperimentConfig(seed=3, noiseless=True)
+        spots = np.array([[1.0, -0.0, -0.0]])
+        got = _spot_error(cfg, spots, np.random.default_rng(0))
+        assert np.signbit(got).tolist() == [[False, True, True]]
 
 
 class TestMarker:

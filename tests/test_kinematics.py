@@ -10,7 +10,6 @@ from resectsim.kinematics import (
     forward_model,
     ik_gradient,
     ik_objective,
-    laser_pose,
     plan_trajectory,
     raster_pattern,
     solve_ik,
@@ -55,8 +54,8 @@ class TestForwardModel:
                            atol=1e-12)
 
     def test_laser_pose_constructed(self):
-        pose = laser_pose(vertical((1.0, 2.0)), (3.0, 4.0))
-        assert np.allclose(pose.p_w, [4.0, 6.0, 20.0])
+        beam = vertical((1.0, 2.0)).beam((3.0, 4.0))
+        assert np.allclose(beam.origin, [4.0, 6.0, 20.0])
 
 
 class TestSolveIk:

@@ -1,0 +1,115 @@
+"""Byte-identity guard: the SHA-256 of every artifact of four fixed runs.
+
+Refactors must leave artifacts byte-identical (acceptance criterion 11 run
+across versions of the code, not only across repeats). The digests below
+were recorded before the ROI and e2e scan loops were merged into one. The
+runs use the threshold classifier, so no digest depends on how many threads
+BLAS uses. A digest changes only when the artifact's bytes do; if a change
+is meant to alter an artifact, re-record its digest and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from resectsim.harness import (
+    ExperimentConfig,
+    run_end_to_end,
+    run_roi_experiment,
+    run_trajectory_experiment,
+)
+
+RUNS = {
+    "e2e-tumorid-noisy": (run_end_to_end, dict(
+        seed=5, profile="tumorid", noiseless=False, classifier="threshold",
+        scan_points=16)),
+    "roi-noisy": (run_roi_experiment, dict(
+        seed=5, noiseless=False, classifier="threshold", scan_points=100)),
+    "roi-noiseless": (run_roi_experiment, dict(
+        seed=5, noiseless=True, classifier="threshold", scan_points=100)),
+    "trajectory-diode-noisy": (run_trajectory_experiment, dict(
+        seed=5, profile="diode", noiseless=False)),
+}
+
+DIGESTS = {
+    "e2e-tumorid-noisy": {
+        "actual_spots.ply":
+            "f8a2d52a179144452710a446d7bca2b3ab2368eefaf53d3fb59cfc12682b0ef9",
+        "boundary.json":
+            "3cd66791f708c62437c975fea8ec0992012e3fc2892cb50b5793685eaacc6716",
+        "calibration_observations.csv":
+            "bfec7777eeed601098ed28557fc6ec35d8dc8e42cd233b7fd5e88f716f7dee95",
+        "camera_extrinsics.json":
+            "9af453835ca19be694a10a117de4236d744d4af6098b8ce6656e67671a685b75",
+        "cut_plan.csv":
+            "b0735728d9eff6c682f2f5703e27ff9ef4b6c455e3662da8cba12e95b09d8fe1",
+        "e2e_report.json":
+            "f6de80b2caaace63c9b1b725f1047a1dbc7344d860c77d24e073b972a179071a",
+        "laser_calibration.json":
+            "36933e0aa776c7feefcd8f1ffe2e057a4312d0bfa3496d4b8d1cd42fe4cd3cdb",
+        "oct_volume.f32":
+            "28523e990c4ff1cc464ef294ce43d87e71ba9ede1ad9d717e14074f556f0e07a",
+        "oct_volume.json":
+            "b35010ab19bc05072d09b3a8a967f7195da00470212267e827f61c807d4bac90",
+        "post_resection_surface.ply":
+            "0885a1a2ae53d9d7563ae061d0afabc56b2bfcbe1175a7882e2dd6062b38661d",
+        "region_ledger.csv":
+            "18d66c1d8092de9384d56abae954225418bd481576ba2e59f05f4c2a87cb9eca",
+        "scan_spectra.csv":
+            "8cfe53342b210b2909371795bbf2b02e0c53344082f2276323f04a027e87e7d1",
+        "scan_spectra.sidecar.json":
+            "e0a8d9203181faaa99294b918ec26f22c57ab0fa48bb2aefd59ba940a6e62c83",
+        "surface.ply":
+            "846193670f45dc0d9ed18e6fa5291836d5cbbaf43370c10bdebdc9d02816306b",
+        "tumor_map.ply":
+            "67f83b6926aec1e799e1619b62f26c72a34e27e39e6b319c1cef6f8e8460ac66",
+    },
+    "roi-noisy": {
+        "laser_calibration.json":
+            "83a8340bc81d798df5b6fa47eba3775cfd99ee47a40ce8e2d4ab16ede8e18cf1",
+        "region_ledger.csv":
+            "7dc66154f899339704bc722611f867bf37561503d45501ee51cd7e0e2d4b574b",
+        "roi_boundary.json":
+            "abebc2c62ed2a9e7303dbfb4d237c0460e8d290a93d507205a473d6d580d635d",
+        "roi_plan.csv":
+            "e60d8aa55473a1f2f402ead47ffb987257066fb1da7fe230625e87ffe3d94807",
+        "roi_report.json":
+            "1f9f8a261cdcf0a85867fa9b0d420ce923e8c5b9dc6277beb7eabad3fc6ee254",
+        "roi_tags.ply":
+            "d1136bd06a908397ffa24048fe4bb6f269c8c6a4a13ff197b6c935aad10d7791",
+    },
+    "roi-noiseless": {
+        "laser_calibration.json":
+            "4e8c3c2e16191d01fb531c1d0d32f193eff9d1acddb41adbc207f881ae5fe8ae",
+        "region_ledger.csv":
+            "0b91258f0f5823f2fae8699437bfb2b5eb25c5e0d80e502bdff5257cd0b4c714",
+        "roi_boundary.json":
+            "d113111da27ffa71c83b41a95be089cb1b34afab97c18b9333a305b531986156",
+        "roi_plan.csv":
+            "bfb5bc4f40b90228c2b227b15237afb4fa57ffee03c1637655d1bfb1edf574ec",
+        "roi_report.json":
+            "6022aa0122d31dc8647bee8b4414a18368da7ad79e149c3b26db74897d065173",
+        "roi_tags.ply":
+            "5da50744459e5f84c528eb462c077dc123eadbe77398988ed26c6e1275d6be8f",
+    },
+    "trajectory-diode-noisy": {
+        "laser_calibration.json":
+            "83a8340bc81d798df5b6fa47eba3775cfd99ee47a40ce8e2d4ab16ede8e18cf1",
+        "trajectory_plan.csv":
+            "ea3eecd515ed88d92f3b70aab89d2984547fad7ed2ac535ddc5a926c09eddca7",
+        "trajectory_report.json":
+            "2f2b2270a6519876f98e3cf0a65b2bfa164973e4b3a8c3955512b59387711c51",
+    },
+}
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+def test_artifacts_byte_identical(tmp_path, run):
+    runner, cfg = RUNS[run]
+    runner(ExperimentConfig(**cfg), tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    expected = DIGESTS[run]
+    assert sorted(got) == sorted(expected), "artifact names changed"
+    changed = sorted(name for name in expected if got[name] != expected[name])
+    assert not changed, f"{run}: artifacts changed: {changed}"

@@ -53,6 +53,18 @@ class TestSceneSpec:
             ScenePhantom(primitives=(primitive,),
                          regions=() if region is None else (region,))
 
+    # albedo cases of the test above, kept apart so its case ids stay stable
+    @pytest.mark.parametrize("albedo", [
+        {"default": 1.5},
+        {"default": 0.9, "tumor": -0.1},
+        {"default": 0.9, "tumor": "dark"},
+        {"default": float("nan")},
+    ], ids=["above-one", "negative", "string", "nan"])
+    def test_invalid_albedo_rejected_on_construction(self, albedo):
+        with pytest.raises(ValueError):
+            ScenePhantom(primitives=({"kind": "plane", "z": 3.0},),
+                         albedo=albedo)
+
 
 @st.composite
 def painted_scenes(draw):
