@@ -47,7 +47,7 @@ print(f"1000 forward/inverse round trips, worst waypoint error {worst:.2e} mm")
 # --- raster pattern -------------------------------------------------------------
 pattern = raster_pattern((13.0, 13.0), points=100)
 print(f"\nraster: {pattern.nx}x{pattern.ny} at {pattern.step[0]:.3f} mm "
-      f"({pattern.ordering}); first four waypoints:")
+      "(serpentine); first four waypoints:")
 print(pattern.waypoints[:4])
 
 # --- trajectory over a curved surface -------------------------------------------

@@ -168,14 +168,13 @@ def calibrate_laser_axes(origin, obs_x: AxisObservation,
 
 def calibrate_laser_orientation(frame: ReferenceFrame,
                                 observations,
-                                initial_v_w=None,
-                                initial_alpha=(0.0, 0.0),
                                 max_iter: int = 200) -> LaserCalibration:
     """Estimate (v_w, alpha) from measured spot centers.
 
     Solves min over (theta, phi, alpha) of the summed squared distances
     between predicted and measured spot centers, by damped Gauss-Newton
-    with the analytic Jacobian. Boards must span at least two distinct
+    with the analytic Jacobian, always from a vertical beam with zero offsets
+    (theta = phi = 0, alpha = (0, 0)). Boards must span at least two distinct
     heights; a single plane leaves the frame offsets and the beam tilt
     coupled along a one-parameter family.
     """
@@ -188,12 +187,6 @@ def calibrate_laser_orientation(frame: ReferenceFrame,
         raise IllConditioned(
             "all boards at one height: offsets and beam tilt are coupled"
         )
-
-    if initial_v_w is None:
-        theta0, phi0 = 0.0, 0.0
-    else:
-        theta0, phi0 = angles_from_beam(initial_v_w)
-    x0 = np.array([theta0, phi0, initial_alpha[0], initial_alpha[1]])
 
     def residual(x):
         theta, phi, ax, ay = x
@@ -221,7 +214,7 @@ def calibrate_laser_orientation(frame: ReferenceFrame,
                 jac[3 * k:3 * k + 3, col] = axis - (float(n @ axis) / d) * v
         return jac
 
-    result = levenberg_marquardt(residual, jacobian, x0, max_iter=max_iter)
+    result = levenberg_marquardt(residual, jacobian, np.zeros(4), max_iter=max_iter)
     if not result.converged:
         raise NonConvergence(
             f"laser calibration did not converge in {max_iter} iterations"

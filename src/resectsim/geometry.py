@@ -356,9 +356,3 @@ def polygon_is_simple(vertices) -> bool:
             if _segments_cross(a, b, c, d):
                 return False
     return True
-
-
-def polygon_area(vertices) -> float:
-    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))

@@ -32,8 +32,10 @@ with edge errors directed from the achieved outline to the reference one.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,7 @@ from .sensors import (
     OctConfig,
     PinholeCamera,
     ScenePhantom,
+    finite_number,
     intersect_scene,
     project_points,
     project_world_to_image,
@@ -158,9 +161,22 @@ DEFAULT_SCENE = {
 }
 
 
+def _int_at_least(value, low: int) -> bool:
+    return isinstance(value, Integral) and type(value) is not bool and value >= low
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Run description; everything needed to reproduce a trial byte-for-byte."""
+    """Run description; everything needed to reproduce a trial byte-for-byte.
+
+    Fields take these values; anything else raises ConfigError, and a bool is
+    never a number. seed: int >= 0; scene: dict for ScenePhantom.from_dict;
+    scan_extent: two finite lengths > 0 (mm); scan_points: square int >= 4;
+    profile: a PROFILES key; classifier: threshold | mlp | perfect; noiseless:
+    bool; tilt_deg: finite degrees or None (the profile's tilt); spot_diameter:
+    finite > 0 (mm); uncertain_policy: healthy | tumor; oct_noise: number in
+    [0, 0.1); mlp_epochs and mlp_train_per_class: ints >= 1.
+    """
 
     seed: int
     scene: dict = field(default_factory=lambda: dict(DEFAULT_SCENE))
@@ -177,26 +193,35 @@ class ExperimentConfig:
     mlp_train_per_class: int = 120
 
     def __post_init__(self):
+        if not _int_at_least(self.seed, 0):
+            raise ConfigError(f"seed must be an integer >= 0, not {self.seed!r}")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile '{self.profile}'")
         if self.classifier not in ("threshold", "mlp", "perfect"):
             raise ConfigError(f"unknown classifier '{self.classifier}'")
-        side = int(round(np.sqrt(self.scan_points)))
-        if side < 2 or side * side != self.scan_points:
+        if not (_int_at_least(self.scan_points, 4)
+                and math.isqrt(self.scan_points) ** 2 == self.scan_points):
             raise ConfigError("scan_points must be a perfect square >= 4")
+        if not isinstance(self.noiseless, bool):
+            raise ConfigError("noiseless must be true or false")
+        if not (self.tilt_deg is None or finite_number(self.tilt_deg)):
+            raise ConfigError("tilt_deg must be a finite number or null")
         if self.uncertain_policy not in (HEALTHY, TUMOR):
             raise ConfigError("uncertain_policy must map to a hard label")
-        if not (len(self.scan_extent) == 2
-                and all(e > 0 for e in self.scan_extent)):
+        if not (len(self.scan_extent) == 2 and all(
+                finite_number(e) and e > 0 for e in self.scan_extent)):
             raise ConfigError("scan_extent must be two positive lengths")
-        if not self.spot_diameter > 0:
+        if not (finite_number(self.spot_diameter) and self.spot_diameter > 0):
             raise ConfigError("spot_diameter must be positive")
-        if self.mlp_epochs < 1 or self.mlp_train_per_class < 1:
-            raise ConfigError("mlp_epochs and mlp_train_per_class must be >= 1")
+        if not (_int_at_least(self.mlp_epochs, 1)
+                and _int_at_least(self.mlp_train_per_class, 1)):
+            raise ConfigError("mlp_epochs and mlp_train_per_class must be ints >= 1")
         try:
             OctConfig(noise_amplitude=self.oct_noise)
         except ValueError as exc:
             raise ConfigError(f"invalid oct_noise: {exc}") from exc
+        if not isinstance(self.scene, dict):
+            raise ConfigError("scene must be a JSON object")
         try:
             ScenePhantom.from_dict(self.scene)
         except (KeyError, TypeError, ValueError) as exc:
@@ -204,8 +229,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if "seed" not in d:
-            raise ConfigError("config must set a seed (reproducibility)")
+        if not isinstance(d, dict) or "seed" not in d:
+            raise ConfigError("config must be a JSON object with a seed")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
@@ -580,9 +605,10 @@ def _roi_stages(cfg, out, run):
             out / "roi_tags.ply",
             [t.position for t in tags],
             label=_tumor_codes(t.label for t in tags)),
+        # "shrink" is always 0.0; the key is kept for artifact compatibility
         "boundary": rio.write_json(
             out / "roi_boundary.json",
-            {"vertices": boundary.vertices.tolist(), "shrink": boundary.shrink}),
+            {"vertices": boundary.vertices.tolist(), "shrink": 0.0}),
         "plan": rio.write_cut_plan_csv(out / "roi_plan.csv", plan),
         "ledger": rio.append_region_reports_csv(
             out / "region_ledger.csv", f"roi-seed{cfg.seed}", reports),
@@ -758,9 +784,10 @@ def _e2e_stages(cfg, out, run):
         out / "tumor_map.ply", [t.position for t in tags],
         color=[t.color for t in tags],
         label=_tumor_codes(t.label for t in tags))
+    # "shrink" is always 0.0; the key is kept for artifact compatibility
     artifacts["boundary"] = rio.write_json(
         out / "boundary.json",
-        {"vertices": boundary.vertices.tolist(), "shrink": boundary.shrink})
+        {"vertices": boundary.vertices.tolist(), "shrink": 0.0})
     yield "map"
 
     region = select_cut_targets(tags, boundary)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import Correspondence2D3D, LaserCalibration, LaserSpotObservation
+from .calibration import LaserCalibration, LaserSpotObservation
 from .geometry import PlaneFrame, ReferenceFrame, SurfaceCloud
 from .kinematics import CutPlan
 from .sensors import OctConfig, OctVolume
@@ -130,27 +130,6 @@ def read_oct_volume(path_base) -> OctVolume:
 # ---------------------------------------------------------------------------
 
 
-def write_correspondences_csv(path, correspondences) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["u", "v", "X", "Y", "Z"])
-        for c in correspondences:
-            w.writerow([repr(float(x)) for x in (*c.image_point, *c.world_point)])
-    return path
-
-
-def read_correspondences_csv(path):
-    out = []
-    with Path(path).open() as f:
-        for row in csv.DictReader(f):
-            out.append(Correspondence2D3D(
-                [float(row["u"]), float(row["v"])],
-                [float(row["X"]), float(row["Y"]), float(row["Z"])],
-            ))
-    return out
-
-
 def write_spot_observations_csv(path, observations) -> Path:
     path = Path(path)
     with path.open("w", newline="") as f:
@@ -216,14 +195,6 @@ def write_cut_plan_csv(path, plan: CutPlan) -> Path:
                               (*plan.waypoints[k], *plan.targets[k],
                                plan.residuals[k])])
     return path
-
-
-def write_cut_plan_json(path, plan: CutPlan) -> Path:
-    return write_json(path, {
-        "waypoints": plan.waypoints.tolist(),
-        "targets": plan.targets.tolist(),
-        "residuals": plan.residuals.tolist(),
-    })
 
 
 def read_cut_plan_csv(path) -> CutPlan:

@@ -55,27 +55,6 @@ def beta_jacobian(calibration: LaserCalibration, plane: PlaneFrame) -> np.ndarra
     return np.column_stack(cols)
 
 
-def ik_objective(calibration: LaserCalibration, beta, target,
-                 plane: PlaneFrame | None = None) -> float:
-    """Squared distance between the predicted spot and the target."""
-    target = as_vec3(target)
-    if plane is None:
-        plane = target_plane(target)
-    diff = forward_model(calibration, beta, plane) - target
-    return float(diff @ diff)
-
-
-def ik_gradient(calibration: LaserCalibration, beta, target,
-                plane: PlaneFrame | None = None) -> np.ndarray:
-    """Analytic gradient of ik_objective wrt beta."""
-    target = as_vec3(target)
-    if plane is None:
-        plane = target_plane(target)
-    jac = beta_jacobian(calibration, plane)
-    diff = forward_model(calibration, beta, plane) - target
-    return 2.0 * jac.T @ diff
-
-
 @dataclass(frozen=True)
 class IkSolution:
     beta: np.ndarray
@@ -166,45 +145,35 @@ def plan_trajectory(calibration: LaserCalibration, targets,
 
 @dataclass(frozen=True)
 class ScanPattern:
-    """Ordered waypoint grid over a rectangular extent.
-
-    For serpentine ordering, consecutive waypoints are never farther apart
-    than one step diagonal; row-major ordering pays a fly-back at row ends.
-    """
+    """Serpentine waypoint grid over a rectangular extent; construction checks
+    that consecutive waypoints are at most one step diagonal apart."""
 
     waypoints: np.ndarray
     nx: int
     ny: int
     step: tuple[float, float]
-    extent: tuple[float, float]
-    ordering: str
 
     def __post_init__(self):
         w = np.asarray(self.waypoints, dtype=float).reshape(-1, 2)
         object.__setattr__(self, "waypoints", w)
         if len(w) != self.nx * self.ny:
             raise ValueError("waypoint count must equal nx * ny")
-        if self.ordering == "serpentine" and len(w) > 1:
-            gaps = np.linalg.norm(np.diff(w, axis=0), axis=1)
-            limit = max(self.step) * np.sqrt(2.0) + 1e-12
-            if gaps.max() > limit:
-                raise ValueError("serpentine gaps exceed one step diagonal")
+        gaps = np.linalg.norm(np.diff(w, axis=0), axis=1)
+        if len(gaps) and gaps.max() > max(self.step) * np.sqrt(2.0) + 1e-12:
+            raise ValueError("serpentine gaps exceed one step diagonal")
 
     def __len__(self):
         return len(self.waypoints)
 
 
 def raster_pattern(extent=(13.0, 13.0), step: float | None = None,
-                   points: int | None = None, ordering: str = "serpentine",
-                   origin=(0.0, 0.0)) -> ScanPattern:
-    """Meshgrid of waypoints over ``extent`` anchored at ``origin``.
+                   points: int | None = None, origin=(0.0, 0.0)) -> ScanPattern:
+    """Serpentine meshgrid of waypoints over ``extent`` anchored at ``origin``.
 
     Give either ``step`` (per-axis count = round(extent/step) + 1, spacing
     recomputed as extent/(count-1)) or ``points`` (a perfect square total).
-    Serpentine ordering reverses every other row.
+    The order is fixed: rows run along x, and every odd row is reversed.
     """
-    if ordering not in ("serpentine", "row-major"):
-        raise ValueError("ordering must be 'serpentine' or 'row-major'")
     ex, ey = float(extent[0]), float(extent[1])
     if (step is None) == (points is None):
         raise BadStep("give exactly one of step or points")
@@ -224,7 +193,7 @@ def raster_pattern(extent=(13.0, 13.0), step: float | None = None,
     rows = []
     for j in range(ny):
         xs = x0 + np.arange(nx) * sx
-        if ordering == "serpentine" and j % 2 == 1:
+        if j % 2 == 1:
             xs = xs[::-1]
         rows.append(np.column_stack([xs, np.full(nx, y0 + j * sy)]))
-    return ScanPattern(np.vstack(rows), nx, ny, (sx, sy), (ex, ey), ordering)
+    return ScanPattern(np.vstack(rows), nx, ny, (sx, sy))

@@ -5,10 +5,6 @@ point to each camera's pixel hit, plus a ray trace onto the triangulated
 surface) and fused by averaging. Classified tags project along z to 2D,
 where the boundary is their convex hull; scan points inside or on the
 boundary become cut targets.
-
-The boundary assumes a convex tumor outline. A shrink factor above zero
-tightens the hull by subdividing long edges toward interior tags; that
-heuristic is this package's own definition and defaults to off.
 """
 
 from __future__ import annotations
@@ -50,12 +46,11 @@ OUT_OF_VIEW_COLOR = (0, 0, 0)  # surface points the camera does not see
 
 @dataclass(frozen=True)
 class TumorTag:
-    """One classified scan point: 3D position, label, color, spectrum id."""
+    """One classified scan point: 3D position, label, color."""
 
     position: np.ndarray
     label: str
     color: tuple = (0, 0, 0)
-    spectrum_id: int = -1
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position))
@@ -68,8 +63,6 @@ class BoundaryPolygon:
     """Closed 2D outline of the tumor region (closure implied, CCW)."""
 
     vertices: np.ndarray
-    source_indices: tuple
-    shrink: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
@@ -78,8 +71,6 @@ class BoundaryPolygon:
             raise ValueError("polygon needs at least 3 vertices")
         if not polygon_is_simple(v):
             raise ValueError("polygon must be simple")
-        if not (0.0 <= self.shrink <= 1.0):
-            raise ValueError("shrink factor must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,7 @@ class SpotLocator:
             cam_estimates[0], cam_estimates[1], hit[0])
 
 
-def build_tumor_tags(spots, labels, colors=None, spectrum_ids=None):
+def build_tumor_tags(spots, labels, colors=None):
     """Zip scan outputs into tags, preserving scan order."""
     spots = np.asarray(spots, dtype=float).reshape(-1, 3)
     labels = list(labels)
@@ -173,77 +164,18 @@ def build_tumor_tags(spots, labels, colors=None, spectrum_ids=None):
         colors = [(0, 0, 0)] * len(spots)
     elif len(colors) != len(spots):
         raise LengthMismatch("colors length mismatch")
-    if spectrum_ids is None:
-        spectrum_ids = list(range(len(spots)))
-    elif len(spectrum_ids) != len(spots):
-        raise LengthMismatch("spectrum id length mismatch")
     return [
-        TumorTag(p, lab, tuple(int(c) for c in col), int(sid))
-        for p, lab, col, sid in zip(spots, labels, colors, spectrum_ids)
+        TumorTag(p, lab, tuple(int(c) for c in col))
+        for p, lab, col in zip(spots, labels, colors)
     ]
 
 
-def boundary_from_tags(tags, shrink: float = 0.0) -> BoundaryPolygon:
-    """2D boundary of the tumor-labeled tags (convex hull at shrink = 0).
-
-    For shrink > 0, hull edges longer than (1 - shrink) times the longest
-    initial edge are subdivided toward the interior tumor tag nearest the
-    edge midpoint, while the polygon stays simple. This concave refinement
-    is a package-specific heuristic.
-    """
-    tumor_idx = [k for k, t in enumerate(tags) if t.label == TUMOR]
-    if len(tumor_idx) < 3:
-        raise TooFewTumorTags(f"{len(tumor_idx)} tumor tags; need >= 3")
-    proj = project_to_plane_z([tags[k].position for k in tumor_idx])
-    hull = convex_hull(proj)
-
-    def sources(vertices):
-        out = []
-        for v in vertices:
-            match = np.flatnonzero(np.all(np.isclose(proj, v, atol=0.0), axis=1))
-            out.append(tumor_idx[int(match[0])])
-        return tuple(out)
-
-    if shrink <= 0.0:
-        return BoundaryPolygon(hull, sources(hull), 0.0)
-
-    edges = np.linalg.norm(np.diff(np.vstack([hull, hull[:1]]), axis=0), axis=1)
-    limit = (1.0 - shrink) * float(edges.max())
-    poly = [tuple(v) for v in hull]
-    used = {tuple(v) for v in poly}
-    candidates = [tuple(p) for p in proj if tuple(p) not in used]
-
-    for _ in range(10 * len(proj)):
-        n = len(poly)
-        lengths = [
-            np.hypot(poly[(i + 1) % n][0] - poly[i][0],
-                     poly[(i + 1) % n][1] - poly[i][1])
-            for i in range(n)
-        ]
-        order = sorted(range(n), key=lambda i: -lengths[i])
-        inserted = False
-        for i in order:
-            if lengths[i] <= limit:
-                break
-            a = np.array(poly[i])
-            b = np.array(poly[(i + 1) % n])
-            mid = (a + b) / 2.0
-            ranked = sorted(
-                (c for c in candidates if c not in used),
-                key=lambda c: (c[0] - mid[0]) ** 2 + (c[1] - mid[1]) ** 2,
-            )
-            for c in ranked:
-                trial = poly[:i + 1] + [c] + poly[i + 1:]
-                if polygon_is_simple(np.array(trial)):
-                    poly = trial
-                    used.add(c)
-                    inserted = True
-                    break
-            if inserted:
-                break
-        if not inserted:
-            break
-    return BoundaryPolygon(np.array(poly), sources(np.array(poly)), shrink)
+def boundary_from_tags(tags) -> BoundaryPolygon:
+    """2D boundary of the tumor-labeled tags: the convex hull of their xy."""
+    tumor = [t.position for t in tags if t.label == TUMOR]
+    if len(tumor) < 3:
+        raise TooFewTumorTags(f"{len(tumor)} tumor tags; need >= 3")
+    return BoundaryPolygon(convex_hull(project_to_plane_z(tumor)))
 
 
 def select_cut_targets(tags, boundary: BoundaryPolygon) -> CutRegion:

@@ -23,6 +23,18 @@ from .geometry import SurfaceCloud, as_vec3, points_in_polygon
 from .spectra import HEALTHY, TUMOR, Spectrum
 
 DEFAULT_DOMAIN = (-100.0, -100.0, 100.0, 100.0)
+RAY_T_MAX = 500.0  # mm of beam searched by intersect_scene
+RAY_SAMPLES = 800  # bracketing samples along that length
+
+
+def finite_number(value) -> bool:
+    """A real number in float range; bools (JSON true/false) are not."""
+    return isinstance(value, Real) and type(value) is not bool and abs(value) < 2**1024
+
+
+def _numbers(values, count: int, what: str):
+    if not (len(values) == count and all(map(finite_number, values))):
+        raise ValueError(f"{what} needs {count} finite numbers, not {values!r}")
 
 
 @dataclass(frozen=True)
@@ -39,11 +51,12 @@ class ScenePhantom:
       {"label": "tumor", "kind": "polygon", "vertices": [[x, y], ...]}
 
     Albedo maps region labels to reflectivity in [0, 1]; key "default" covers
-    unlabeled surface. Construction rejects unknown kinds, sphere caps, bumps
-    and discs without a positive size, polygons with fewer than 3 vertices,
-    region labels other than "healthy" and "tumor" and albedo values that
-    are not numbers in [0, 1]. ``height``, ``label_at`` and ``albedo_at``
-    accept scalars or arrays.
+    unlabeled surface. ``domain`` is (x0, y0, x1, y1). Construction rejects
+    unknown kinds and labels (only "healthy" and "tumor"), coordinates and
+    sizes that are not finite numbers of the right count, sphere caps, bumps
+    and discs without a positive size, polygons with fewer than 3 vertices
+    and albedo values outside [0, 1]. ``height``, ``label_at`` and
+    ``albedo_at`` accept scalars or arrays.
     """
 
     primitives: tuple
@@ -54,13 +67,17 @@ class ScenePhantom:
     def __post_init__(self):
         for p in self.primitives:
             kind = p["kind"]
-            if kind == "sphere_cap":
+            if kind == "plane":
+                _numbers([p["z"]], 1, "plane z")
+            elif kind == "sphere_cap":
+                _numbers([*p["center"], p["radius"], p["height"]], 4, kind)
                 if not (p["radius"] > 0 and p["height"] > 0):
                     raise ValueError("sphere_cap radius and height must be > 0")
             elif kind == "gauss_bump":
+                _numbers([*p["center"], p["sigma"], p["height"]], 4, kind)
                 if not p["sigma"] > 0:
                     raise ValueError("gauss_bump sigma must be > 0")
-            elif kind != "plane":
+            else:
                 raise ValueError(f"unknown primitive kind: {kind}")
         for reg in self.regions:
             kind, label = reg["kind"], reg.get("label")
@@ -69,14 +86,20 @@ class ScenePhantom:
             if label not in (HEALTHY, TUMOR):
                 raise ValueError(f"region label must be {HEALTHY!r} or "
                                  f"{TUMOR!r}, not {label!r}")
-            if kind == "disc" and not reg["radius"] > 0:
-                raise ValueError("disc radius must be > 0")
-            if kind == "polygon" and len(reg["vertices"]) < 3:
+            if kind == "disc":
+                _numbers([*reg["center"], reg["radius"]], 3, "disc")
+                if not reg["radius"] > 0:
+                    raise ValueError("disc radius must be > 0")
+            elif len(reg["vertices"]) < 3:
                 raise ValueError("polygon needs at least 3 vertices")
+            else:
+                for v in reg["vertices"]:
+                    _numbers(v, 2, "polygon vertex")
         for key, value in self.albedo.items():
-            if not (isinstance(value, Real) and 0.0 <= value <= 1.0):
+            if not (finite_number(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"albedo {key!r} must be a number in "
                                  f"[0, 1], not {value!r}")
+        _numbers(self.domain, 4, "domain")
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ScenePhantom":
@@ -157,8 +180,9 @@ class OctConfig:
     noise_amplitude: float = 0.0  # uniform additive noise, must stay < 0.1
 
     def __post_init__(self):
-        if not (0.0 <= self.noise_amplitude < 0.1):
-            raise ValueError("background noise amplitude must be < 0.1")
+        if not (finite_number(self.noise_amplitude)
+                and 0.0 <= self.noise_amplitude < 0.1):
+            raise ValueError("background noise amplitude must be a number in [0, 0.1)")
 
     @property
     def pitch_x(self) -> float:
@@ -385,20 +409,19 @@ def synth_spectrum(label: str, seed: int,
     return Spectrum(wl, np.clip(base, 0.0, None), state="raw")
 
 
-def intersect_scene(ray, scene: ScenePhantom, t_max: float = 500.0,
-                    samples: int = 800) -> np.ndarray:
+def intersect_scene(ray, scene: ScenePhantom) -> np.ndarray:
     """First intersection of a descending ray with the analytic height field.
 
-    Brackets the first sign change of (ray height - surface height) along the
-    ray, then bisects. Raises NoRayHit when the ray never meets the surface
-    within ``t_max``.
+    Brackets the first sign change of (ray height - surface height) among
+    ``RAY_SAMPLES`` even steps along the ray, then bisects. Raises NoRayHit
+    when the ray never meets the surface within ``RAY_T_MAX`` mm.
     """
 
     def gap(t):
         p = ray.at(t)
         return p[2] - scene.height(p[0], p[1])
 
-    ts = np.linspace(0.0, t_max, samples)
+    ts = np.linspace(0.0, RAY_T_MAX, RAY_SAMPLES)
     pts = ray.origin[None, :] + ts[:, None] * ray.direction[None, :]
     gaps = pts[:, 2] - scene.height(pts[:, 0], pts[:, 1])
     crossing = np.flatnonzero((gaps[:-1] > 0.0) & (gaps[1:] <= 0.0))

@@ -32,6 +32,7 @@ from .errors import (
 HEALTHY = "healthy"
 TUMOR = "tumor"
 UNCERTAIN = "uncertain"
+CONFIDENCE_FRACTION = 0.10  # fit_threshold's half-width over the band-mean range
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,12 @@ def threshold_classify(clf: ThresholdClassifier, s: Spectrum) -> str:
     return HEALTHY
 
 
-def fit_threshold(tumor_spectra, healthy_spectra, bands,
-                  confidence_fraction: float = 0.10) -> ThresholdClassifier:
+def fit_threshold(tumor_spectra, healthy_spectra, bands) -> ThresholdClassifier:
     """Fit the threshold rule from labeled preprocessed spectra.
 
     Threshold is the midpoint of the two class-mean band-means; the
-    confidence half-width is ``confidence_fraction`` of the min-max range of
-    all band-means.
+    confidence half-width is ``CONFIDENCE_FRACTION`` (0.10) of the min-max
+    range of all band-means.
     """
     if not tumor_spectra or not healthy_spectra:
         raise EmptyClass("need at least one spectrum per class")
@@ -153,7 +153,7 @@ def fit_threshold(tumor_spectra, healthy_spectra, bands,
     if mu_t == mu_h:
         raise DegenerateClasses("class band-means coincide")
     all_means = np.concatenate([tm, hm])
-    half = confidence_fraction * float(all_means.max() - all_means.min())
+    half = CONFIDENCE_FRACTION * float(all_means.max() - all_means.min())
     side = "low" if mu_t < mu_h else "high"
     return ThresholdClassifier(tuple(tuple(b) for b in bands),
                                (mu_t + mu_h) / 2.0, half, side)

@@ -256,7 +256,7 @@ def test_criterion_06_hull_oracle_100_instances():
     for _ in range(100):
         pts = rng.uniform(-5.0, 5.0, size=(int(rng.integers(3, 51)), 2))
         tags = [TumorTag([x, y, 0.0], "tumor") for x, y in pts]
-        hull = boundary_from_tags(tags, shrink=0.0).vertices
+        hull = boundary_from_tags(tags).vertices
         oracle = _half_plane_hull(pts)
         assert len(hull) == len(oracle)
         match = False
@@ -265,7 +265,7 @@ def test_criterion_06_hull_oracle_100_instances():
                 match = True
                 break
         assert match
-    _report(6, "boundary (shrink 0) equals the all-pairs half-plane hull on "
+    _report(6, "boundary equals the all-pairs half-plane hull on "
                "100 random instances",
             time.perf_counter() - t0, 5.0)
 

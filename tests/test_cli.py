@@ -96,11 +96,43 @@ class TestExitCodes:
             "regions": [{"label": "tumor", "kind": "disc",
                          "center": [6.3, 6.4], "radius": 5.0}],
             "albedo": {"default": 0.9, "tumor": "dark"}}}),
+        (["phantom", "roi"], {"seed": "abc"}),
+        (["phantom", "roi"], {"seed": 1.5}),
+        (["phantom", "roi"], {"seed": -1}),
+        (["phantom", "roi"], {"seed": True}),
+        (["phantom", "roi"], {"tilt_deg": "x"}),
+        (["phantom", "roi"], {"classifier": "mlp", "mlp_epochs": 2.5}),
+        (["phantom", "roi"], {"classifier": "mlp", "mlp_train_per_class": 2.5}),
+        (["phantom", "roi"], {"noiseless": "no"}),
+        (["e2e"], {"scan_points": 16, "scene": []}),
+        (["e2e"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": 3.0}],
+            "regions": [{"label": "tumor", "kind": "disc", "center": [1],
+                         "radius": 5.0}]}}),
+        (["e2e"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": "3"}]}}),
+        (["e2e"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": None}]}}),
+        (["e2e"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": 3.0},
+                           {"kind": "gauss_bump", "center": [6.3, 6.4, 0.0],
+                            "sigma": 2.0, "height": 1.0}]}}),
+        (["e2e"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": 3.0}],
+            "regions": [{"label": "tumor", "kind": "polygon",
+                         "vertices": [[2.0, 2.0], [10.0, 2.0], [1, "a"]]}]}}),
+        (["e2e"], {"scan_points": 16, "scene": {
+            "primitives": [{"kind": "plane", "z": 3.0}], "domain": [0, 0]}}),
     ], ids=["non-square-scan-points", "flat-sphere-cap", "oct-noise-too-high",
             "zero-mlp-epochs", "zero-mlp-train-per-class", "zero-spot-diameter",
             "negative-scan-extent", "scalar-scan-extent", "region-without-label",
             "two-vertex-polygon", "unknown-region-label", "albedo-above-one",
-            "string-albedo"])
+            "string-albedo", "string-seed", "float-seed", "negative-seed",
+            "bool-seed", "string-tilt", "float-mlp-epochs",
+            "float-mlp-train-per-class", "string-noiseless", "list-scene",
+            "one-number-disc-center", "string-plane-z", "null-plane-z",
+            "three-number-bump-center", "string-polygon-vertex",
+            "two-number-domain"])
     def test_invalid_config_exits_2_before_writing(self, tmp_path, capsys,
                                                    command, extra):
         cfg = write_cfg(tmp_path, **extra)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resectsim.errors import ConfigError, TooFewTumorTags
 from resectsim.harness import (
@@ -60,6 +62,59 @@ class TestConfig:
         for count in (2, 50):
             with pytest.raises(ConfigError):
                 ExperimentConfig(seed=1, scan_points=count)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+SCENE_PARTS = (
+    {"kind": "plane", "z": 3.0},
+    {"kind": "sphere_cap", "center": [6.3, 6.4], "radius": 4.0, "height": 1.0},
+    {"kind": "gauss_bump", "center": [6.3, 6.4], "sigma": 2.0, "height": 1.0},
+    {"label": "tumor", "kind": "disc", "center": [6.3, 6.4], "radius": 5.0},
+    {"label": "healthy", "kind": "polygon",
+     "vertices": [[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]]},
+)
+
+
+@st.composite
+def mutated_parts(draw):
+    """A valid primitive or region with one key dropped or set to any JSON."""
+    part = dict(draw(st.sampled_from(SCENE_PARTS)))
+    key = draw(st.sampled_from(sorted(part)))
+    if draw(st.booleans()):
+        del part[key]
+    else:
+        part[key] = draw(JSON_VALUES)
+    return part
+
+
+PARTS = st.lists(st.sampled_from(SCENE_PARTS) | mutated_parts() | JSON_VALUES,
+                 max_size=3)
+MALFORMED_SCENES = st.fixed_dictionaries({}, optional={
+    "primitives": PARTS | JSON_VALUES,
+    "regions": PARTS | JSON_VALUES,
+    "albedo": st.dictionaries(st.sampled_from(["default", "tumor"]),
+                              JSON_VALUES, max_size=2) | JSON_VALUES,
+    "domain": st.lists(JSON_VALUES, max_size=5) | JSON_VALUES,
+})
+
+
+@pytest.mark.parametrize("key", sorted(ExperimentConfig.__dataclass_fields__))
+# scalars are drawn on their own too, so that bare numbers come up often
+@given(value=JSON_SCALARS | JSON_VALUES | MALFORMED_SCENES)
+def test_from_dict_returns_a_config_or_raises_config_error(key, value):
+    # any JSON value under any one key: a config, or ConfigError, nothing else
+    try:
+        cfg = ExperimentConfig.from_dict({"seed": 1, key: value})
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 class TestProfiles:

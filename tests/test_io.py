@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from resectsim import io as rio
-from resectsim.calibration import (
-    Correspondence2D3D,
-    LaserCalibration,
-    LaserSpotObservation,
-)
+from resectsim.calibration import LaserCalibration, LaserSpotObservation
 from resectsim.geometry import PlaneFrame, ReferenceFrame
 from resectsim.kinematics import CutPlan
 from resectsim.sensors import OctConfig, OctVolume
@@ -50,13 +46,6 @@ class TestVolume:
 
 
 class TestCsv:
-    def test_correspondences(self, tmp_path):
-        corr = [Correspondence2D3D([1.25, 2.5], [0.1, 0.2, 0.3])]
-        path = rio.write_correspondences_csv(tmp_path / "c.csv", corr)
-        back = rio.read_correspondences_csv(path)
-        assert np.array_equal(back[0].image_point, corr[0].image_point)
-        assert np.array_equal(back[0].world_point, corr[0].world_point)
-
     def test_spot_observations(self, tmp_path):
         obs = [LaserSpotObservation(
             [0.5, -0.5],
@@ -77,14 +66,6 @@ class TestCsv:
         assert np.array_equal(back.targets, plan.targets)
         assert np.array_equal(back.waypoints, plan.waypoints)
         assert np.array_equal(back.residuals, plan.residuals)
-
-    def test_cut_plan_json(self, tmp_path):
-        plan = CutPlan(np.arange(6.0).reshape(2, 3),
-                       np.arange(4.0).reshape(2, 2), np.zeros(2))
-        path = rio.write_cut_plan_json(tmp_path / "p.json", plan)
-        d = rio.read_json(path)
-        assert d["waypoints"] == plan.waypoints.tolist()
-        assert d["targets"] == plan.targets.tolist()
 
     def test_spectra(self, tmp_path):
         wl = np.arange(450.0, 460.0)

@@ -8,8 +8,6 @@ from resectsim.kinematics import (
     CutPlan,
     beta_jacobian,
     forward_model,
-    ik_gradient,
-    ik_objective,
     plan_trajectory,
     raster_pattern,
     solve_ik,
@@ -106,22 +104,24 @@ class TestSolveIk:
                      bounds=((-10, 10), (-10, 10)))
 
     def test_gradient_matches_central_differences(self):
+        # the Jacobian solve_ik steps with, against central differences of
+        # the forward model on the target's plane
         rng = np.random.default_rng(9)
         for _ in range(20):
             calib = random_calibration(rng)
             target = np.array([rng.uniform(-5, 5), rng.uniform(-5, 5),
                                rng.uniform(0, 6)])
             beta = rng.uniform(-6, 6, 2)
-            grad = ik_gradient(calib, beta, target)
+            plane = target_plane(target)
+            jac = beta_jacobian(calib, plane)
             h = 1e-6
             for k in range(2):
                 bp, bm = beta.copy(), beta.copy()
                 bp[k] += h
                 bm[k] -= h
-                num = (ik_objective(calib, bp, target)
-                       - ik_objective(calib, bm, target)) / (2 * h)
-                denom = max(abs(num), abs(grad[k]), 1e-12)
-                assert abs(num - grad[k]) / denom < 1e-6
+                num = (forward_model(calib, bp, plane)
+                       - forward_model(calib, bm, plane)) / (2 * h)
+                np.testing.assert_allclose(num, jac[:, k], rtol=1e-6, atol=1e-7)
 
 
 class TestTrajectory:
@@ -190,10 +190,6 @@ class TestRaster:
     def test_serpentine_order(self):
         pat = raster_pattern((1.0, 1.0), step=1.0)
         assert np.allclose(pat.waypoints, [[0, 0], [1, 0], [1, 1], [0, 1]])
-
-    def test_row_major_order(self):
-        pat = raster_pattern((1.0, 1.0), step=1.0, ordering="row-major")
-        assert np.allclose(pat.waypoints, [[0, 0], [1, 0], [0, 1], [1, 1]])
 
     def test_serpentine_gap_invariant(self):
         pat = raster_pattern((13.0, 13.0), points=100)

@@ -15,7 +15,6 @@ from resectsim.geometry import (
     Ray,
     convex_hull,
     points_in_polygon,
-    polygon_area,
     polygon_is_simple,
 )
 from resectsim.mapping import (
@@ -188,7 +187,6 @@ class TestBoundary:
         tags = tags_at([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
         b = boundary_from_tags(tags)
         assert len(b.vertices) == 4
-        assert set(b.source_indices) <= set(range(5))
 
     def test_too_few(self):
         with pytest.raises(TooFewTumorTags):
@@ -205,20 +203,6 @@ class TestBoundary:
         with pytest.raises(CollinearTags):
             boundary_from_tags(tags_at([(0, 0), (1, 0), (2, 0), (3, 0)]))
 
-    def test_shrink_reduces_area_on_c_shape(self):
-        outer = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 3), (4, 3), (4, 4), (0, 4)]
-        dense = []
-        for k in range(len(outer)):
-            a = np.array(outer[k], dtype=float)
-            b = np.array(outer[(k + 1) % len(outer)], dtype=float)
-            for t in np.linspace(0, 1, 4, endpoint=False):
-                dense.append(tuple(a + t * (b - a)))
-        tags = tags_at(dense)
-        b0 = boundary_from_tags(tags, shrink=0.0)
-        b5 = boundary_from_tags(tags, shrink=0.5)
-        assert polygon_area(b0.vertices) >= polygon_area(b5.vertices)
-        assert polygon_is_simple(b5.vertices)
-
     def test_every_tumor_tag_inside_hull(self):
         rng = np.random.default_rng(31)
         xy = rng.uniform(0, 8, size=(25, 2))
@@ -230,9 +214,7 @@ class TestBoundary:
 class TestSelect:
     def square_boundary(self):
         return BoundaryPolygon(
-            np.array([(0, 0), (2, 0), (2, 2), (0, 2)], dtype=float),
-            (0, 1, 2, 3),
-        )
+            np.array([(0, 0), (2, 0), (2, 2), (0, 2)], dtype=float))
 
     def test_center_only(self):
         tags = tags_at([(1, 1), (50, 50)])
@@ -263,7 +245,6 @@ class TestTags:
             np.zeros((3, 3)), ["tumor", "healthy", "tumor"]
         )
         assert [t.label for t in tags] == ["tumor", "healthy", "tumor"]
-        assert [t.spectrum_id for t in tags] == [0, 1, 2]
 
     def test_empty(self):
         assert build_tumor_tags(np.empty((0, 3)), []) == []

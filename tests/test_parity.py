@@ -1,10 +1,11 @@
-"""Byte-identity guard: the SHA-256 of every artifact of four fixed runs.
+"""Byte-identity guard: the SHA-256 of every artifact of five fixed runs.
 
 Refactors must leave artifacts byte-identical (acceptance criterion 11 run
 across versions of the code, not only across repeats). The digests below
-were recorded before the ROI and e2e scan loops were merged into one. The
-runs use the threshold classifier, so no digest depends on how many threads
-BLAS uses. A digest changes only when the artifact's bytes do; if a change
+were recorded before the ROI and e2e scan loops were merged into one; the
+marker digests were recorded before the laser calibration's start point
+became fixed. No run trains the MLP, so no digest depends on how many
+threads BLAS uses. A digest changes only when the artifact's bytes do; if a change
 is meant to alter an artifact, re-record its digest and say why.
 """
 
@@ -15,6 +16,7 @@ import pytest
 from resectsim.harness import (
     ExperimentConfig,
     run_end_to_end,
+    run_marker_experiment,
     run_roi_experiment,
     run_trajectory_experiment,
 )
@@ -29,6 +31,8 @@ RUNS = {
         seed=5, noiseless=True, classifier="threshold", scan_points=100)),
     "trajectory-diode-noisy": (run_trajectory_experiment, dict(
         seed=5, profile="diode", noiseless=False)),
+    "marker-fiber-noisy": (run_marker_experiment, dict(
+        seed=5, profile="fiber", noiseless=False)),
 }
 
 DIGESTS = {
@@ -99,6 +103,16 @@ DIGESTS = {
             "ea3eecd515ed88d92f3b70aab89d2984547fad7ed2ac535ddc5a926c09eddca7",
         "trajectory_report.json":
             "2f2b2270a6519876f98e3cf0a65b2bfa164973e4b3a8c3955512b59387711c51",
+    },
+    "marker-fiber-noisy": {
+        "calibration_observations.csv":
+            "f988ffb3125f4d89a31299741cac10323af747f0fa0bbfcbdc6381ae714e5ca1",
+        "laser_calibration.json":
+            "6d2dee5b01e4209096277b21d7e4e4d97be1bcac15371deeb90d674a535e8de8",
+        "marker_plan.csv":
+            "24ffe19f90a8771755d091f0e88e3893c2c25322b8d20769c6c568f4bf2f9ff7",
+        "marker_report.json":
+            "69d9d6cfdd989cc12c67a7e14f6fc7d4b5face4eb96ca3a8ddcc4829fd7bfa26",
     },
 }
 

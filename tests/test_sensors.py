@@ -47,6 +47,22 @@ class TestSceneSpec:
          {"label": "tumor", "kind": "polygon", "vertices": [[0, 0], [1, 0]]}),
         ({"kind": "plane", "z": 3.0},
          {"label": "tumor", "kind": "disc", "center": [0, 0], "radius": 0.0}),
+        ({"kind": "plane", "z": "3"}, None),
+        ({"kind": "plane", "z": None}, None),
+        ({"kind": "plane", "z": float("nan")}, None),
+        ({"kind": "plane", "z": True}, None),
+        ({"kind": "gauss_bump", "center": [0, 0, 0], "sigma": 1.0,
+          "height": 1.0}, None),
+        ({"kind": "sphere_cap", "center": [0, "a"], "radius": 4.0,
+          "height": 1.0}, None),
+        ({"kind": "plane", "z": 3.0},
+         {"label": "tumor", "kind": "disc", "center": [1], "radius": 1.0}),
+        ({"kind": "plane", "z": 3.0},
+         {"label": "tumor", "kind": "polygon",
+          "vertices": [[0, 0], [1, 0], [1, "a"]]}),
+        ({"kind": "plane", "z": 3.0},
+         {"label": "tumor", "kind": "polygon",
+          "vertices": [[0, 0], [1, 0], [1, 1, 1]]}),
     ])
     def test_invalid_spec_rejected_on_construction(self, primitive, region):
         with pytest.raises(ValueError):
@@ -64,6 +80,14 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             ScenePhantom(primitives=({"kind": "plane", "z": 3.0},),
                          albedo=albedo)
+
+    @pytest.mark.parametrize("domain", [
+        (0, 0), (0.0, 0.0, 1.0, "a"), (0.0, 0.0, 1.0, float("inf")),
+    ], ids=["two-numbers", "string", "infinite"])
+    def test_invalid_domain_rejected_on_construction(self, domain):
+        with pytest.raises(ValueError):
+            ScenePhantom(primitives=({"kind": "plane", "z": 3.0},),
+                         domain=domain)
 
 
 @st.composite
