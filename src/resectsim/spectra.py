@@ -236,14 +236,8 @@ def nll_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(-logp[np.arange(len(y)), y].mean())
 
 
-def nll_loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray,
-                           out=None):
-    """Mean NLL plus its analytic gradients, from one forward pass.
-
-    ``out`` is an optional ``(gw, gb)`` pair of per-layer arrays shaped like
-    the weights and biases; the gradients are written into them in place of
-    new arrays, and the same lists are returned.
-    """
+def nll_loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """Mean NLL plus its analytic gradients, from one forward pass."""
     acts = _forward_cached(model, x)
     logp = _log_softmax(acts[-1])
     n = len(y)
@@ -251,14 +245,11 @@ def nll_loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray,
     delta = np.exp(logp)
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    if out is None:
-        gw = [np.empty_like(w) for w in model.weights]
-        gb = [np.empty_like(b) for b in model.biases]
-    else:
-        gw, gb = out
+    gw = [None] * len(model.weights)
+    gb = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=gw[i])
-        np.sum(delta, axis=0, out=gb[i])
+        gw[i] = acts[i].T @ delta
+        gb[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i].T) * (acts[i] > 0)
     return loss, gw, gb
@@ -273,6 +264,14 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
+
+
+# A first moment whose gradient stays zero decays by b1 into the subnormal
+# range and stays there (b1 times a few ulps rounds back to itself), where each
+# product or quotient is about 30 times slower. Every FLUSH_EVERY steps such
+# moments are zeroed; with the default TrainConfig their step is under half an
+# ulp of any weight above 1e-284, so no weight changes.
+FLUSH_EVERY = 32
 
 
 def mlp_train(x: np.ndarray, y: np.ndarray,
@@ -301,10 +300,9 @@ def mlp_train(x: np.ndarray, y: np.ndarray,
     model.norm_mean, model.norm_std = mean, std
 
     params = model.weights + model.biases
-    grads = [np.empty_like(p) for p in params]
-    grad_out = (grads[:len(model.weights)], grads[len(model.weights):])
     moments1 = [np.zeros_like(p) for p in params]
     moments2 = [np.zeros_like(p) for p in params]
+    scratch = [np.empty_like(p) for p in params]
 
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     rng = np.random.default_rng(cfg.seed + 1)
@@ -315,61 +313,28 @@ def mlp_train(x: np.ndarray, y: np.ndarray,
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, _, _ = nll_loss_and_gradients(model, xn[idx], y[idx],
-                                                out=grad_out)
+            loss, gw, gb = nll_loss_and_gradients(model, xn[idx], y[idx])
             losses.append(loss)
             step += 1
             # bias-corrected step folded into the learning rate
             lr_t = cfg.learning_rate * np.sqrt(1.0 - b2**step) / (1.0 - b1**step)
             eps_t = cfg.adam_eps * np.sqrt(1.0 - b2**step)
-            for p, g, m, v in zip(params, grads, moments1, moments2):
-                _adam_update(p, g, m, v, b1, b2, lr_t, eps_t)
+            for p, g, m, v, s in zip(params, gw + gb, moments1, moments2,
+                                     scratch):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * np.square(g, out=g)
+                np.sqrt(v, out=s)
+                s += eps_t
+                np.divide(m, s, out=s)
+                s *= lr_t
+                p -= s
             if step % FLUSH_EVERY == 0:
                 for m in moments1:
-                    m[np.abs(m) < SMALLEST_NORMAL] = 0.0
+                    m[np.abs(m) < np.finfo(float).tiny] = 0.0
         history.append(float(np.mean(losses)))
     return model, history
-
-
-ADAM_BLOCK = 65_536  # elements per block of the Adam update
-# Steps between flushes of subnormal first moments to zero. A moment whose
-# gradient stays zero decays by b1 a step into the subnormal range and stays
-# there (b1 times 1 to 5 units in the last place rounds back to itself), and
-# every product or quotient of a subnormal is about 30 times slower: late in
-# a long training run this tripled the step time. With the default TrainConfig
-# the step such a moment gives is under 1e-300, less than half a unit in the
-# last place of any weight above 1e-284, so flushing it leaves the weights as
-# they are.
-FLUSH_EVERY = 32
-SMALLEST_NORMAL = np.finfo(float).tiny
-
-
-def _adam_update(p, g, m, v, b1, b2, lr_t, eps_t) -> None:
-    """One Adam step over one layer's arrays, in place; ``g`` is overwritten.
-
-    The arrays are C-contiguous and walked flat in blocks; each block runs
-    the whole element-wise sequence while its slices are still in cache.
-    Every element sees the same float operations in the same order as a
-    whole-array update, so the result is bit-identical.
-    """
-    p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
-    c1, c2 = 1.0 - b1, 1.0 - b2
-    s = np.empty(min(ADAM_BLOCK, p.size))
-    for lo in range(0, p.size, ADAM_BLOCK):
-        hi = min(lo + ADAM_BLOCK, p.size)
-        pb, gb, mb, vb, sb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], s[:hi - lo]
-        np.multiply(c1, gb, out=sb)
-        mb *= b1
-        mb += sb
-        np.square(gb, out=gb)
-        np.multiply(c2, gb, out=gb)
-        vb *= b2
-        vb += gb
-        np.sqrt(vb, out=sb)
-        sb += eps_t
-        np.divide(mb, sb, out=sb)
-        sb *= lr_t
-        pb -= sb
 
 
 def mlp_predict(model: MlpModel, x) -> np.ndarray:

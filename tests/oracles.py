@@ -1,19 +1,14 @@
-"""Reference versions of kernels that faster code replaced.
+"""Scalar oracles for the array membership kernels.
 
-The scalar membership tests are the one-point-at-a-time versions that
-``points_in_polygon`` and ``ScenePhantom._region_index`` replaced; the
-trainer is the whole-array Adam loop that ``mlp_train``'s blocked update
-replaced. Each is kept as it was so the tests can hold the new code to it.
+These are the one-point-at-a-time versions that ``points_in_polygon`` and
+``ScenePhantom._region_index`` replaced, kept as they were so the tests can
+hold the array kernels to them.
 """
 
 import numpy as np
 
 from resectsim.geometry import EDGE_EPS
-from resectsim.spectra import (
-    HEALTHY,
-    init_mlp,
-    nll_loss_and_gradients,
-)
+from resectsim.spectra import HEALTHY
 
 
 def point_on_segment(p, a, b, eps: float = EDGE_EPS) -> bool:
@@ -68,49 +63,3 @@ def albedo_at(scene, x, y) -> float:
     reg = _region_hits(scene, float(x), float(y))
     key = reg["label"] if reg is not None else "default"
     return float(scene.albedo.get(key, scene.albedo.get("default", 0.9)))
-
-
-def adam_step(params, grads, moments1, moments2, b1, b2, lr_t, eps_t):
-    """One whole-array Adam step per layer, in place; grads are overwritten."""
-    for p, g, m, v in zip(params, grads, moments1, moments2):
-        s = np.empty_like(p)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g, out=g)
-        np.sqrt(v, out=s)
-        s += eps_t
-        np.divide(m, s, out=s)
-        s *= lr_t
-        p -= s
-
-
-def mlp_train(x, y, cfg, hidden):
-    """The per-layer trainer, with no flush of subnormal moments."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
-    mean = float(x.mean())
-    std = float(x.std()) or 1.0
-    xn = (x - mean) / std
-    model = init_mlp(x.shape[1], hidden=hidden, seed=cfg.seed)
-    model.norm_mean, model.norm_std = mean, std
-    params = model.weights + model.biases
-    moments1 = [np.zeros_like(p) for p in params]
-    moments2 = [np.zeros_like(p) for p in params]
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    rng = np.random.default_rng(cfg.seed + 1)
-    history = []
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(xn))
-        losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, gw, gb = nll_loss_and_gradients(model, xn[idx], y[idx])
-            losses.append(loss)
-            step += 1
-            lr_t = cfg.learning_rate * np.sqrt(1.0 - b2**step) / (1.0 - b1**step)
-            eps_t = cfg.adam_eps * np.sqrt(1.0 - b2**step)
-            adam_step(params, gw + gb, moments1, moments2, b1, b2, lr_t, eps_t)
-        history.append(float(np.mean(losses)))
-    return model, history

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import oracles
 from resectsim import spectra
 from resectsim.errors import (
     AllZero,
@@ -207,40 +206,37 @@ class TestMlp:
             mlp_train(x, np.zeros(4, dtype=int))
 
 
-class TestAdam:
-    """The blocked Adam update against the whole-array one."""
+def adam_step(p, g, m, v, b1, b2, lr_t, eps_t):
+    """One whole-array Adam step, as ``mlp_train`` takes it, in place."""
+    s = np.empty_like(p)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g, out=g)
+    np.sqrt(v, out=s)
+    s += eps_t
+    np.divide(m, s, out=s)
+    s *= lr_t
+    p -= s
 
-    def test_trainer_matches_per_layer_trainer(self, monkeypatch):
+
+class TestAdam:
+    """Flushing subnormal first moments to zero changes no weight."""
+
+    def test_trainer_matches_trainer_without_flush(self, monkeypatch):
         x, y = separable_data(60, seed=4)
         # long enough for the moments of dead units to decay far below the
         # others, short of the subnormal range
         cfg = TrainConfig(epochs=60, seed=9)
-        ref, ref_hist = oracles.mlp_train(x, y, cfg, hidden=(16, 8, 4))
-        for block, flush_every in ((spectra.ADAM_BLOCK, spectra.FLUSH_EVERY),
-                                   (7, 1), (64, 5)):
-            monkeypatch.setattr(spectra, "ADAM_BLOCK", block)
+        monkeypatch.setattr(spectra, "FLUSH_EVERY", 10**9)
+        ref, ref_hist = mlp_train(x, y, cfg, hidden=(16, 8, 4))
+        for flush_every in (32, 1, 5):
             monkeypatch.setattr(spectra, "FLUSH_EVERY", flush_every)
             got, hist = mlp_train(x, y, cfg, hidden=(16, 8, 4))
             assert hist == ref_hist
             for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
                 assert a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("shape,block", [((1,), 4), ((50,), 7), ((64,), 8),
-                                             ((70,), 70), ((7, 9), 5)])
-    def test_blocked_update_is_bit_identical(self, monkeypatch, shape, block):
-        rng = np.random.default_rng(block)
-        tiny = np.finfo(float).tiny
-        p = rng.uniform(-0.2, 0.2, shape)
-        g = rng.normal(0.0, 1e-3, shape) * rng.choice([0.0, 1.0, 1e-150], shape)
-        m = rng.normal(0.0, 1e-4, shape) * rng.choice([1.0, tiny * 1e-3], shape)
-        v = rng.uniform(0.0, 1e-6, shape)
-        want = [a.copy() for a in (p, g, m, v)]
-        oracles.adam_step(*[[a] for a in want], 0.9, 0.999, 3e-4, 2e-10)
-        monkeypatch.setattr(spectra, "ADAM_BLOCK", block)
-        spectra._adam_update(p, g, m, v, 0.9, 0.999, 3e-4, 2e-10)
-        for got, ref in zip((p, m, v), (want[0], want[2], want[3])):
-            assert got.tobytes() == ref.tobytes()
 
     def test_flushing_subnormal_moments_leaves_weights_unchanged(self):
         cfg = TrainConfig()
@@ -257,10 +253,10 @@ class TestAdam:
             lr_t = cfg.learning_rate * np.sqrt(1.0 - b2**step) / (1.0 - b1**step)
             eps_t = cfg.adam_eps * np.sqrt(1.0 - b2**step)
             kept, flushed = p.copy(), p.copy()
-            oracles.adam_step([kept], [np.zeros(n)], [m.copy()], [v.copy()],
-                              b1, b2, lr_t, eps_t)
-            oracles.adam_step([flushed], [np.zeros(n)], [np.zeros(n)],
-                              [v.copy()], b1, b2, lr_t, eps_t)
+            adam_step(kept, np.zeros(n), m.copy(), v.copy(),
+                      b1, b2, lr_t, eps_t)
+            adam_step(flushed, np.zeros(n), np.zeros(n), v.copy(),
+                      b1, b2, lr_t, eps_t)
             assert kept.tobytes() == flushed.tobytes() == p.tobytes()
 
 
