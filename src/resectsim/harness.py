@@ -100,6 +100,9 @@ from .spectra import (
 )
 
 WORKING_DISTANCE = 56.3  # mm
+# widest accepted scan raster side (mm), far beyond the 12.6 mm OCT field:
+# wider rasters leave the camera's view and huge ones overflow the waypoint gaps
+MAX_SCAN_EXTENT = 1000.0
 
 # fixed band and cutoff of the phantom threshold rule
 PHANTOM_RULE = ThresholdClassifier(((495.0, 570.0),), 0.50, 0.0, "low")
@@ -171,11 +174,12 @@ class ExperimentConfig:
 
     Fields take these values; anything else raises ConfigError, and a bool is
     never a number. seed: int >= 0; scene: dict for ScenePhantom.from_dict;
-    scan_extent: two finite lengths > 0 (mm); scan_points: square int >= 4;
-    profile: a PROFILES key; classifier: threshold | mlp | perfect; noiseless:
-    bool; tilt_deg: finite degrees or None (the profile's tilt); spot_diameter:
-    finite > 0 (mm); uncertain_policy: healthy | tumor; oct_noise: number in
-    [0, 0.1); mlp_epochs and mlp_train_per_class: ints >= 1.
+    scan_extent: two lengths in (0, MAX_SCAN_EXTENT] (mm); scan_points: square
+    int >= 4; profile: a PROFILES key; classifier: threshold | mlp | perfect;
+    noiseless: bool; tilt_deg: finite degrees or None (the profile's tilt);
+    spot_diameter: finite > 0 (mm); uncertain_policy: healthy | tumor;
+    oct_noise: number in [0, 0.1); mlp_epochs and mlp_train_per_class: ints
+    >= 1.
     """
 
     seed: int
@@ -209,8 +213,10 @@ class ExperimentConfig:
         if self.uncertain_policy not in (HEALTHY, TUMOR):
             raise ConfigError("uncertain_policy must map to a hard label")
         if not (len(self.scan_extent) == 2 and all(
-                finite_number(e) and e > 0 for e in self.scan_extent)):
-            raise ConfigError("scan_extent must be two positive lengths")
+                finite_number(e) and 0 < e <= MAX_SCAN_EXTENT
+                for e in self.scan_extent)):
+            raise ConfigError("scan_extent must be two lengths in "
+                              f"(0, {MAX_SCAN_EXTENT:g}] mm")
         if not (finite_number(self.spot_diameter) and self.spot_diameter > 0):
             raise ConfigError("spot_diameter must be positive")
         if not (_int_at_least(self.mlp_epochs, 1)

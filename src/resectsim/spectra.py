@@ -12,11 +12,11 @@ only meaningful when no subject contributes to both train and test sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .errors import (
     AllZero,
@@ -58,7 +58,11 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Band crop limits (nm), plus Savitzky-Golay window and polynomial order."""
+    """Band crop limits (nm), plus Savitzky-Golay window and polynomial order.
+
+    A (window, polyorder) pair whose weights ``savgol_weights`` refuses
+    raises ValueError here.
+    """
 
     band: tuple[float, float] = (450.0, 750.0)
     window: int = 11
@@ -67,13 +71,61 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.window % 2 == 0 or not (self.window > self.polyorder >= 0):
             raise ValueError("window must be odd and exceed polyorder >= 0")
+        savgol_weights(self.window, self.polyorder)
+
+
+@functools.cache
+def savgol_weights(window: int, polyorder: int) -> np.ndarray:
+    """Savitzky-Golay smoothing weights, in correlation order (read-only).
+
+    The minimum-norm ``lstsq`` solution of the reversed Vandermonde system,
+    with singular values below ``eps * max(shape)`` of the largest dropped,
+    as ``scipy.signal.savgol_coeffs`` computes it. Raises ValueError when
+    the weights are not symmetric within DBL_EPSILON: the summation order
+    ``savgol_smooth`` reproduces holds only for symmetric weights.
+    """
+    h = window // 2
+    t = np.arange(h, -h - 1, -1, dtype=float)
+    a = t ** np.arange(polyorder + 1, dtype=float).reshape(-1, 1)
+    e0 = np.zeros(polyorder + 1)
+    e0[0] = 1.0
+    eps = np.finfo(float).eps
+    w = np.linalg.lstsq(a, e0, rcond=eps * max(a.shape))[0][::-1].copy()
+    if np.any(np.abs(w - w[::-1]) > eps):
+        raise ValueError(f"Savitzky-Golay weights for window {window}, "
+                         f"polyorder {polyorder} are not symmetric")
+    w.setflags(write=False)
+    return w
+
+
+def savgol_smooth(x: np.ndarray, window: int, polyorder: int) -> np.ndarray:
+    """Savitzky-Golay smoothing of a 1-D signal with mirror padding.
+
+    Needs ``len(x) >= window``; see ``preprocess`` for the summation order.
+    """
+    w = savgol_weights(window, polyorder)
+    h = window // 2
+    n = len(x)
+    xp = np.pad(x, h, mode="reflect")
+    out = xp[h:h + n] * w[h]
+    for j in range(h, 0, -1):
+        out += (xp[h - j:h - j + n] + xp[h + j:h + j + n]) * w[h - j]
+    return out
 
 
 def preprocess(s: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spectrum:
     """Crop to the configured band, divide by the band maximum, then smooth.
 
-    Smoothing uses mirror padding at the band edges so the already-narrow
-    band does not shrink. Tiny smoothing undershoots are clipped at zero.
+    Smoothing is the Savitzky-Golay least-squares polynomial filter
+    (Savitzky & Golay, Anal. Chem. 36, 1627, 1964) with mirror padding at
+    the band edges (sample ``-k`` reads sample ``k``), so the already-narrow
+    band does not shrink. It reproduces the bits of
+    ``scipy.signal.savgol_filter(x, window, polyorder, mode="mirror")`` by
+    repeating ``scipy.ndimage``'s symmetric-kernel order: with ``w`` the
+    weights, ``h`` the half window and ``xp`` the padded signal,
+    ``out = xp[h:h+n] * w[h]``, then for ``j = h`` down to 1,
+    ``out += (xp[h-j:h-j+n] + xp[h+j:h+j+n]) * w[h-j]``. Tiny smoothing
+    undershoots are clipped at zero.
     """
     if s.state != "raw":
         raise ValueError("preprocess expects a raw spectrum")
@@ -89,7 +141,7 @@ def preprocess(s: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spect
     it = it / m
     if len(it) < cfg.window:
         raise ValueError("band too narrow for the smoothing window")
-    it = savgol_filter(it, cfg.window, cfg.polyorder, mode="mirror")
+    it = savgol_smooth(it, cfg.window, cfg.polyorder)
     it = np.clip(it, 0.0, None)
     return Spectrum(wl, it, state="preprocessed")
 

@@ -60,15 +60,6 @@ from resectsim.spectra import (
     threshold_classify,
 )
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    from contextlib import nullcontext
-
-    def threadpool_limits(*a, **k):
-        return nullcontext()
-
-
 def _report(num, desc, elapsed, budget):
     print(f"criterion {num:02d} PASS: {desc} ({elapsed:.2f}s / budget {budget:.0f}s)")
     assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
@@ -300,9 +291,8 @@ def test_criterion_08_gradient_check_full_model():
     batch_y = np.concatenate([y[:8], y[-8:]])
     before = gradient_check(model, batch, batch_y, n_samples=200, seed=1)
     assert before < 1e-4
-    with threadpool_limits(limits=1):
-        # 160 samples / batch 16 = exactly 10 optimizer steps
-        trained, _ = mlp_train(x, y, TrainConfig(epochs=1, seed=0))
+    # 160 samples / batch 16 = exactly 10 optimizer steps
+    trained, _ = mlp_train(x, y, TrainConfig(epochs=1, seed=0))
     after = gradient_check(trained, batch, batch_y, n_samples=200, seed=2)
     assert after < 1e-4
     _report(8, f"max rel gradient error {before:.2e} before / {after:.2e} "
@@ -332,10 +322,9 @@ def test_criterion_09_synthetic_classification():
     assert len(plan.train_indices) == 1000
     assert len(plan.test_indices) == 400
 
-    with threadpool_limits(limits=1):
-        model, history = mlp_train(x[plan.train_indices], y[plan.train_indices],
-                                   TrainConfig(epochs=150, batch_size=16,
-                                               learning_rate=1e-3, seed=0))
+    model, history = mlp_train(x[plan.train_indices], y[plan.train_indices],
+                               TrainConfig(epochs=150, batch_size=16,
+                                           learning_rate=1e-3, seed=0))
     pred = mlp_predict(model, x[plan.test_indices])
     mlp_acc = float((pred == y[plan.test_indices]).mean())
     assert mlp_acc >= 0.95

@@ -1,9 +1,13 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import resectsim
 from resectsim.cli import main
 
 NO_TUMOR = {
@@ -23,6 +27,21 @@ def write_cfg(tmp_path, **extra):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_cli_import_loads_no_scipy():
+    # every command pays its imports before the first stage, and scipy's
+    # submodules take about a second to load; a fresh interpreter shows what
+    # importing the CLI alone pulls in
+    src = str(Path(resectsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import json, sys, resectsim.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 class TestExitCodes:
@@ -72,6 +91,10 @@ class TestExitCodes:
         (["phantom", "roi"], {"spot_diameter": 0.0}),
         (["e2e"], {"scan_extent": [13.0, -1.0]}),
         (["e2e"], {"scan_extent": 13.0}),
+        (["e2e"], {"scan_points": 16, "scan_extent": [1e300, 1e300]}),
+        (["phantom", "roi"], {"scan_points": 16,
+                              "scan_extent": [1e300, 1e300]}),
+        (["e2e"], {"scan_points": 16, "scan_extent": [13.0, 2000.0]}),
         (["phantom", "roi"], {"scan_points": 16, "scene": {
             "primitives": [{"kind": "plane", "z": 3.0}],
             "regions": [{"kind": "disc", "center": [6.3, 6.4],
@@ -125,7 +148,9 @@ class TestExitCodes:
             "primitives": [{"kind": "plane", "z": 3.0}], "domain": [0, 0]}}),
     ], ids=["non-square-scan-points", "flat-sphere-cap", "oct-noise-too-high",
             "zero-mlp-epochs", "zero-mlp-train-per-class", "zero-spot-diameter",
-            "negative-scan-extent", "scalar-scan-extent", "region-without-label",
+            "negative-scan-extent", "scalar-scan-extent",
+            "huge-scan-extent-e2e", "huge-scan-extent-roi",
+            "scan-extent-over-bound", "region-without-label",
             "two-vertex-polygon", "unknown-region-label", "albedo-above-one",
             "string-albedo", "string-seed", "float-seed", "negative-seed",
             "bool-seed", "string-tilt", "float-mlp-epochs",

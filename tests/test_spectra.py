@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import savgol_coeffs, savgol_filter
 
 from resectsim import spectra
 from resectsim.errors import (
@@ -29,10 +32,13 @@ from resectsim.spectra import (
     mlp_train,
     nll_loss,
     preprocess,
+    savgol_smooth,
+    savgol_weights,
     threshold_classify,
 )
 
 WL = np.arange(350.0, 701.0)
+DBL_EPSILON = np.finfo(float).eps
 
 
 def pre_spectrum(level):
@@ -91,6 +97,56 @@ class TestPreprocess:
     def test_rejects_preprocessed_input(self):
         with pytest.raises(ValueError):
             preprocess(pre_spectrum(1.0))
+
+
+def scipy_weights(window, polyorder):
+    """scipy's smoothing weights in the order ndimage correlates them."""
+    return savgol_coeffs(window, polyorder)[::-1]
+
+
+def symmetric(w):
+    """ndimage's test for its symmetric-kernel summation path."""
+    return not np.any(np.abs(w - w[::-1]) > DBL_EPSILON)
+
+
+@st.composite
+def smoothing_cases(draw):
+    """(window, polyorder, signal): odd windows 3-31, any polyorder below
+    the window, lengths from the window to 400, magnitudes 1e-3 to 1e3."""
+    window = 2 * draw(st.integers(1, 15)) + 1
+    polyorder = draw(st.integers(0, window - 1))
+    n = draw(st.integers(window, 400))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return window, polyorder, scale * rng.normal(size=n)
+
+
+class TestSavgol:
+    """scipy.signal.savgol_filter(mode="mirror") is the oracle."""
+
+    def test_weights_match_scipy_and_asymmetric_pairs_raise(self):
+        # 138 of these 255 pairs, (5, 4) the first, have asymmetric weights
+        for window in range(3, 32, 2):
+            for polyorder in range(window):
+                ref = scipy_weights(window, polyorder)
+                if symmetric(ref):
+                    assert np.array_equal(savgol_weights(window, polyorder), ref)
+                    PreprocessConfig(window=window, polyorder=polyorder)
+                else:
+                    with pytest.raises(ValueError, match="not symmetric"):
+                        PreprocessConfig(window=window, polyorder=polyorder)
+
+    @settings(max_examples=300)
+    @given(smoothing_cases())
+    def test_smooth_matches_savgol_filter_bit_for_bit(self, case):
+        window, polyorder, x = case
+        try:
+            PreprocessConfig(window=window, polyorder=polyorder)
+        except ValueError:
+            assert not symmetric(scipy_weights(window, polyorder))
+            return
+        assert np.array_equal(savgol_smooth(x, window, polyorder),
+                              savgol_filter(x, window, polyorder, mode="mirror"))
 
 
 class TestThreshold:
