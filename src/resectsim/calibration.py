@@ -167,8 +167,7 @@ def calibrate_laser_axes(origin, obs_x: AxisObservation,
 
 
 def calibrate_laser_orientation(frame: ReferenceFrame,
-                                observations,
-                                max_iter: int = 200) -> LaserCalibration:
+                                observations) -> LaserCalibration:
     """Estimate (v_w, alpha) from measured spot centers.
 
     Solves min over (theta, phi, alpha) of the summed squared distances
@@ -176,7 +175,8 @@ def calibrate_laser_orientation(frame: ReferenceFrame,
     with the analytic Jacobian, always from a vertical beam with zero offsets
     (theta = phi = 0, alpha = (0, 0)). Boards must span at least two distinct
     heights; a single plane leaves the frame offsets and the beam tilt
-    coupled along a one-parameter family.
+    coupled along a one-parameter family. A beam solved to point up is a
+    solver failure.
     """
     obs = list(observations)
     if len(obs) < 3:
@@ -214,20 +214,23 @@ def calibrate_laser_orientation(frame: ReferenceFrame,
                 jac[3 * k:3 * k + 3, col] = axis - (float(n @ axis) / d) * v
         return jac
 
-    result = levenberg_marquardt(residual, jacobian, np.zeros(4), max_iter=max_iter)
+    result = levenberg_marquardt(residual, jacobian, np.zeros(4))
     if not result.converged:
-        raise NonConvergence(
-            f"laser calibration did not converge in {max_iter} iterations"
-        )
+        raise NonConvergence("laser calibration did not converge in "
+                             f"{result.iterations} iterations")
     cond = float(np.linalg.cond(result.jacobian))
     if cond > CONDITION_LIMIT:
         raise IllConditioned(f"Jacobian condition {cond:.2e} at solution")
 
     theta, phi, ax, ay = result.x
+    beam = beam_from_angles(theta, phi)
+    if not beam[2] < 0:
+        raise NonConvergence("laser calibration converged to a beam with "
+                             f"v_z = {beam[2]:.3g}, not pointing down")
     r = residual(result.x).reshape(-1, 3)
     rms = float(np.sqrt(np.mean(np.sum(r * r, axis=1))))
-    return LaserCalibration(frame, (ax, ay), beam_from_angles(theta, phi),
-                            residual_rms=rms, iterations=result.iterations)
+    return LaserCalibration(frame, (ax, ay), beam, residual_rms=rms,
+                            iterations=result.iterations)
 
 
 def reprojection_error(calibration: LaserCalibration, observations):
@@ -335,8 +338,7 @@ def _linear_pose_estimate(xn, world):
     return r, t
 
 
-def estimate_camera_extrinsics(camera: PinholeCamera, correspondences,
-                               max_iter: int = 200
+def estimate_camera_extrinsics(camera: PinholeCamera, correspondences
                                ) -> tuple[PinholeCamera, ExtrinsicStats]:
     """Estimate the world-to-camera pose from pixel/world fiducial pairs.
 
@@ -389,12 +391,10 @@ def estimate_camera_extrinsics(camera: PinholeCamera, correspondences,
 
     result = levenberg_marquardt(residual, jacobian,
                                  np.concatenate([r.ravel(), t]),
-                                 max_iter=max_iter, lam0=1e-6,
-                                 retract=retract)
+                                 lam0=1e-6, retract=retract)
     if not result.converged:
-        raise NonConvergence(
-            f"extrinsic refinement did not converge in {max_iter} iterations"
-        )
+        raise NonConvergence("extrinsic refinement did not converge in "
+                             f"{result.iterations} iterations")
 
     # re-orthonormalize after repeated composition
     u, _, vt3 = np.linalg.svd(result.x[:9].reshape(3, 3))

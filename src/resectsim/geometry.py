@@ -12,6 +12,10 @@ slow scan axis (y) and columns along the fast axis (x). Grid triangulation
 uses the fixed (r, c) to (r+1, c+1) diagonal so ray-trace results are
 deterministic.
 
+``nearest_neighbor`` is the one distance kernel: squared distances
+``sum((cloud - q) ** 2)`` for an array of queries, ties broken to the lowest
+cloud index, in blocks of at most ``NN_BLOCK`` query-cloud pairs.
+
 2D polygons are (n, 2) vertex arrays, closed implicitly. ``points_in_polygon``
 is the one membership kernel: the even-odd crossing rule over an array of
 points (Hormann & Agathos, CGTA 20, 2001).
@@ -31,6 +35,7 @@ from .errors import CollinearTags, EmptyCloud, GridTooSmall, ParallelRay
 PARALLEL_EPS = 1e-9
 DEGENERATE_AREA = 1e-12
 EDGE_EPS = 1e-9
+NN_BLOCK = 1 << 16  # query-cloud pairs per block: one query vs a 512x128 surface
 
 
 def as_vec3(p) -> np.ndarray:
@@ -246,20 +251,26 @@ def ray_mesh_intersect(ray: Ray, mesh: TriMesh):
     return ray.at(float(t[idx])), int(cand[idx])
 
 
-def nearest_neighbor(query, cloud) -> tuple[int, float]:
-    """Index and Euclidean distance of the closest cloud point (2D or 3D).
+def nearest_neighbor(queries, cloud) -> tuple[np.ndarray, np.ndarray]:
+    """Index and squared distance of each query's closest cloud point.
 
-    Ties break to the lowest index.
+    ``queries`` is (k, d) and ``cloud`` (m, d); returns ``(idx (k,),
+    d2 (k,))``. Ties break to the lowest index.
     """
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
         raise EmptyCloud("nearest_neighbor needs a nonempty (N,k) cloud")
-    q = np.asarray(query, dtype=float).reshape(-1)
-    if q.shape[0] != pts.shape[1]:
-        raise ValueError("query dimension does not match cloud")
-    d2 = np.sum((pts - q) ** 2, axis=1)
-    idx = int(np.argmin(d2))
-    return idx, float(np.sqrt(d2[idx]))
+    q = np.asarray(queries, dtype=float)
+    if q.ndim != 2 or q.shape[1] != pts.shape[1]:
+        raise ValueError("queries must be (k, d) with the cloud's dimension")
+    idx = np.empty(len(q), dtype=np.intp)
+    d2 = np.empty(len(q))
+    step = max(1, NN_BLOCK // len(pts))
+    for lo in range(0, len(q), step):
+        block = np.sum((pts - q[lo:lo + step, None, :]) ** 2, axis=-1)
+        idx[lo:lo + step] = np.argmin(block, axis=1)
+        d2[lo:lo + step] = block[np.arange(len(block)), idx[lo:lo + step]]
+    return idx, d2
 
 
 def project_to_plane_z(points) -> np.ndarray:

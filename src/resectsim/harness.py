@@ -52,7 +52,7 @@ from .calibration import (
     synthesize_spot_observations,
     waypoint_position,
 )
-from .errors import ConfigError, NoRayHit, TooFewTumorTags
+from .errors import BehindCamera, ConfigError, NoRayHit, TooFewTumorTags
 from .geometry import SurfaceCloud, nearest_neighbor, triangulate_grid
 from .kinematics import (
     forward_model,
@@ -100,8 +100,8 @@ from .spectra import (
 )
 
 WORKING_DISTANCE = 56.3  # mm
-# widest accepted scan raster side (mm), far beyond the 12.6 mm OCT field:
-# wider rasters leave the camera's view and huge ones overflow the waypoint gaps
+# widest accepted scan raster side and spot diameter (mm), far beyond the
+# 12.6 mm OCT field: huge ones overflow the waypoint gaps and squared radius
 MAX_SCAN_EXTENT = 1000.0
 
 # fixed band and cutoff of the phantom threshold rule
@@ -176,10 +176,10 @@ class ExperimentConfig:
     never a number. seed: int >= 0; scene: dict for ScenePhantom.from_dict;
     scan_extent: two lengths in (0, MAX_SCAN_EXTENT] (mm); scan_points: square
     int >= 4; profile: a PROFILES key; classifier: threshold | mlp | perfect;
-    noiseless: bool; tilt_deg: finite degrees or None (the profile's tilt);
-    spot_diameter: finite > 0 (mm); uncertain_policy: healthy | tumor;
-    oct_noise: number in [0, 0.1); mlp_epochs and mlp_train_per_class: ints
-    >= 1.
+    noiseless: bool; tilt_deg: degrees in (-90, 90) or None (the profile's
+    tilt); spot_diameter: in (0, MAX_SCAN_EXTENT] (mm); uncertain_policy:
+    healthy | tumor; oct_noise: number in [0, 0.1); mlp_epochs and
+    mlp_train_per_class: ints >= 1.
     """
 
     seed: int
@@ -208,8 +208,9 @@ class ExperimentConfig:
             raise ConfigError("scan_points must be a perfect square >= 4")
         if not isinstance(self.noiseless, bool):
             raise ConfigError("noiseless must be true or false")
-        if not (self.tilt_deg is None or finite_number(self.tilt_deg)):
-            raise ConfigError("tilt_deg must be a finite number or null")
+        if not (self.tilt_deg is None or (finite_number(self.tilt_deg)
+                                          and -90 < self.tilt_deg < 90)):
+            raise ConfigError("tilt_deg must be a number in (-90, 90) or null")
         if self.uncertain_policy not in (HEALTHY, TUMOR):
             raise ConfigError("uncertain_policy must map to a hard label")
         if not (len(self.scan_extent) == 2 and all(
@@ -217,8 +218,10 @@ class ExperimentConfig:
                 for e in self.scan_extent)):
             raise ConfigError("scan_extent must be two lengths in "
                               f"(0, {MAX_SCAN_EXTENT:g}] mm")
-        if not (finite_number(self.spot_diameter) and self.spot_diameter > 0):
-            raise ConfigError("spot_diameter must be positive")
+        if not (finite_number(self.spot_diameter)
+                and 0 < self.spot_diameter <= MAX_SCAN_EXTENT):
+            raise ConfigError("spot_diameter must be in "
+                              f"(0, {MAX_SCAN_EXTENT:g}] mm")
         if not (_int_at_least(self.mlp_epochs, 1)
                 and _int_at_least(self.mlp_train_per_class, 1)):
             raise ConfigError("mlp_epochs and mlp_train_per_class must be ints >= 1")
@@ -523,16 +526,14 @@ def _trajectory_stages(cfg, out, run):
     targets = s_curve_targets(cfg, scene)
     plan = plan_trajectory(estimated, targets)
     actuals = _execute_plan(cfg, truth, plan, scene, _rng(cfg, _SALT_SPOT))
-    errors = [
-        nearest_neighbor(a[:2], targets[:, :2])[1] for a in actuals
-    ]
+    errors = np.sqrt(nearest_neighbor(actuals[:, :2], targets[:, :2])[1])
     mean, std, rmse = summarize(errors)
     run.report.update({
         "experiment": "trajectory",
         "profile": cfg.profile,
         "noiseless": cfg.noiseless,
         "seed": cfg.seed,
-        "errors_mm": [float(e) for e in errors],
+        "errors_mm": errors.tolist(),
         "mean_mm": mean,
         "std_mm": std,
         "rmse_mm": rmse,
@@ -655,12 +656,12 @@ def _estimate_cameras(cfg, scene):
     estimated = []
     stats_out = []
     for cam in _default_cameras():
-        corr = []
-        for w in fiducials:
-            uv = project_world_to_image(cam, w)
-            if sigma > 0:
-                uv = uv + rng.normal(0.0, sigma, 2)
-            corr.append(Correspondence2D3D(uv, w))
+        uv, in_front = project_points(cam, fiducials)
+        if not in_front.all():
+            raise BehindCamera("a camera fiducial is behind the camera")
+        if sigma > 0:
+            uv = uv + rng.normal(0.0, sigma, (len(fiducials), 2))
+        corr = [Correspondence2D3D(p, w) for p, w in zip(uv, fiducials)]
         est, stats = estimate_camera_extrinsics(cam, corr)
         estimated.append(est)
         stats_out.append(stats)
@@ -778,12 +779,10 @@ def _e2e_stages(cfg, out, run):
     yield "classify"
 
     # tags, boundary
-    colors = []
     valid_idx = np.flatnonzero(colored.valid_mask())
-    valid_xy = colored.points[valid_idx][:, :2]
-    for p in spots:
-        idx, _ = nearest_neighbor(p[:2], valid_xy)
-        colors.append(tuple(int(c) for c in colored.color[valid_idx[idx]]))
+    nearest, _ = nearest_neighbor(np.array(spots)[:, :2],
+                                  colored.points[valid_idx, :2])
+    colors = colored.color[valid_idx[nearest]].tolist()
     tags = build_tumor_tags(spots, labels, colors=colors)
     boundary = boundary_from_tags(tags)
     artifacts["tumor_map"] = rio.write_ply_cloud(
@@ -804,11 +803,10 @@ def _e2e_stages(cfg, out, run):
 
     # execute the plan, mark the footprint
     actual_spots = _execute_plan(cfg, truth, plan, scene, rng_spot)
+    # a surface point is cut when its nearest spot is within the radius
     radius = cfg.spot_diameter / 2.0
-    surf_xy = colored.points[:, :2]
-    cut_mask = np.zeros(len(surf_xy), dtype=bool)
-    for s in actual_spots:
-        cut_mask |= np.sum((surf_xy - s[:2]) ** 2, axis=1) <= radius**2
+    cut_mask = nearest_neighbor(colored.points[:, :2],
+                                actual_spots[:, :2])[1] <= radius**2
     post_color = colored.color.copy()
     post_color[cut_mask] = (120, 120, 120)  # coagulation signature
     post = SurfaceCloud(colored.rows, colored.cols, colored.points,

@@ -62,21 +62,18 @@ class IkSolution:
 
 
 def solve_ik(calibration: LaserCalibration, target,
-             plane: PlaneFrame | None = None,
-             bounds=None, tol: float = IK_TOLERANCE,
-             max_iter: int = 10) -> IkSolution:
+             bounds=None, tol: float = IK_TOLERANCE) -> IkSolution:
     """Waypoint coordinates that drive the spot onto the target.
 
     ``bounds`` is an optional ((x_lo, x_hi), (y_lo, y_hi)) workspace box;
     solutions outside it (or residuals above ``tol``) raise Unreachable.
     """
     target = as_vec3(target)
-    if plane is None:
-        plane = target_plane(target)
+    plane = target_plane(target)
     jac = beta_jacobian(calibration, plane)
     beta = np.zeros(2)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(10):
         diff = forward_model(calibration, beta, plane) - target
         residual = float(np.linalg.norm(diff))
         if residual <= tol * 0.01:
@@ -123,7 +120,7 @@ class CutPlan:
 
 
 def plan_trajectory(calibration: LaserCalibration, targets,
-                    bounds=None, tol: float = IK_TOLERANCE) -> CutPlan:
+                    bounds=None) -> CutPlan:
     """Solve the multi-target problem.
 
     The summed objective is separable across targets, so the optimum is the
@@ -135,7 +132,7 @@ def plan_trajectory(calibration: LaserCalibration, targets,
     residuals = np.empty(len(targets))
     for k, t in enumerate(targets):
         try:
-            sol = solve_ik(calibration, t, bounds=bounds, tol=tol)
+            sol = solve_ik(calibration, t, bounds=bounds)
         except Unreachable as exc:
             raise Unreachable(f"target {k}: {exc}", index=k) from exc
         waypoints[k] = sol.beta

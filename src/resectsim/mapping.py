@@ -32,7 +32,6 @@ from .geometry import (
     polygon_is_simple,
     project_to_plane_z,
     ray_mesh_intersect,
-    triangulate_grid,
 )
 from .sensors import PinholeCamera, project_points
 from .spectra import HEALTHY, TUMOR
@@ -120,12 +119,12 @@ class SpotLocator:
 
     def __init__(self, surface: SurfaceCloud,
                  camera_left: PinholeCamera, camera_right: PinholeCamera,
-                 mesh: TriMesh | None = None):
+                 mesh: TriMesh):
         pts = surface.valid_points()
         if len(pts) == 0:
             raise NoVisibleSurface("surface cloud has no valid points")
         self.points = pts
-        self.mesh = triangulate_grid(surface) if mesh is None else mesh
+        self.mesh = mesh
         self._views = []
         for cam in (camera_left, camera_right):
             uv, in_front = project_points(cam, pts)
@@ -145,8 +144,8 @@ class SpotLocator:
         """
         cam_estimates = []
         for (uv, visible), pixel in zip(self._views, (pixel_left, pixel_right)):
-            idx, _ = nearest_neighbor(np.asarray(pixel, dtype=float), uv)
-            cam_estimates.append(self.points[visible[idx]])
+            idx, _ = nearest_neighbor(np.reshape(pixel, (1, 2)), uv)
+            cam_estimates.append(self.points[visible[idx[0]]])
         hit = ray_mesh_intersect(laser_ray, self.mesh)
         if hit is None:
             raise NoRayHit("laser ray misses the surface mesh")

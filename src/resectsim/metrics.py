@@ -25,7 +25,7 @@ from .errors import (
     EmptyTrueRegion,
     EmptyUnion,
 )
-from .geometry import points_in_polygon
+from .geometry import nearest_neighbor, points_in_polygon
 
 DEFAULT_PITCH = 0.02  # mm
 BOUNDARY_SPACING = 0.05  # mm between edge-error samples
@@ -122,9 +122,9 @@ def sample_polygon_boundary(vertices,
     return np.array(out)
 
 
-def disc_polygon(center, radius: float, n: int = 360) -> np.ndarray:
-    """Regular polygon approximation of a disc (CCW)."""
-    ang = 2 * np.pi * np.arange(n) / n
+def disc_polygon(center, radius: float) -> np.ndarray:
+    """Regular 360-gon approximation of a disc (CCW)."""
+    ang = 2 * np.pi * np.arange(360) / 360
     return np.column_stack([
         center[0] + radius * np.cos(ang),
         center[1] + radius * np.sin(ang),
@@ -137,8 +137,7 @@ def edge_error(a_samples, b_samples):
     b = np.asarray(b_samples, dtype=float).reshape(-1, 2)
     if len(a) < 3 or len(b) < 3:
         raise EmptyBoundary("boundaries need at least 3 samples each")
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    dists = np.sqrt(d2.min(axis=1))
+    dists = np.sqrt(nearest_neighbor(a, b)[1])
     return dists, float(np.sqrt(np.mean(dists**2)))
 
 

@@ -28,7 +28,6 @@ class LeastSquaresResult:
 
 
 def levenberg_marquardt(residual, jacobian, x0, max_iter: int = 200,
-                        gtol: float = 1e-12, xtol: float = 1e-12,
                         lam0: float = 1e-3,
                         retract=np.add) -> LeastSquaresResult:
     """Minimize sum(residual(x)**2) starting from x0.
@@ -52,7 +51,7 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter: int = 200,
 
     for iterations in range(1, max_iter + 1):
         g = 2.0 * j.T @ r
-        if np.max(np.abs(g)) <= gtol:
+        if np.max(np.abs(g)) <= 1e-12:
             stop = "gradient"
             break
         jtj = j.T @ j
@@ -78,7 +77,7 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter: int = 200,
             stop = "no_descent"
             break
         j = jacobian(x)
-        if np.linalg.norm(step) <= xtol * (1.0 + np.linalg.norm(x)):
+        if np.linalg.norm(step) <= 1e-12 * (1.0 + np.linalg.norm(x)):
             stop = "step"
             break
 

@@ -262,10 +262,10 @@ def render_oct_volume(scene: ScenePhantom, window: tuple[float, float],
     return OctVolume(vol, cfg, (float(x0), float(y0)))
 
 
-def segment_surface(volume: OctVolume, threshold: float = 0.15) -> SurfaceCloud:
+def segment_surface(volume: OctVolume) -> SurfaceCloud:
     """One surface point per A-scan at the intensity argmax.
 
-    A-scans whose maximum stays below ``threshold`` are marked invalid; the
+    A-scans whose maximum stays below 0.15 are marked invalid; the
     grid slot is kept so downstream consumers can skip it. Raises
     EmptySurface when nothing clears the threshold.
     """
@@ -273,9 +273,9 @@ def segment_surface(volume: OctVolume, threshold: float = 0.15) -> SurfaceCloud:
     arr = volume.b_scans
     peak_idx = arr.argmax(axis=1)  # (n_bscans, n_lateral)
     peak_val = arr.max(axis=1)
-    valid = peak_val >= threshold
+    valid = peak_val >= 0.15
     if not np.any(valid):
-        raise EmptySurface(f"no A-scan max reached threshold {threshold}")
+        raise EmptySurface("no A-scan max reached threshold 0.15")
 
     x0, y0 = volume.origin
     xs = x0 + np.arange(cfg.n_lateral) * cfg.pitch_x
@@ -310,14 +310,13 @@ class PinholeCamera:
         object.__setattr__(self, "translation", as_vec3(self.translation))
 
     @classmethod
-    def look_at(cls, position, target, up=(0.0, 1.0, 0.0), **kw) -> "PinholeCamera":
+    def look_at(cls, position, target, **kw) -> "PinholeCamera":
         """Camera at ``position`` with its optical axis through ``target``."""
         position = as_vec3(position)
         fwd = as_vec3(target) - position
         fwd = fwd / np.linalg.norm(fwd)
-        upv = as_vec3(up)
-        right = np.cross(fwd, upv)
-        if np.linalg.norm(right) < 1e-9:  # looking along `up`
+        right = np.cross(fwd, np.array([0.0, 1.0, 0.0]))
+        if np.linalg.norm(right) < 1e-9:  # looking along y
             right = np.cross(fwd, np.array([0.0, 0.0, 1.0]))
         right = right / np.linalg.norm(right)
         down = np.cross(fwd, right)
@@ -330,14 +329,12 @@ class PinholeCamera:
 
 
 def project_world_to_image(camera: PinholeCamera, p) -> np.ndarray:
-    """Project one world point to pixel coordinates (u, v)."""
-    pc = camera.to_camera(np.asarray(p, dtype=float).reshape(1, 3))[0]
-    if pc[2] <= 1e-6:
-        raise BehindCamera(f"camera-frame depth {pc[2]:.3e} <= 1e-6")
-    return np.array([
-        camera.fx * pc[0] / pc[2] + camera.cx,
-        camera.fy * pc[1] / pc[2] + camera.cy,
-    ])
+    """Project one world point to pixel coordinates (u, v), or raise
+    BehindCamera when it is not in front of the camera."""
+    uv, in_front = project_points(camera, np.reshape(p, (1, 3)))
+    if not in_front[0]:
+        raise BehindCamera("camera-frame depth <= 1e-6")
+    return uv[0]
 
 
 def project_points(camera: PinholeCamera, points):

@@ -237,11 +237,10 @@ class MlpModel:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
 
-def init_mlp(input_width: int, hidden=HIDDEN_SIZES, n_out: int = 2,
-             seed: int = 0) -> MlpModel:
-    """Fan-in scaled uniform initialization, deterministic per seed."""
+def init_mlp(input_width: int, hidden=HIDDEN_SIZES, seed: int = 0) -> MlpModel:
+    """Fan-in scaled uniform initialization of a two-logit MLP, per seed."""
     rng = np.random.default_rng(seed)
-    sizes = [input_width, *hidden, n_out]
+    sizes = [input_width, *hidden, 2]
     ws, bs = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / fan_in)
@@ -406,8 +405,7 @@ def _relu_pattern(model: MlpModel, x: np.ndarray):
 
 
 def gradient_check(model: MlpModel, x: np.ndarray, y: np.ndarray,
-                   n_samples: int = 200, h: float = 1e-5,
-                   seed: int = 0) -> float:
+                   n_samples: int = 200, seed: int = 0) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
     Samples ``n_samples`` scalar parameters uniformly across all weight
@@ -422,6 +420,7 @@ def gradient_check(model: MlpModel, x: np.ndarray, y: np.ndarray,
     _, gw, gb = nll_loss_and_gradients(model, x, y)
     pairs = list(zip(model.weights, gw)) + list(zip(model.biases, gb))
     sizes = [a.size for a, _ in pairs]
+    h = 1e-5  # central-difference step
     total = sum(sizes)
     rng = np.random.default_rng(seed)
     picks = rng.choice(total, size=min(n_samples, total), replace=False)
@@ -474,12 +473,11 @@ class SplitPlan:
             raise ValueError("train and test subjects overlap")
 
 
-def make_splits(subjects, ratio=(4, 2), cap_factor: int = 3,
-                seed: int = 0) -> list[SplitPlan]:
+def make_splits(subjects, ratio=(4, 2), seed: int = 0) -> list[SplitPlan]:
     """Enumerate every train/test subject combination at the given ratio.
 
     ``subjects`` is the per-sample subject id array. Each subject contributes
-    at most ``cap_factor`` times the global minimum per-subject count;
+    at most 3 times the global minimum per-subject count;
     oversized subjects are subsampled deterministically from ``seed``.
     """
     subjects = np.asarray(subjects)
@@ -491,7 +489,7 @@ def make_splits(subjects, ratio=(4, 2), cap_factor: int = 3,
         )
 
     by_subject = {u: np.flatnonzero(subjects == u) for u in uniq}
-    cap = cap_factor * min(len(v) for v in by_subject.values())
+    cap = 3 * min(len(v) for v in by_subject.values())
     rng = np.random.default_rng(seed)
     capped = {}
     for u in uniq:

@@ -1,12 +1,13 @@
-"""Scalar oracles for the array membership kernels.
+"""Scalar oracles for the array membership and nearest-neighbour kernels.
 
-These are the one-point-at-a-time versions that ``points_in_polygon`` and
-``ScenePhantom._region_index`` replaced, kept as they were so the tests can
-hold the array kernels to them.
+These are the one-point-at-a-time versions that ``points_in_polygon``,
+``ScenePhantom._region_index`` and the batched ``nearest_neighbor``
+replaced, kept as they were so the tests can hold the array kernels to them.
 """
 
 import numpy as np
 
+from resectsim.errors import EmptyCloud
 from resectsim.geometry import EDGE_EPS
 from resectsim.spectra import HEALTHY
 
@@ -39,6 +40,22 @@ def point_in_polygon(point, vertices, include_boundary: bool = True) -> bool:
             if p[0] < x1 + t * (x2 - x1):
                 inside = not inside
     return inside
+
+
+def nearest_neighbor(query, cloud) -> tuple[int, float]:
+    """Index and Euclidean distance of the closest cloud point (2D or 3D).
+
+    Ties break to the lowest index.
+    """
+    pts = np.asarray(cloud, dtype=float)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise EmptyCloud("nearest_neighbor needs a nonempty (N,k) cloud")
+    q = np.asarray(query, dtype=float).reshape(-1)
+    if q.shape[0] != pts.shape[1]:
+        raise ValueError("query dimension does not match cloud")
+    d2 = np.sum((pts - q) ** 2, axis=1)
+    idx = int(np.argmin(d2))
+    return idx, float(np.sqrt(d2[idx]))
 
 
 def _region_hits(self, x: float, y: float):

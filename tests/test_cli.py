@@ -95,6 +95,9 @@ class TestExitCodes:
         (["phantom", "roi"], {"scan_points": 16,
                               "scan_extent": [1e300, 1e300]}),
         (["e2e"], {"scan_points": 16, "scan_extent": [13.0, 2000.0]}),
+        (["e2e"], {"scan_points": 16, "spot_diameter": 1e200}),
+        (["phantom", "marker"], {"tilt_deg": 180}),
+        (["phantom", "marker"], {"tilt_deg": -90}),
         (["phantom", "roi"], {"scan_points": 16, "scene": {
             "primitives": [{"kind": "plane", "z": 3.0}],
             "regions": [{"kind": "disc", "center": [6.3, 6.4],
@@ -150,7 +153,8 @@ class TestExitCodes:
             "zero-mlp-epochs", "zero-mlp-train-per-class", "zero-spot-diameter",
             "negative-scan-extent", "scalar-scan-extent",
             "huge-scan-extent-e2e", "huge-scan-extent-roi",
-            "scan-extent-over-bound", "region-without-label",
+            "scan-extent-over-bound", "huge-spot-diameter", "upward-tilt",
+            "horizontal-tilt", "region-without-label",
             "two-vertex-polygon", "unknown-region-label", "albedo-above-one",
             "string-albedo", "string-seed", "float-seed", "negative-seed",
             "bool-seed", "string-tilt", "float-mlp-epochs",
@@ -166,6 +170,23 @@ class TestExitCodes:
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        (["phantom", "marker"], {"tilt_deg": 80, "noiseless": False}),
+        (["phantom", "marker"], {"tilt_deg": 75, "noiseless": False}),
+        (["phantom", "trajectory"], {"tilt_deg": 89}),
+    ], ids=["marker-tilt-80-noisy", "marker-tilt-75-noisy",
+            "trajectory-tilt-89"])
+    def test_upward_calibrated_beam_exits_4(self, tmp_path, capsys, command,
+                                            extra):
+        # steep beams: the calibration solve converges to a beam that points
+        # up, which is a solver failure, not a raw ValueError
+        cfg = write_cfg(tmp_path, **extra)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                   *command])
+        assert rc == 4
+        assert ("solver failure: NonConvergence"
+                in capsys.readouterr().err)
 
     def test_bad_config_json(self, tmp_path):
         path = tmp_path / "cfg.json"

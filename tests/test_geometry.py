@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resectsim import geometry
 from resectsim.errors import EmptyCloud, GridTooSmall, ParallelRay
 from resectsim.geometry import (
     DEGENERATE_AREA,
@@ -17,6 +18,8 @@ from resectsim.geometry import (
     ray_plane_intersect,
     triangulate_grid,
 )
+
+import oracles
 
 
 def grid_cloud(z_fn, rows, cols, pitch=1.0):
@@ -337,32 +340,82 @@ class TestRayMesh:
 
 class TestNearestNeighbor:
     def test_exact_member(self):
-        idx, d = nearest_neighbor([0, 0], [[0, 0], [1, 1]])
-        assert idx == 0 and d == 0.0
+        idx, d2 = nearest_neighbor([[0, 0]], [[0, 0], [1, 1]])
+        assert idx.tolist() == [0] and d2.tolist() == [0.0]
 
     def test_simple(self):
-        idx, d = nearest_neighbor([0.6, 0], [[0, 0], [1, 0]])
-        assert idx == 1
-        assert abs(d - 0.4) < 1e-12
+        idx, d2 = nearest_neighbor([[0.6, 0]], [[0, 0], [1, 0]])
+        assert idx.tolist() == [1]
+        assert abs(np.sqrt(d2[0]) - 0.4) < 1e-12
 
     def test_tie_breaks_low_index(self):
         cloud = [[5, 5], [9, 9], [1, 0], [2, 2], [7, 7], [-1, 0]]
-        idx, d = nearest_neighbor([0, 0], cloud)  # indices 2 and 5 equidistant
-        assert idx == 2
+        # indices 2 and 5 are nearest to the first query, 1 and 4 to the
+        # second
+        idx, _ = nearest_neighbor([[0, 0], [8, 8]], cloud)
+        assert idx.tolist() == [2, 1]
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
-            nearest_neighbor([0, 0], np.empty((0, 2)))
+            nearest_neighbor([[0, 0]], np.empty((0, 2)))
 
     def test_exhaustive(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             cloud = rng.uniform(-10, 10, size=(rng.integers(1, 500), 3))
-            q = rng.uniform(-10, 10, 3)
-            idx, d = nearest_neighbor(q, cloud)
-            all_d = np.linalg.norm(cloud - q, axis=1)
-            assert d <= all_d.min() + 1e-12
-            assert abs(d - all_d[idx]) < 1e-12
+            q = rng.uniform(-10, 10, (rng.integers(1, 30), 3))
+            idx, d2 = nearest_neighbor(q, cloud)
+            all_d = np.linalg.norm(cloud[None, :, :] - q[:, None, :], axis=2)
+            assert np.all(np.sqrt(d2) <= all_d.min(axis=1) + 1e-12)
+            assert np.all(np.abs(np.sqrt(d2) - all_d[np.arange(len(q)), idx])
+                          < 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([2, 3]), st.integers(1, 40))
+    def test_matches_one_query_oracle(self, data, dim, block):
+        # coordinates on a half-unit grid, drawn from a small pool with
+        # repeats, so that ties on the squared distance are common
+        grid = st.integers(-4, 4).map(lambda v: v / 2.0)
+        row = st.lists(grid, min_size=dim, max_size=dim)
+        pool = data.draw(st.lists(row, min_size=1, max_size=6))
+        cloud = np.array(data.draw(st.lists(st.sampled_from(pool),
+                                            min_size=1, max_size=25)))
+        queries = np.array(data.draw(st.lists(
+            st.one_of(row, st.lists(st.floats(-3, 3), min_size=dim,
+                                    max_size=dim)),
+            min_size=1, max_size=30)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "NN_BLOCK", block)
+            idx, d2 = nearest_neighbor(queries, cloud)
+        want = [oracles.nearest_neighbor(q, cloud) for q in queries]
+        assert np.array_equal(idx, [i for i, _ in want])
+        assert np.array_equal(np.sqrt(d2), [d for _, d in want])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 40))
+    def test_footprint_matches_per_spot_loop(self, data, k, block):
+        # the resection footprint: a point is cut when any spot lies within
+        # the radius; integer spots and Pythagorean offsets put some points
+        # at exactly that distance
+        ints = st.integers(-6, 6).map(float)
+        spots = np.array(data.draw(st.lists(st.tuples(ints, ints),
+                                            min_size=1, max_size=8)))
+        r = 5.0 * k
+        exact = [(r, 0.0), (0.0, -r), (-3.0 * k, 4.0 * k)]
+        on_rim = [spots[data.draw(st.integers(0, len(spots) - 1))] + off
+                  for off in data.draw(st.lists(st.sampled_from(exact),
+                                                max_size=6))]
+        free = data.draw(st.lists(st.tuples(st.floats(-12, 12),
+                                            st.floats(-12, 12)), max_size=30))
+        pts = np.array(on_rim + free, dtype=float).reshape(-1, 2)
+        loop = np.zeros(len(pts), dtype=bool)
+        for s in spots:
+            loop |= np.sum((pts - s) ** 2, axis=1) <= r**2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "NN_BLOCK", block)
+            mask = nearest_neighbor(pts, spots)[1] <= r**2
+        assert np.array_equal(mask, loop)
+        assert mask[:len(on_rim)].all()
 
 
 class TestProjectZ:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resectsim.errors import ConfigError, TooFewTumorTags
+from resectsim.errors import BehindCamera, ConfigError, TooFewTumorTags
 from resectsim.harness import (
     PROFILES,
     ExperimentConfig,
@@ -14,9 +14,11 @@ from resectsim.harness import (
     run_marker_experiment,
     run_roi_experiment,
     run_trajectory_experiment,
+    _estimate_cameras,
     _spot_error,
     truth_calibration,
 )
+from resectsim.sensors import ScenePhantom
 
 NO_TUMOR_SCENE = {
     "primitives": [{"kind": "plane", "z": 3.0}],
@@ -262,6 +264,19 @@ class TestEndToEnd:
                                classifier="perfect", scene=NO_TUMOR_SCENE)
         with pytest.raises(TooFewTumorTags):
             run_end_to_end(cfg, tmp_path)
+
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_scene_above_cameras_raises_behind_camera(self, tmp_path,
+                                                      noiseless):
+        # the cameras sit at z = 130 mm, so fiducials on a plane at z = 200
+        # are behind them: BehindCamera, not a ValueError from a NaN pixel
+        scene = {"primitives": [{"kind": "plane", "z": 200.0}]}
+        cfg = ExperimentConfig(seed=1, noiseless=noiseless, scene=scene)
+        with pytest.raises(BehindCamera):
+            _estimate_cameras(cfg, ScenePhantom.from_dict(scene))
+        with pytest.raises(BehindCamera):
+            run_end_to_end(cfg, tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_stage_truncation(self, tmp_path, full_run):
         r = run_end_to_end(FULL_RUN_CFG, tmp_path / "calibrate",

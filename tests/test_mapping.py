@@ -16,6 +16,7 @@ from resectsim.geometry import (
     convex_hull,
     points_in_polygon,
     polygon_is_simple,
+    triangulate_grid,
 )
 from resectsim.mapping import (
     BoundaryPolygon,
@@ -282,7 +283,8 @@ class TestSpotEstimate:
         pl = project_world_to_image(left, true_spot)
         pr = project_world_to_image(right, true_spot)
         ray = Ray([6.3, 6.4, 50.0], [0.0, 0.0, -1.0])
-        est = SpotLocator(cloud, left, right).locate(pl, pr, ray)
+        est = SpotLocator(cloud, left, right,
+                          triangulate_grid(cloud)).locate(pl, pr, ray)
         spacing = max(cfg.pitch_x, cfg.pitch_y)
         for e in (est.from_left_camera, est.from_right_camera,
                   est.from_ray_trace, est.fused):
@@ -292,7 +294,8 @@ class TestSpotEstimate:
         cloud, left, right, _ = flat_surface_setup()
         ray = Ray([100.0, 100.0, 50.0], [0.0, 0.0, -1.0])
         with pytest.raises(NoRayHit):
-            SpotLocator(cloud, left, right).locate([640, 360], [640, 360], ray)
+            SpotLocator(cloud, left, right, triangulate_grid(cloud)).locate(
+                [640, 360], [640, 360], ray)
 
 
 class TestColorize:

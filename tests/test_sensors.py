@@ -285,7 +285,7 @@ class TestProjection:
         uv, front = project_points(cam, pts)
         assert front.all()
         for k in range(3):
-            assert np.allclose(uv[k], project_world_to_image(cam, pts[k]))
+            assert np.array_equal(uv[k], project_world_to_image(cam, pts[k]))
 
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):
