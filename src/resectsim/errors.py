@@ -67,7 +67,7 @@ class Unreachable(PipelineError):
 
 
 class BadStep(PipelineError):
-    """Raster step/point-count does not produce a valid grid."""
+    """Raster point count does not produce a valid grid."""
 
 
 # spectra

@@ -273,12 +273,6 @@ def nearest_neighbor(queries, cloud) -> tuple[np.ndarray, np.ndarray]:
     return idx, d2
 
 
-def project_to_plane_z(points) -> np.ndarray:
-    """Drop the z component; order preserved. Accepts (N,3), returns (N,2)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    return pts[:, :2].copy()
-
-
 # ---------------------------------------------------------------------------
 # 2D polygon primitives
 # ---------------------------------------------------------------------------
@@ -344,26 +338,3 @@ def points_in_polygon(points, vertices, include_boundary=False) -> np.ndarray:
             dx, dy = ap[:, 0] - t * ab[0], ap[:, 1] - t * ab[1]
             inside |= np.sqrt(dx * dx + dy * dy) <= EDGE_EPS
     return inside
-
-
-def _segments_cross(a, b, c, d) -> bool:
-    """Proper intersection of open segments ab and cd."""
-    d1 = _cross(c, d, a)
-    d2 = _cross(c, d, b)
-    d3 = _cross(a, b, c)
-    d4 = _cross(a, b, d)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def polygon_is_simple(vertices) -> bool:
-    verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = verts[j], verts[(j + 1) % n]
-            if _segments_cross(a, b, c, d):
-                return False
-    return True

@@ -53,7 +53,12 @@ from .calibration import (
     waypoint_position,
 )
 from .errors import BehindCamera, ConfigError, NoRayHit, TooFewTumorTags
-from .geometry import SurfaceCloud, nearest_neighbor, triangulate_grid
+from .geometry import (
+    SurfaceCloud,
+    convex_hull,
+    nearest_neighbor,
+    triangulate_grid,
+)
 from .kinematics import (
     forward_model,
     plan_trajectory,
@@ -66,15 +71,9 @@ from .mapping import (
     boundary_from_tags,
     build_tumor_tags,
     colorize_surface,
-    convex_hull,
     select_cut_targets,
 )
-from .metrics import (
-    Region2D,
-    compare_regions,
-    disc_polygon,
-    summarize,
-)
+from .metrics import compare_regions, disc_polygon, summarize
 from .sensors import (
     OctConfig,
     PinholeCamera,
@@ -304,7 +303,7 @@ def _scene(cfg: ExperimentConfig) -> ScenePhantom:
     return ScenePhantom.from_dict(cfg.scene)
 
 
-def _scan_center(cfg: ExperimentConfig) -> tuple[float, float]:
+def _scan_center() -> tuple[float, float]:
     oct_cfg = OctConfig()
     return oct_cfg.extent_x / 2.0, oct_cfg.extent_y / 2.0
 
@@ -368,7 +367,7 @@ def _execute_plan(cfg, truth, plan, scene, rng) -> np.ndarray:
 
 def _centred_raster(cfg, scene, estimated):
     """The commanded scan grid, centred on the scan window centre."""
-    cx, cy = _scan_center(cfg)
+    cx, cy = _scan_center()
     beta_c = solve_ik(estimated, [cx, cy, float(scene.height(cx, cy))]).beta
     return raster_pattern(cfg.scan_extent, points=cfg.scan_points,
                           origin=(beta_c[0] - cfg.scan_extent[0] / 2.0,
@@ -465,7 +464,7 @@ def _marker_stages(cfg, out, run):
             out / "calibration_observations.csv", observations)
     yield "calibrate"
 
-    cx, cy = _scan_center(cfg)
+    cx, cy = _scan_center()
     xs = np.linspace(cx - 5.0, cx + 5.0, 3)
     ys = np.linspace(cy - 5.0, cy + 5.0, 3)
     targets = []
@@ -502,7 +501,7 @@ def _marker_stages(cfg, out, run):
 def s_curve_targets(cfg: ExperimentConfig, scene: ScenePhantom,
                     n: int = 80) -> np.ndarray:
     """S-shaped path on the surface across the scan window."""
-    cx, cy = _scan_center(cfg)
+    cx, cy = _scan_center()
     t = np.linspace(0.0, 1.0, n)
     x = cx + 3.5 * np.sin(2.0 * np.pi * t)
     y = cy - 5.0 + 10.0 * t
@@ -544,19 +543,17 @@ def _trajectory_stages(cfg, out, run):
     yield "execute"
 
 
-def _true_region(scene: ScenePhantom) -> Region2D:
+def _true_region(scene: ScenePhantom) -> np.ndarray:
+    """Vertex array of the scene's first tumor region."""
     for reg in scene.regions:
         if reg["label"] == TUMOR:
             if reg["kind"] == "disc":
-                return Region2D.from_polygon(
-                    disc_polygon(reg["center"], reg["radius"]))
-            return Region2D.from_polygon(np.asarray(reg["vertices"]))
+                return disc_polygon(reg["center"], reg["radius"])
+            return np.asarray(reg["vertices"], dtype=float)
     raise ConfigError("scene declares no tumor region")
 
 
-def _region_reports(true_region, predicted_poly, actual_poly):
-    predicted = Region2D.from_polygon(predicted_poly)
-    actual = Region2D.from_polygon(actual_poly)
+def _region_reports(true_region, predicted, actual):
     return [
         compare_regions("system", true_region, actual),
         compare_regions("algorithm", true_region, predicted),
@@ -591,10 +588,9 @@ def _roi_stages(cfg, out, run):
 
     tags = build_tumor_tags(predicted_spots, labels)
     boundary = boundary_from_tags(tags)
-    region = select_cut_targets(tags, boundary)
-    plan = plan_trajectory(estimated, region.targets)
+    plan = plan_trajectory(estimated, select_cut_targets(tags, boundary))
     actual_spots = _execute_plan(cfg, truth, plan, scene, rng)
-    reports = _region_reports(true_region, boundary.vertices,
+    reports = _region_reports(true_region, boundary,
                               convex_hull(actual_spots[:, :2]))
     run.report.update({
         "experiment": "roi",
@@ -615,7 +611,7 @@ def _roi_stages(cfg, out, run):
         # "shrink" is always 0.0; the key is kept for artifact compatibility
         "boundary": rio.write_json(
             out / "roi_boundary.json",
-            {"vertices": boundary.vertices.tolist(), "shrink": 0.0}),
+            {"vertices": boundary.tolist(), "shrink": 0.0}),
         "plan": rio.write_cut_plan_csv(out / "roi_plan.csv", plan),
         "ledger": rio.append_region_reports_csv(
             out / "region_ledger.csv", f"roi-seed{cfg.seed}", reports),
@@ -638,7 +634,7 @@ def _default_cameras():
     return left, right
 
 
-def _camera_fiducials(cfg, scene):
+def _camera_fiducials(scene):
     """Known 3D markers spanning the volume for extrinsic calibration."""
     pts = []
     for x in (1.0, 6.3, 11.6):
@@ -652,7 +648,7 @@ def _camera_fiducials(cfg, scene):
 def _estimate_cameras(cfg, scene):
     rng = _rng(cfg, _SALT_EXTRINSICS)
     sigma = 0.0 if cfg.noiseless else PROFILES[cfg.profile].pixel_sigma
-    fiducials = _camera_fiducials(cfg, scene)
+    fiducials = _camera_fiducials(scene)
     estimated = []
     stats_out = []
     for cam in _default_cameras():
@@ -792,11 +788,10 @@ def _e2e_stages(cfg, out, run):
     # "shrink" is always 0.0; the key is kept for artifact compatibility
     artifacts["boundary"] = rio.write_json(
         out / "boundary.json",
-        {"vertices": boundary.vertices.tolist(), "shrink": 0.0})
+        {"vertices": boundary.tolist(), "shrink": 0.0})
     yield "map"
 
-    region = select_cut_targets(tags, boundary)
-    plan = plan_trajectory(estimated, region.targets)
+    plan = plan_trajectory(estimated, select_cut_targets(tags, boundary))
     artifacts["cut_plan"] = rio.write_cut_plan_csv(out / "cut_plan.csv", plan)
     report["cut_targets"] = len(plan)
     yield "plan"
@@ -818,7 +813,7 @@ def _e2e_stages(cfg, out, run):
     report["resected_cells"] = int(cut_mask.sum())
     yield "resect"
 
-    reports = _region_reports(_true_region(scene), boundary.vertices,
+    reports = _region_reports(_true_region(scene), boundary,
                               convex_hull(actual_spots[:, :2]))
     report["regions"] = {r.kind: r.as_dict() for r in reports}
     artifacts["ledger"] = rio.append_region_reports_csv(

@@ -163,34 +163,21 @@ class ScanPattern:
         return len(self.waypoints)
 
 
-def raster_pattern(extent=(13.0, 13.0), step: float | None = None,
-                   points: int | None = None, origin=(0.0, 0.0)) -> ScanPattern:
-    """Serpentine meshgrid of waypoints over ``extent`` anchored at ``origin``.
+def raster_pattern(extent, points: int, origin=(0.0, 0.0)) -> ScanPattern:
+    """Serpentine meshgrid of ``points`` waypoints (a perfect square total)
+    over ``extent`` anchored at ``origin``.
 
-    Give either ``step`` (per-axis count = round(extent/step) + 1, spacing
-    recomputed as extent/(count-1)) or ``points`` (a perfect square total).
     The order is fixed: rows run along x, and every odd row is reversed.
     """
-    ex, ey = float(extent[0]), float(extent[1])
-    if (step is None) == (points is None):
-        raise BadStep("give exactly one of step or points")
-    if step is not None:
-        if step <= 0 or ex < step or ey < step:
-            raise BadStep(f"step {step} invalid for extent {extent}")
-        nx = int(round(ex / step)) + 1
-        ny = int(round(ey / step)) + 1
-    else:
-        n = int(round(np.sqrt(points)))
-        if n * n != points or n < 2:
-            raise BadStep(f"points {points} is not a square count >= 4")
-        nx = ny = n
-    sx = ex / (nx - 1)
-    sy = ey / (ny - 1)
+    n = int(round(np.sqrt(points)))
+    if n * n != points or n < 2:
+        raise BadStep(f"points {points} is not a square count >= 4")
+    sx, sy = float(extent[0]) / (n - 1), float(extent[1]) / (n - 1)
     x0, y0 = origin
     rows = []
-    for j in range(ny):
-        xs = x0 + np.arange(nx) * sx
+    for j in range(n):
+        xs = x0 + np.arange(n) * sx
         if j % 2 == 1:
             xs = xs[::-1]
-        rows.append(np.column_stack([xs, np.full(nx, y0 + j * sy)]))
-    return ScanPattern(np.vstack(rows), nx, ny, (sx, sy))
+        rows.append(np.column_stack([xs, np.full(n, y0 + j * sy)]))
+    return ScanPattern(np.vstack(rows), n, n, (sx, sy))

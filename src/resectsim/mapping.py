@@ -29,8 +29,6 @@ from .geometry import (
     convex_hull,
     nearest_neighbor,
     points_in_polygon,
-    polygon_is_simple,
-    project_to_plane_z,
     ray_mesh_intersect,
 )
 from .sensors import PinholeCamera, project_points
@@ -58,21 +56,6 @@ class TumorTag:
 
 
 @dataclass(frozen=True)
-class BoundaryPolygon:
-    """Closed 2D outline of the tumor region (closure implied, CCW)."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "vertices", v)
-        if len(v) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        if not polygon_is_simple(v):
-            raise ValueError("polygon must be simple")
-
-
-@dataclass(frozen=True)
 class SpotEstimate:
     """Laser spot located by both cameras and a surface ray trace."""
 
@@ -92,22 +75,6 @@ class SpotEstimate:
             np.linalg.norm(right - ray),
         ))
         return cls(left, right, ray, fused, spread)
-
-
-@dataclass(frozen=True)
-class CutRegion:
-    """Tags selected for resection plus the boundary that selected them."""
-
-    member_indices: tuple
-    boundary: BoundaryPolygon
-    targets: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "targets",
-            np.asarray(self.targets, dtype=float).reshape(-1, 3))
-        if len(self.member_indices) != len(self.targets):
-            raise ValueError("member indices and targets must align")
 
 
 class SpotLocator:
@@ -169,23 +136,25 @@ def build_tumor_tags(spots, labels, colors=None):
     ]
 
 
-def boundary_from_tags(tags) -> BoundaryPolygon:
-    """2D boundary of the tumor-labeled tags: the convex hull of their xy."""
+def boundary_from_tags(tags) -> np.ndarray:
+    """2D boundary of the tumor-labeled tags: the convex hull of their xy,
+    an (n, 2) CCW vertex array with n >= 3."""
     tumor = [t.position for t in tags if t.label == TUMOR]
     if len(tumor) < 3:
         raise TooFewTumorTags(f"{len(tumor)} tumor tags; need >= 3")
-    return BoundaryPolygon(convex_hull(project_to_plane_z(tumor)))
+    return convex_hull(np.array(tumor)[:, :2])
 
 
-def select_cut_targets(tags, boundary: BoundaryPolygon) -> CutRegion:
-    """Tags whose xy projection falls inside the boundary or within
-    ``EDGE_EPS`` of an edge (hull vertices included), in scan order."""
+def select_cut_targets(tags, boundary) -> np.ndarray:
+    """(k, 3) positions of the tags whose xy projection falls inside the
+    ``(n, 2)`` boundary or within ``EDGE_EPS`` of an edge (hull vertices
+    included), in scan order."""
     positions = np.array([t.position for t in tags], dtype=float).reshape(-1, 3)
-    members = np.flatnonzero(points_in_polygon(
-        positions[:, :2], boundary.vertices, include_boundary=True))
-    if not len(members):
+    targets = positions[points_in_polygon(
+        positions[:, :2], boundary, include_boundary=True)]
+    if not len(targets):
         raise EmptyRegion("no tag projects inside the boundary")
-    return CutRegion(tuple(members.tolist()), boundary, positions[members])
+    return targets
 
 
 def colorize_surface(surface: SurfaceCloud, camera: PinholeCamera, image):

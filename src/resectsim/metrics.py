@@ -1,6 +1,7 @@
 """Region comparison metrics and the two-sample significance test.
 
-Regions are 2D (projections along z) simple polygons. Area-based quantities (IoU, undercut, overcut) are computed on a
+Regions are 2D projections along z, given as (n, 2) vertex arrays (closure
+implied). Area-based quantities (IoU, undercut, overcut) are computed on a
 common raster covering both regions; the default 0.02 mm pitch makes raster
 error negligible at the millimeter scales evaluated here. Edge error is
 directional: every boundary sample of the first region is matched to its
@@ -31,38 +32,22 @@ DEFAULT_PITCH = 0.02  # mm
 BOUNDARY_SPACING = 0.05  # mm between edge-error samples
 
 
-@dataclass(frozen=True)
-class Region2D:
-    """Planar region as a simple polygon."""
-
-    polygon: np.ndarray
-
-    @classmethod
-    def from_polygon(cls, vertices) -> "Region2D":
-        v = np.asarray(vertices, dtype=float).reshape(-1, 2)
-        if len(v) < 3:
-            raise ValueError("polygon region needs at least 3 vertices")
-        return cls(polygon=v)
-
-    def bounds(self):
-        return self.polygon.min(axis=0), self.polygon.max(axis=0)
-
-
-def _raster_on(region: Region2D, x0, y0, nx, ny, pitch) -> np.ndarray:
+def _raster_on(polygon, x0, y0, nx, ny, pitch) -> np.ndarray:
     xs = x0 + (np.arange(nx) + 0.5) * pitch
     ys = y0 + (np.arange(ny) + 0.5) * pitch
     gx, gy = np.meshgrid(xs, ys)
     flat = points_in_polygon(np.column_stack([gx.ravel(), gy.ravel()]),
-                             region.polygon)
+                             polygon)
     return flat.reshape(ny, nx)
 
 
-def rasterize_pair(a: Region2D, b: Region2D, pitch: float = DEFAULT_PITCH):
-    """Both regions on one common grid spanning their joint bounding box."""
-    lo_a, hi_a = a.bounds()
-    lo_b, hi_b = b.bounds()
-    lo = np.minimum(lo_a, lo_b) - 2 * pitch
-    hi = np.maximum(hi_a, hi_b) + 2 * pitch
+def rasterize_pair(a, b, pitch: float = DEFAULT_PITCH):
+    """Both vertex arrays on one common grid spanning their joint bounding
+    box; returns the two (ny, nx) masks."""
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    lo = np.minimum(a.min(axis=0), b.min(axis=0)) - 2 * pitch
+    hi = np.maximum(a.max(axis=0), b.max(axis=0)) + 2 * pitch
     nx = int(np.ceil((hi[0] - lo[0]) / pitch))
     ny = int(np.ceil((hi[1] - lo[1]) / pitch))
     return (_raster_on(a, lo[0], lo[1], nx, ny, pitch),
@@ -91,18 +76,16 @@ def _overcut(mt: np.ndarray, ma: np.ndarray) -> float:
     return float(np.sum(ma & ~mt)) / _true_area(mt)
 
 
-def region_iou(a: Region2D, b: Region2D, pitch: float = DEFAULT_PITCH) -> float:
+def region_iou(a, b, pitch: float = DEFAULT_PITCH) -> float:
     return _iou(*rasterize_pair(a, b, pitch))
 
 
-def undercut_ratio(true_r: Region2D, actual_r: Region2D,
-                   pitch: float = DEFAULT_PITCH) -> float:
+def undercut_ratio(true_r, actual_r, pitch: float = DEFAULT_PITCH) -> float:
     """Fraction of the reference region that was not covered."""
     return _undercut(*rasterize_pair(true_r, actual_r, pitch))
 
 
-def overcut_ratio(true_r: Region2D, actual_r: Region2D,
-                  pitch: float = DEFAULT_PITCH) -> float:
+def overcut_ratio(true_r, actual_r, pitch: float = DEFAULT_PITCH) -> float:
     """Area covered outside the reference region, over the reference area."""
     return _overcut(*rasterize_pair(true_r, actual_r, pitch))
 
@@ -204,7 +187,7 @@ class RegionReport:
         }
 
 
-def compare_regions(kind: str, reference: Region2D, achieved: Region2D,
+def compare_regions(kind: str, reference, achieved,
                     pitch: float = DEFAULT_PITCH) -> RegionReport:
     """Full comparison: directional edge error plus IoU/undercut/overcut.
 
@@ -212,8 +195,8 @@ def compare_regions(kind: str, reference: Region2D, achieved: Region2D,
     ``BOUNDARY_SPACING`` mm, to the reference one.
     """
     errs, rmse = edge_error(
-        sample_polygon_boundary(achieved.polygon, BOUNDARY_SPACING),
-        sample_polygon_boundary(reference.polygon, BOUNDARY_SPACING),
+        sample_polygon_boundary(achieved, BOUNDARY_SPACING),
+        sample_polygon_boundary(reference, BOUNDARY_SPACING),
     )
     mean, std, rmse = summarize(errs)
     m_ref, m_ach = rasterize_pair(reference, achieved, pitch)

@@ -3,6 +3,8 @@
 These are the one-point-at-a-time versions that ``points_in_polygon``,
 ``ScenePhantom._region_index`` and the batched ``nearest_neighbor``
 replaced, kept as they were so the tests can hold the array kernels to them.
+``polygon_is_simple`` is the all-pairs edge-crossing check that test
+polygons must pass before they serve as membership inputs.
 """
 
 import numpy as np
@@ -80,3 +82,31 @@ def albedo_at(scene, x, y) -> float:
     reg = _region_hits(scene, float(x), float(y))
     key = reg["label"] if reg is not None else "default"
     return float(scene.albedo.get(key, scene.albedo.get("default", 0.9)))
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _segments_cross(a, b, c, d) -> bool:
+    """Proper intersection of open segments ab and cd."""
+    d1 = _cross(c, d, a)
+    d2 = _cross(c, d, b)
+    d3 = _cross(a, b, c)
+    d4 = _cross(a, b, d)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+
+def polygon_is_simple(vertices) -> bool:
+    """No two non-adjacent edges cross, checked over all O(n^2) pairs."""
+    verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
+    n = len(verts)
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            c, d = verts[j], verts[(j + 1) % n]
+            if _segments_cross(a, b, c, d):
+                return False
+    return True

@@ -31,10 +31,9 @@ from resectsim.harness import (
     truth_calibration,
 )
 from resectsim.kinematics import solve_ik
-from resectsim.mapping import boundary_from_tags, convex_hull, ray_mesh_intersect
+from resectsim.mapping import boundary_from_tags, ray_mesh_intersect
 from resectsim.mapping import TumorTag
 from resectsim.metrics import (
-    Region2D,
     rasterize_pair,
     region_iou,
     two_sample_t_test,
@@ -247,7 +246,7 @@ def test_criterion_06_hull_oracle_100_instances():
     for _ in range(100):
         pts = rng.uniform(-5.0, 5.0, size=(int(rng.integers(3, 51)), 2))
         tags = [TumorTag([x, y, 0.0], "tumor") for x, y in pts]
-        hull = boundary_from_tags(tags).vertices
+        hull = boundary_from_tags(tags)
         oracle = _half_plane_hull(pts)
         assert len(hull) == len(oracle)
         match = False
@@ -263,9 +262,9 @@ def test_criterion_06_hull_oracle_100_instances():
 
 def test_criterion_07_metric_identities():
     t0 = time.perf_counter()
-    sq = Region2D.from_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    far = Region2D.from_polygon([(5, 5), (6, 5), (6, 6), (5, 6)])
-    half = Region2D.from_polygon([(0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)])
+    sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    far = [(5, 5), (6, 5), (6, 6), (5, 6)]
+    half = [(0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)]
     assert region_iou(sq, sq) == 1.0
     assert region_iou(sq, far) == 0.0
     assert abs(region_iou(sq, half) - 1.0 / 3.0) < 0.01

@@ -13,7 +13,6 @@ from resectsim.geometry import (
     SurfaceCloud,
     TriMesh,
     nearest_neighbor,
-    project_to_plane_z,
     ray_mesh_intersect,
     ray_plane_intersect,
     triangulate_grid,
@@ -416,22 +415,6 @@ class TestNearestNeighbor:
             mask = nearest_neighbor(pts, spots)[1] <= r**2
         assert np.array_equal(mask, loop)
         assert mask[:len(on_rim)].all()
-
-
-class TestProjectZ:
-    def test_single(self):
-        out = project_to_plane_z([[1, 2, 3]])
-        assert out.shape == (1, 2)
-        assert np.array_equal(out[0], [1, 2])
-
-    def test_empty(self):
-        assert project_to_plane_z(np.empty((0, 3))).shape == (0, 2)
-
-    def test_bit_identical_xy(self):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-50, 50, size=(100, 3))
-        out = project_to_plane_z(pts)
-        assert np.array_equal(out, pts[:, :2])
 
 
 class TestFrames:

@@ -8,6 +8,8 @@ from resectsim.kinematics import CutPlan
 from resectsim.sensors import OctConfig, OctVolume
 from resectsim.spectra import init_mlp
 
+import readers
+
 
 class TestPly:
     def test_roundtrip_full(self, tmp_path):
@@ -15,14 +17,14 @@ class TestPly:
         color = np.array([[255, 0, 0], [0, 255, 0]], dtype=np.uint8)
         label = np.array([1, 0])
         path = rio.write_ply_cloud(tmp_path / "c.ply", pts, color, label)
-        rp, rc, rl = rio.read_ply_cloud(path)
+        rp, rc, rl = readers.read_ply_cloud(path)
         assert np.allclose(rp, pts, atol=1e-7)
         assert np.array_equal(rc, color)
         assert np.array_equal(rl, label)
 
     def test_points_only(self, tmp_path):
         path = rio.write_ply_cloud(tmp_path / "c.ply", np.zeros((3, 3)))
-        rp, rc, rl = rio.read_ply_cloud(path)
+        rp, rc, rl = readers.read_ply_cloud(path)
         assert rc is None and rl is None
         assert len(rp) == 3
 
@@ -39,7 +41,7 @@ class TestVolume:
         data = np.random.default_rng(1).uniform(0, 1, (4, 512, 8)).astype(np.float32)
         vol = OctVolume(data, cfg, (1.0, 2.0))
         rio.write_oct_volume(tmp_path / "vol", vol)
-        back = rio.read_oct_volume(tmp_path / "vol")
+        back = readers.read_oct_volume(tmp_path / "vol")
         assert np.array_equal(back.b_scans, data)
         assert back.origin == (1.0, 2.0)
         assert back.config.axial_pitch == cfg.axial_pitch
@@ -53,7 +55,7 @@ class TestCsv:
             [1.0, 2.0, 3.0],
         )]
         path = rio.write_spot_observations_csv(tmp_path / "o.csv", obs)
-        back = rio.read_spot_observations_csv(path)
+        back = readers.read_spot_observations_csv(path)
         assert np.array_equal(back[0].beta, obs[0].beta)
         assert np.array_equal(back[0].spot_center, obs[0].spot_center)
         assert np.array_equal(back[0].plane.center, obs[0].plane.center)
@@ -62,7 +64,7 @@ class TestCsv:
         plan = CutPlan(np.arange(6.0).reshape(2, 3),
                        np.arange(4.0).reshape(2, 2), np.array([1e-12, 2e-12]))
         path = rio.write_cut_plan_csv(tmp_path / "p.csv", plan)
-        back = rio.read_cut_plan_csv(path)
+        back = readers.read_cut_plan_csv(path)
         assert np.array_equal(back.targets, plan.targets)
         assert np.array_equal(back.waypoints, plan.waypoints)
         assert np.array_equal(back.residuals, plan.residuals)
@@ -72,7 +74,7 @@ class TestCsv:
         rows = np.random.default_rng(2).uniform(0, 1, (3, 10))
         rio.write_spectra_csv(tmp_path / "s", wl, rows,
                               ["m1", "m1", "m2"], ["tumor", "healthy", "tumor"])
-        rwl, rrows, subj, lab = rio.read_spectra_csv(tmp_path / "s")
+        rwl, rrows, subj, lab = readers.read_spectra_csv(tmp_path / "s")
         assert np.array_equal(rwl, wl)
         assert np.array_equal(rrows, rows)
         assert subj == ["m1", "m1", "m2"]
@@ -84,7 +86,7 @@ class TestModels:
         m = init_mlp(12, hidden=(8, 4, 2), seed=3)
         m.norm_mean, m.norm_std = 0.25, 1.5
         rio.write_mlp_json(tmp_path / "m.json", m)
-        back = rio.read_mlp_json(tmp_path / "m.json")
+        back = readers.read_mlp_json(tmp_path / "m.json")
         assert back.layer_sizes == m.layer_sizes
         for w1, w2 in zip(m.weights, back.weights):
             assert np.array_equal(w1, w2)
@@ -97,7 +99,7 @@ class TestModels:
                                  residual_rms=0.01, iterations=7)
         path = rio.write_json(tmp_path / "c.json",
                               rio.laser_calibration_to_dict(calib))
-        back = rio.laser_calibration_from_dict(rio.read_json(path))
+        back = readers.laser_calibration_from_dict(readers.read_json(path))
         assert np.allclose(back.v_w, calib.v_w, atol=1e-15)
         assert np.allclose(back.alpha, calib.alpha)
         assert back.iterations == 7
@@ -105,9 +107,9 @@ class TestModels:
 
 class TestLedger:
     def test_append(self, tmp_path):
-        from resectsim.metrics import Region2D, compare_regions
+        from resectsim.metrics import compare_regions
 
-        sq = Region2D.from_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
         rep = compare_regions("system", sq, sq)
         path = rio.append_region_reports_csv(tmp_path / "l.csv", "t1", [rep])
         rio.append_region_reports_csv(path, "t2", [rep])

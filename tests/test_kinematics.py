@@ -179,16 +179,8 @@ class TestRaster:
         assert (pat.nx, pat.ny) == (8, 8)
         assert abs(pat.step[0] - 13.0 / 7) < 1e-12
 
-    def test_step_144(self):
-        pat = raster_pattern((13.0, 13.0), step=1.44)
-        assert len(pat) == 100
-
-    def test_step_186(self):
-        pat = raster_pattern((13.0, 13.0), step=1.86)
-        assert len(pat) == 64
-
     def test_serpentine_order(self):
-        pat = raster_pattern((1.0, 1.0), step=1.0)
+        pat = raster_pattern((1.0, 1.0), points=4)
         assert np.allclose(pat.waypoints, [[0, 0], [1, 0], [1, 1], [0, 1]])
 
     def test_serpentine_gap_invariant(self):
@@ -198,14 +190,10 @@ class TestRaster:
 
     def test_bad_step(self):
         with pytest.raises(BadStep):
-            raster_pattern((13.0, 13.0), step=-1.0)
-        with pytest.raises(BadStep):
             raster_pattern((13.0, 13.0), points=37)
-        with pytest.raises(BadStep):
-            raster_pattern((13.0, 13.0))
 
     def test_origin_offset(self):
-        pat = raster_pattern((2.0, 2.0), step=1.0, origin=(-1.0, -1.0))
+        pat = raster_pattern((2.0, 2.0), points=9, origin=(-1.0, -1.0))
         assert pat.waypoints.min() == -1.0
         assert pat.waypoints.max() == 1.0
 

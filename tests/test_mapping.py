@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from resectsim.errors import (
@@ -15,11 +15,9 @@ from resectsim.geometry import (
     Ray,
     convex_hull,
     points_in_polygon,
-    polygon_is_simple,
     triangulate_grid,
 )
 from resectsim.mapping import (
-    BoundaryPolygon,
     SpotEstimate,
     SpotLocator,
     TumorTag,
@@ -37,7 +35,7 @@ from resectsim.sensors import (
     segment_surface,
 )
 
-from oracles import point_in_polygon
+from oracles import point_in_polygon, polygon_is_simple
 
 
 def tags_at(xy_list, label="tumor", z=0.0):
@@ -74,6 +72,32 @@ def cyclic_equal(a, b, atol=1e-12):
         if np.allclose(a, np.roll(b, shift, axis=0), atol=atol):
             return True
     return False
+
+
+@st.composite
+def tag_sets(draw):
+    """Shuffled tags: tumor points on an integer grid that span two
+    dimensions, repeats of some of them, exact collinear runs at quarter
+    steps along the edges of their hull, and healthy tags anywhere. Returns
+    (tags, tumor xy)."""
+    xy = np.array(draw(st.lists(st.tuples(st.integers(-8, 8),
+                                          st.integers(-8, 8)),
+                                min_size=3, max_size=20)), dtype=float)
+    assume(np.linalg.matrix_rank(xy[1:] - xy[0]) == 2)
+    hull = convex_hull(xy)
+    runs = draw(st.lists(st.tuples(st.integers(0, len(hull) - 1),
+                                   st.integers(1, 3)), max_size=8))
+    on_edges = [hull[i] + k / 4.0 * (hull[(i + 1) % len(hull)] - hull[i])
+                for i, k in runs]
+    repeats = draw(st.lists(st.sampled_from(range(len(xy))), max_size=5))
+    tumor_xy = np.vstack([xy, *on_edges, xy[repeats]])
+    healthy = draw(st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)),
+                            max_size=5))
+    tags = [TumorTag([x, y, 0.5 * k], "tumor")
+            for k, (x, y) in enumerate(tumor_xy)]
+    tags += tags_at(healthy, label="healthy")
+    order = draw(st.permutations(range(len(tags))))
+    return [tags[k] for k in order], tumor_xy
 
 
 class TestConvexHull:
@@ -186,8 +210,7 @@ class TestPointInPolygon:
 class TestBoundary:
     def test_square_hull(self):
         tags = tags_at([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
-        b = boundary_from_tags(tags)
-        assert len(b.vertices) == 4
+        assert len(boundary_from_tags(tags)) == 4
 
     def test_too_few(self):
         with pytest.raises(TooFewTumorTags):
@@ -197,8 +220,7 @@ class TestBoundary:
         tags = tags_at([(0, 0), (4, 0), (2, 3)]) + tags_at(
             [(10, 10)], label="healthy"
         )
-        b = boundary_from_tags(tags)
-        assert len(b.vertices) == 3
+        assert len(boundary_from_tags(tags)) == 3
 
     def test_collinear(self):
         with pytest.raises(CollinearTags):
@@ -209,34 +231,47 @@ class TestBoundary:
         xy = rng.uniform(0, 8, size=(25, 2))
         tags = tags_at(xy)
         b = boundary_from_tags(tags)
-        assert points_in_polygon(xy, b.vertices, include_boundary=True).all()
+        assert points_in_polygon(xy, b, include_boundary=True).all()
+
+    @given(tag_sets())
+    def test_hull_strictly_convex_and_covering(self, case):
+        tags, tumor_xy = case
+        hull = boundary_from_tags(tags)
+        assert hull.shape[1] == 2 and len(hull) >= 3
+        # the hull's own turn test, cross(cur - prev, next - prev), at
+        # every vertex: all left turns, so CCW with no collinear vertex
+        prev, nxt = np.roll(hull, 1, axis=0), np.roll(hull, -1, axis=0)
+        turn = ((hull[:, 0] - prev[:, 0]) * (nxt[:, 1] - prev[:, 1])
+                - (hull[:, 1] - prev[:, 1]) * (nxt[:, 0] - prev[:, 0]))
+        assert (turn > 0).all()
+        assert points_in_polygon(tumor_xy, hull, include_boundary=True).all()
+        # every vertex is a tumor tag's xy: healthy tags shape nothing
+        assert all((tumor_xy == v).all(axis=1).any() for v in hull)
 
 
 class TestSelect:
-    def square_boundary(self):
-        return BoundaryPolygon(
-            np.array([(0, 0), (2, 0), (2, 2), (0, 2)], dtype=float))
+    SQUARE = np.array([(0, 0), (2, 0), (2, 2), (0, 2)], dtype=float)
 
     def test_center_only(self):
         tags = tags_at([(1, 1), (50, 50)])
-        region = select_cut_targets(tags, self.square_boundary())
-        assert region.member_indices == (0,)
+        targets = select_cut_targets(tags, self.SQUARE)
+        assert targets.tolist() == [[1.0, 1.0, 0.0]]
 
     def test_edge_tag_included(self):
         tags = tags_at([(1, 0)])
-        region = select_cut_targets(tags, self.square_boundary())
-        assert region.member_indices == (0,)
+        targets = select_cut_targets(tags, self.SQUARE)
+        assert targets.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_all_outside_empty(self):
         tags = tags_at([(10, 10), (-5, -5)], label="healthy")
         with pytest.raises(EmptyRegion):
-            select_cut_targets(tags, self.square_boundary())
+            select_cut_targets(tags, self.SQUARE)
 
     def test_scan_order_preserved(self):
         tags = tags_at([(1.5, 1.5), (0.5, 0.5), (1.0, 1.0)])
-        region = select_cut_targets(tags, self.square_boundary())
-        assert region.member_indices == (0, 1, 2)
-        assert np.allclose(region.targets[:, :2],
+        targets = select_cut_targets(tags, self.SQUARE)
+        assert targets.shape == (3, 3)
+        assert np.allclose(targets[:, :2],
                            [(1.5, 1.5), (0.5, 0.5), (1.0, 1.0)])
 
 

@@ -12,7 +12,6 @@ from resectsim.errors import (
     EmptyUnion,
 )
 from resectsim.metrics import (
-    Region2D,
     compare_regions,
     disc_polygon,
     edge_error,
@@ -29,7 +28,7 @@ FLAT = [(0.0, 0.0), (0.2, 0.0), (0.4, 0.0)]  # collinear: rasterizes to nothing
 
 
 def square(x0=0.0, y0=0.0, side=1.0):
-    return Region2D.from_polygon(
+    return np.array(
         [(x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)]
     )
 
@@ -85,18 +84,16 @@ class TestAreas:
         assert region_iou(a, b) == region_iou(b, a)
 
     def test_iou_empty_union(self):
-        empty = Region2D.from_polygon(FLAT)
         with pytest.raises(EmptyUnion):
-            region_iou(empty, empty)
+            region_iou(FLAT, FLAT)
 
     def test_under_over_identical(self):
         assert undercut_ratio(square(), square()) == 0.0
         assert overcut_ratio(square(), square()) == 0.0
 
     def test_empty_actual(self):
-        empty = Region2D.from_polygon(FLAT)
-        assert undercut_ratio(square(), empty) == 1.0
-        assert overcut_ratio(square(), empty) == 0.0
+        assert undercut_ratio(square(), FLAT) == 1.0
+        assert overcut_ratio(square(), FLAT) == 0.0
 
     def test_dilated_double_area(self):
         side = np.sqrt(2.0)
@@ -105,13 +102,12 @@ class TestAreas:
         assert abs(overcut_ratio(square(), big) - 1.0) < 0.02
 
     def test_empty_true_region(self):
-        empty = Region2D.from_polygon(FLAT)
         with pytest.raises(EmptyTrueRegion):
-            undercut_ratio(empty, square())
+            undercut_ratio(FLAT, square())
 
     def test_undercut_intersection_identity(self):
-        t = Region2D.from_polygon(disc_polygon((0, 0), 3.0))
-        a = Region2D.from_polygon(disc_polygon((1.0, 0.5), 2.5))
+        t = disc_polygon((0, 0), 3.0)
+        a = disc_polygon((1.0, 0.5), 2.5)
         u = undercut_ratio(t, a)
         iou = region_iou(t, a)
         # |T & A| recovered two ways must agree within raster tolerance
@@ -122,8 +118,8 @@ class TestAreas:
         assert abs((1.0 - u) - inter_direct) < 1e-12
 
     def test_raster_convergence(self):
-        t = Region2D.from_polygon(disc_polygon((0, 0), 3.0))
-        a = Region2D.from_polygon(disc_polygon((0.7, 0.0), 3.0))
+        t = disc_polygon((0, 0), 3.0)
+        a = disc_polygon((0.7, 0.0), 3.0)
         coarse = region_iou(t, a, pitch=0.02)
         fine = region_iou(t, a, pitch=0.01)
         assert abs(coarse - fine) / fine < 0.005
@@ -206,7 +202,7 @@ class TestCompareRegions:
         assert rep.mean <= 0.2 + 1e-9
 
     def test_empty_union_reported_before_empty_reference(self):
-        speck = Region2D.from_polygon([(0, 0), (1e-4, 0), (0, 1e-4)])
+        speck = [(0, 0), (1e-4, 0), (0, 1e-4)]
         with pytest.raises(EmptyUnion):
             compare_regions("system", speck, speck)
         with pytest.raises(EmptyTrueRegion):
@@ -223,8 +219,7 @@ class TestCompareRegions:
             ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
             r = rng.uniform(0.2, 1.5, n)
             c = rng.uniform(-1.0, 1.0, 2)
-            return Region2D.from_polygon(
-                c + np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
+            return c + np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
         ref, ach = star(), star()
         rep = compare_regions("system", ref, ach, pitch=0.05)

@@ -1,10 +1,12 @@
-"""Byte-identity guard: the SHA-256 of every artifact of five fixed runs.
+"""Byte-identity guard: the SHA-256 of every artifact of six fixed runs.
 
 Refactors must leave artifacts byte-identical (acceptance criterion 11 run
 across versions of the code, not only across repeats). The digests below
 were recorded before the ROI and e2e scan loops were merged into one; the
 marker digests were recorded before the laser calibration's start point
-became fixed. No run trains the MLP, so no digest depends on how many
+became fixed, and the roi-polygon-noisy digests (the one run whose true
+tumor region is a polygon, with integer vertices) before the region
+wrapper types gave way to plain vertex arrays. No run trains the MLP, so no digest depends on how many
 threads BLAS uses. A digest changes only when the artifact's bytes do; if a change
 is meant to alter an artifact, re-record its digest and say why.
 """
@@ -21,6 +23,19 @@ from resectsim.harness import (
     run_trajectory_experiment,
 )
 
+# a bumped plane with a polygon tumor and a healthy disc painted over it
+POLYGON_SCENE = {
+    "primitives": [
+        {"kind": "plane", "z": 3.0},
+        {"kind": "gauss_bump", "center": [6, 6], "sigma": 2, "height": 1},
+    ],
+    "regions": [
+        {"label": "tumor", "kind": "polygon",
+         "vertices": [[2, 2], [10, 3], [9, 10], [3, 9]]},
+        {"label": "healthy", "kind": "disc", "center": [6, 6], "radius": 1},
+    ],
+}
+
 RUNS = {
     "e2e-tumorid-noisy": (run_end_to_end, dict(
         seed=5, profile="tumorid", noiseless=False, classifier="threshold",
@@ -29,6 +44,9 @@ RUNS = {
         seed=5, noiseless=False, classifier="threshold", scan_points=100)),
     "roi-noiseless": (run_roi_experiment, dict(
         seed=5, noiseless=True, classifier="threshold", scan_points=100)),
+    "roi-polygon-noisy": (run_roi_experiment, dict(
+        seed=3, noiseless=False, classifier="threshold", scan_points=100,
+        scene=POLYGON_SCENE)),
     "trajectory-diode-noisy": (run_trajectory_experiment, dict(
         seed=5, profile="diode", noiseless=False)),
     "marker-fiber-noisy": (run_marker_experiment, dict(
@@ -95,6 +113,20 @@ DIGESTS = {
             "6022aa0122d31dc8647bee8b4414a18368da7ad79e149c3b26db74897d065173",
         "roi_tags.ply":
             "5da50744459e5f84c528eb462c077dc123eadbe77398988ed26c6e1275d6be8f",
+    },
+    "roi-polygon-noisy": {
+        "laser_calibration.json":
+            "a0bb1279ed1997eeea63da0b8be7a842db52fd9f958d1a00b77901904d9ad07b",
+        "region_ledger.csv":
+            "b7225b6b536d2e764f5d22bc73e152e8be34d78d3de83a9643da0bb32ca95e7c",
+        "roi_boundary.json":
+            "aa56a68a8ea05fed7311fb11c2371f3ab39b788d313bf55b16272f05f9abf487",
+        "roi_plan.csv":
+            "1a8a127fc9648ceae2be804c6210d3a531c72e0b39d5ab2fac90fad77c33b61a",
+        "roi_report.json":
+            "4cb7f34e36d8454dd399975107904d44d3a98311344152ba2e87e171ce606ab9",
+        "roi_tags.ply":
+            "4b75521ab440db0e0c0a94c3e487305269c3e9d9b3d93c3d376d1ab8fee972da",
     },
     "trajectory-diode-noisy": {
         "laser_calibration.json":
