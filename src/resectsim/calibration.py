@@ -104,12 +104,17 @@ class LaserCalibration:
 
 
 def waypoint_position(frame: ReferenceFrame, alpha, beta) -> np.ndarray:
-    """Waypoint p = origin + (alpha_x + beta_x) v_x + (alpha_y + beta_y) v_y."""
+    """Waypoint p = origin + (alpha_x + beta_x) v_x + (alpha_y + beta_y) v_y.
+
+    ``beta`` is one waypoint (2,) or a plan (n, 2); the result is (3,) or
+    (n, 3), each row computed as for its waypoint alone.
+    """
     alpha = np.asarray(alpha, dtype=float).reshape(2)
-    beta = np.asarray(beta, dtype=float).reshape(2)
-    return (frame.origin
-            + (alpha[0] + beta[0]) * frame.v_x
-            + (alpha[1] + beta[1]) * frame.v_y)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape[-1:] != (2,) or beta.ndim > 2:
+        raise ValueError(f"waypoints must be (2,) or (n, 2), not {beta.shape}")
+    s = alpha + beta
+    return frame.origin + s[..., :1] * frame.v_x + s[..., 1:] * frame.v_y
 
 
 def beam_from_angles(theta: float, phi: float) -> np.ndarray:

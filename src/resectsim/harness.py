@@ -21,8 +21,10 @@ previous stage, so it includes that stage's artifact writes, and the
 report is written once, after the last stage that ran.
 
 Scanning. ROI and e2e share one raster scan, ``_raster_scan``: it fires the
-whole centred raster, then a runner-given ``locate(measured, beam)`` returns
-each executed spot's map position, or None to leave the point unmapped.
+whole centred raster in one ``intersect_scene`` call, then a runner-given
+``locate_all(measured, waypoints)`` maps the executed spots and returns the
+indices of the mapped ones with their map positions. ROI casts every
+estimated beam in one more call; e2e locates spot by spot in the cameras.
 
 Region comparisons follow the three-way convention: system = actual vs
 true, algorithm = predicted vs true, calibration = actual vs predicted,
@@ -360,9 +362,8 @@ def _spot_error(cfg, spots: np.ndarray, rng) -> np.ndarray:
 
 def _execute_plan(cfg, truth, plan, scene, rng) -> np.ndarray:
     """Where the real beam lands for every waypoint of a plan, in order."""
-    spots = np.array([intersect_scene(truth.beam(beta), scene)
-                      for beta in plan.waypoints])
-    return _spot_error(cfg, spots, rng)
+    origins = waypoint_position(truth.frame, truth.alpha, plan.waypoints)
+    return _spot_error(cfg, intersect_scene(origins, truth.v_w, scene), rng)
 
 
 def _centred_raster(cfg, scene, estimated):
@@ -393,23 +394,19 @@ def _scan_label(cfg, true_label: str, k: int, model=None):
     return (TUMOR if mlp_predict(model, x) == 1 else HEALTHY), spectrum
 
 
-def _raster_scan(cfg, scene, truth, estimated, model, rng, locate):
-    """Fire the centred raster, map every executed spot, label the mapped ones.
+def _raster_scan(cfg, scene, truth, estimated, model, rng, locate_all):
+    """Fire the centred raster, map the executed spots, label the mapped ones.
 
-    ``locate(measured, beam)`` takes one executed spot and the estimated
-    beam of its waypoint and returns the spot's map position, or None for an
-    unmapped point. Returns the pattern and, per mapped point in scan order,
-    the map positions, labels, true labels and spectra. Raises
-    TooFewTumorTags when no point maps.
+    ``locate_all(measured, waypoints)`` takes the (n, 3) executed spots and
+    the (n, 2) commanded waypoints and returns the scan indices of the
+    mapped points, ascending, and their map positions; a point left out is
+    unmapped. Returns the pattern and, per mapped point in scan order, the
+    map positions, labels, true labels and spectra. Raises TooFewTumorTags
+    when no point maps.
     """
     pattern = _centred_raster(cfg, scene, estimated)
     measured = _execute_plan(cfg, truth, pattern, scene, rng)
-    mapped, spots = [], []
-    for k, beta in enumerate(pattern.waypoints):
-        spot = locate(measured[k], estimated.beam(beta))
-        if spot is not None:
-            mapped.append(k)
-            spots.append(spot)
+    mapped, spots = locate_all(measured, pattern.waypoints)
     if not mapped:
         raise TooFewTumorTags(f"none of {len(pattern)} scan points mapped")
     true_labels = scene.label_at(measured[mapped, 0],
@@ -579,11 +576,15 @@ def _roi_stages(cfg, out, run):
         model, _ = _train_scan_classifier(cfg)
         yield "train"
 
-    # the map takes spots from the analytic scene along the estimated beam
+    def locate_all(measured, waypoints):
+        # the map takes spots from the analytic scene along the estimated beam
+        origins = waypoint_position(estimated.frame, estimated.alpha, waypoints)
+        return (list(range(len(waypoints))),
+                intersect_scene(origins, estimated.v_w, scene))
+
     rng = _rng(cfg, _SALT_SPOT)
     pattern, predicted_spots, labels, true_labels, _ = _raster_scan(
-        cfg, scene, truth, estimated, model, rng,
-        lambda measured, beam: intersect_scene(beam, scene))
+        cfg, scene, truth, estimated, model, rng, locate_all)
     yield "scan"
 
     tags = build_tumor_tags(predicted_spots, labels)
@@ -751,21 +752,26 @@ def _e2e_stages(cfg, out, run):
                           mesh=triangulate_grid(surface))
     pixel_sigma = 0.0 if cfg.noiseless else PROFILES[cfg.profile].pixel_sigma
 
-    def locate(measured, beam):
-        hits = []
-        for cam in cameras:
-            uv = project_world_to_image(cam, measured)
-            if pixel_sigma > 0:
-                uv = uv + rng_px.normal(0.0, pixel_sigma, 2)
-            hits.append(uv)
-        try:
-            return locator.locate(hits[0], hits[1], beam).fused
-        except NoRayHit:
-            # scan exceeds the imaging field; edge spots have no geometry
-            return None
+    def locate_all(measured, waypoints):
+        mapped, spots = [], []
+        for k, beta in enumerate(waypoints):
+            hits = []
+            for cam in cameras:
+                uv = project_world_to_image(cam, measured[k])
+                if pixel_sigma > 0:
+                    uv = uv + rng_px.normal(0.0, pixel_sigma, 2)
+                hits.append(uv)
+            try:
+                spot = locator.locate(hits[0], hits[1], estimated.beam(beta))
+            except NoRayHit:
+                # scan exceeds the imaging field; edge spots have no geometry
+                continue
+            mapped.append(k)
+            spots.append(spot.fused)
+        return mapped, spots
 
     pattern, spots, labels, true_labels, spectra = _raster_scan(
-        cfg, scene, truth, estimated, model, rng_spot, locate)
+        cfg, scene, truth, estimated, model, rng_spot, locate_all)
     report["unmapped_points"] = len(pattern) - len(spots)
     artifacts["spectra"], artifacts["spectra_sidecar"] = rio.write_spectra_csv(
         out / "scan_spectra", spectra[0].wavelengths,

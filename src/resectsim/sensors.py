@@ -19,12 +19,13 @@ from numbers import Real
 import numpy as np
 
 from .errors import BehindCamera, EmptySurface, NoRayHit, WindowOutOfDomain
-from .geometry import SurfaceCloud, as_vec3, points_in_polygon
+from .geometry import SurfaceCloud, as_vec3, normalize, points_in_polygon
 from .spectra import HEALTHY, TUMOR, Spectrum
 
 DEFAULT_DOMAIN = (-100.0, -100.0, 100.0, 100.0)
 RAY_T_MAX = 500.0  # mm of beam searched by intersect_scene
 RAY_SAMPLES = 800  # bracketing samples along that length
+RAY_BLOCK = 256  # rays bracketed at once: a (256, 800, 3) float block is 4.7 MiB
 
 
 def finite_number(value) -> bool:
@@ -111,7 +112,11 @@ class ScenePhantom:
         )
 
     def height(self, x, y):
-        """Surface height (mm) at (x, y); accepts scalars or arrays."""
+        """Surface height (mm) at (x, y); accepts scalars or arrays.
+
+        Squares go through np.float_power, which calls pow() as a scalar
+        ``** 2`` does, so an array call equals per-element scalar calls.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.zeros(np.broadcast(x, y).shape)
@@ -123,13 +128,13 @@ class ScenePhantom:
                 cx, cy = p["center"]
                 r, h = p["radius"], p["height"]
                 big_r = (r * r + h * h) / (2.0 * h)
-                d2 = (x - cx) ** 2 + (y - cy) ** 2
+                d2 = np.float_power(x - cx, 2) + np.float_power(y - cy, 2)
                 cap = np.sqrt(np.clip(big_r * big_r - d2, 0.0, None)) - (big_r - h)
                 z = z + np.where(d2 <= r * r, np.clip(cap, 0.0, None), 0.0)
             else:  # gauss_bump
                 cx, cy = p["center"]
                 s, h = p["sigma"], p["height"]
-                d2 = (x - cx) ** 2 + (y - cy) ** 2
+                d2 = np.float_power(x - cx, 2) + np.float_power(y - cy, 2)
                 z = z + h * np.exp(-d2 / (2.0 * s * s))
         return z if z.shape else float(z)
 
@@ -406,29 +411,39 @@ def synth_spectrum(label: str, seed: int,
     return Spectrum(wl, np.clip(base, 0.0, None), state="raw")
 
 
-def intersect_scene(ray, scene: ScenePhantom) -> np.ndarray:
-    """First intersection of a descending ray with the analytic height field.
+def intersect_scene(origins, direction, scene: ScenePhantom) -> np.ndarray:
+    """First intersection of n parallel descending rays with the height field.
 
-    Brackets the first sign change of (ray height - surface height) among
-    ``RAY_SAMPLES`` even steps along the ray, then bisects. Raises NoRayHit
-    when the ray never meets the surface within ``RAY_T_MAX`` mm.
+    The rays start at ``origins`` (n, 3) and share ``direction``, which is
+    normalized once, as ``Ray`` does. Each ray brackets the first sign
+    change of (ray height - surface height) among ``RAY_SAMPLES`` even steps
+    along ``RAY_T_MAX`` mm, at most ``RAY_BLOCK`` rays at a time, and then
+    all rays bisect that bracket together for 90 steps. Every step is the
+    per-ray arithmetic, so each row is the point one ``Ray`` would give.
+    Returns the (n, 3) hits in order. Raises NoRayHit when any ray never
+    meets the surface, naming how many missed and the index of the first
+    (callers pass one ray per waypoint, in plan order).
     """
-
-    def gap(t):
-        p = ray.at(t)
-        return p[2] - scene.height(p[0], p[1])
-
+    origins = np.asarray(origins, dtype=float).reshape(-1, 3)
+    d = normalize(direction)
     ts = np.linspace(0.0, RAY_T_MAX, RAY_SAMPLES)
-    pts = ray.origin[None, :] + ts[:, None] * ray.direction[None, :]
-    gaps = pts[:, 2] - scene.height(pts[:, 0], pts[:, 1])
-    crossing = np.flatnonzero((gaps[:-1] > 0.0) & (gaps[1:] <= 0.0))
-    if len(crossing) == 0:
-        raise NoRayHit("ray does not reach the surface")
-    lo, hi = float(ts[crossing[0]]), float(ts[crossing[0] + 1])
+    first = np.empty(len(origins), dtype=np.intp)
+    hit = np.empty(len(origins), dtype=bool)
+    for s in range(0, len(origins), RAY_BLOCK):
+        pts = origins[s:s + RAY_BLOCK, None, :] + ts[:, None] * d
+        gaps = pts[..., 2] - scene.height(pts[..., 0], pts[..., 1])
+        crossing = (gaps[:, :-1] > 0.0) & (gaps[:, 1:] <= 0.0)
+        first[s:s + RAY_BLOCK] = crossing.argmax(axis=1)
+        hit[s:s + RAY_BLOCK] = crossing.any(axis=1)
+    if not hit.all():
+        missed = np.flatnonzero(~hit)
+        raise NoRayHit(f"{len(missed)} of {len(origins)} rays do not reach "
+                       f"the surface (first: waypoint {missed[0]})")
+    lo, hi = ts[first], ts[first + 1]
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return ray.at(0.5 * (lo + hi))
+        p = origins + mid[:, None] * d
+        above = p[:, 2] - scene.height(p[:, 0], p[:, 1]) > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return origins + (0.5 * (lo + hi))[:, None] * d

@@ -1,16 +1,18 @@
-"""Scalar oracles for the array membership and nearest-neighbour kernels.
+"""Scalar oracles for the array membership, nearest-neighbour and ray kernels.
 
 These are the one-point-at-a-time versions that ``points_in_polygon``,
-``ScenePhantom._region_index`` and the batched ``nearest_neighbor``
-replaced, kept as they were so the tests can hold the array kernels to them.
+``ScenePhantom._region_index``, the batched ``nearest_neighbor`` and the
+batched ``intersect_scene`` replaced, kept as they were so the tests can
+hold the array kernels to them.
 ``polygon_is_simple`` is the all-pairs edge-crossing check that test
 polygons must pass before they serve as membership inputs.
 """
 
 import numpy as np
 
-from resectsim.errors import EmptyCloud
+from resectsim.errors import EmptyCloud, NoRayHit
 from resectsim.geometry import EDGE_EPS
+from resectsim.sensors import RAY_SAMPLES, RAY_T_MAX
 from resectsim.spectra import HEALTHY
 
 
@@ -110,3 +112,27 @@ def polygon_is_simple(vertices) -> bool:
             if _segments_cross(a, b, c, d):
                 return False
     return True
+
+
+def intersect_scene(ray, scene) -> np.ndarray:
+    """First intersection of one descending ``Ray`` with the height field:
+    bracket among ``RAY_SAMPLES`` even steps, then 90 scalar bisections."""
+
+    def gap(t):
+        p = ray.at(t)
+        return p[2] - scene.height(p[0], p[1])
+
+    ts = np.linspace(0.0, RAY_T_MAX, RAY_SAMPLES)
+    pts = ray.origin[None, :] + ts[:, None] * ray.direction[None, :]
+    gaps = pts[:, 2] - scene.height(pts[:, 0], pts[:, 1])
+    crossing = np.flatnonzero((gaps[:-1] > 0.0) & (gaps[1:] <= 0.0))
+    if len(crossing) == 0:
+        raise NoRayHit("ray does not reach the surface")
+    lo, hi = float(ts[crossing[0]]), float(ts[crossing[0] + 1])
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return ray.at(0.5 * (lo + hi))

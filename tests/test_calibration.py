@@ -180,6 +180,28 @@ class TestWaypoint:
         p = waypoint_position(FRAME, (1.0, -1.0), (3.0, 4.0))
         assert np.allclose(p, [4.0, 3.0, 56.3])
 
+    def test_plan_rows_equal_single_waypoints(self):
+        # a skewed, tilted frame: every row of a plan is the same double as
+        # its waypoint computed alone
+        rng = np.random.default_rng(4)
+        frame = ReferenceFrame([0.3, -0.2, 56.3], [1.0, 0.03, 0.011],
+                               [-0.04, 1.0, -0.007])
+        alpha = rng.normal(0.0, 2.0, 2)
+        betas = rng.uniform(-10.0, 10.0, size=(50, 2))
+        rows = waypoint_position(frame, alpha, betas)
+        assert rows.shape == (50, 3)
+        assert np.array_equal(rows, [waypoint_position(frame, alpha, b)
+                                     for b in betas])
+        assert np.array_equal(waypoint_position(frame, alpha, betas[:1]),
+                              rows[:1])
+
+    @pytest.mark.parametrize("beta", [[1.0], [1.0, 2.0, 3.0],
+                                      np.zeros((2, 2, 2))],
+                             ids=["one", "three", "three-dims"])
+    def test_bad_waypoint_shape(self, beta):
+        with pytest.raises(ValueError, match="waypoints must be"):
+            waypoint_position(FRAME, (0.0, 0.0), beta)
+
 
 def true_camera():
     return PinholeCamera.look_at(

@@ -188,6 +188,23 @@ class TestExitCodes:
         assert ("solver failure: NonConvergence"
                 in capsys.readouterr().err)
 
+    def test_surface_above_the_rig_exits_1_and_counts_misses(self, tmp_path,
+                                                             capsys):
+        # the surface sits above every waypoint, so no beam can reach it;
+        # the message says how many of the raster's rays missed
+        cfg = write_cfg(tmp_path, scene={
+            "primitives": [{"kind": "plane", "z": 400.0}],
+            "regions": [{"label": "tumor", "kind": "disc",
+                         "center": [6.3, 6.4], "radius": 5.0}]})
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "phantom", "roi"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "pipeline failure: NoRayHit: 64 of 64 rays" in err
+        assert "first: waypoint 0" in err
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "laser_calibration.json"]
+
     def test_bad_config_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

@@ -1,4 +1,4 @@
-"""Byte-identity guard: the SHA-256 of every artifact of six fixed runs.
+"""Byte-identity guard: the SHA-256 of every artifact of eight fixed runs.
 
 Refactors must leave artifacts byte-identical (acceptance criterion 11 run
 across versions of the code, not only across repeats). The digests below
@@ -6,9 +6,12 @@ were recorded before the ROI and e2e scan loops were merged into one; the
 marker digests were recorded before the laser calibration's start point
 became fixed, and the roi-polygon-noisy digests (the one run whose true
 tumor region is a polygon, with integer vertices) before the region
-wrapper types gave way to plain vertex arrays. No run trains the MLP, so no digest depends on how many
-threads BLAS uses. A digest changes only when the artifact's bytes do; if a change
-is meant to alter an artifact, re-record its digest and say why.
+wrapper types gave way to plain vertex arrays. The two runs on a bumped and
+capped plane (ROI at 400 points, and e2e with OCT noise) were recorded
+before ``intersect_scene`` cast whole plans at once. No run trains the MLP,
+so no digest depends on how many threads BLAS uses. A digest changes only
+when the artifact's bytes do; if a change is meant to alter an artifact,
+re-record its digest and say why.
 """
 
 import hashlib
@@ -36,6 +39,20 @@ POLYGON_SCENE = {
     ],
 }
 
+# a plane with a Gaussian bump and a sphere cap under a disc tumor
+BUMPY_SCENE = {
+    "primitives": [
+        {"kind": "plane", "z": 3.0},
+        {"kind": "gauss_bump", "center": [6, 6], "sigma": 2, "height": 1},
+        {"kind": "sphere_cap", "center": [4, 8], "radius": 2.5,
+         "height": 1.2},
+    ],
+    "regions": [
+        {"label": "tumor", "kind": "disc", "center": [6.3, 6.4], "radius": 4},
+    ],
+    "albedo": {"default": 0.9, "tumor": 0.35},
+}
+
 RUNS = {
     "e2e-tumorid-noisy": (run_end_to_end, dict(
         seed=5, profile="tumorid", noiseless=False, classifier="threshold",
@@ -47,6 +64,12 @@ RUNS = {
     "roi-polygon-noisy": (run_roi_experiment, dict(
         seed=3, noiseless=False, classifier="threshold", scan_points=100,
         scene=POLYGON_SCENE)),
+    "roi-bumpy-400": (run_roi_experiment, dict(
+        seed=7, noiseless=False, classifier="threshold", scan_points=400,
+        scene=BUMPY_SCENE)),
+    "e2e-bumpy-oct-noise": (run_end_to_end, dict(
+        seed=7, noiseless=False, classifier="threshold", scan_points=100,
+        oct_noise=0.05, scene=BUMPY_SCENE)),
     "trajectory-diode-noisy": (run_trajectory_experiment, dict(
         seed=5, profile="diode", noiseless=False)),
     "marker-fiber-noisy": (run_marker_experiment, dict(
@@ -127,6 +150,52 @@ DIGESTS = {
             "4cb7f34e36d8454dd399975107904d44d3a98311344152ba2e87e171ce606ab9",
         "roi_tags.ply":
             "4b75521ab440db0e0c0a94c3e487305269c3e9d9b3d93c3d376d1ab8fee972da",
+    },
+    "roi-bumpy-400": {
+        "laser_calibration.json":
+            "2ad17afc785145fe8d2219596e1848dbe27932ee6a009ab9014f22de53379231",
+        "region_ledger.csv":
+            "2f3429e8bc6afeae50de4f1458e8659a88e0fef7a0d78693541e71bab98cc8ff",
+        "roi_boundary.json":
+            "1b745a8645b9a9cea4b7faae7d8cea4e15d1c6f084ec6487e453457cf2217d7c",
+        "roi_plan.csv":
+            "554b4f1891228785d6f75da112f0cbf9fe8d92a0be73d02645f23cd60c7cc24a",
+        "roi_report.json":
+            "d0f213b01dcc982948ede4eb8e9b9c57ba1739020271a1f05ca646abcd021a26",
+        "roi_tags.ply":
+            "9297fb67ebb6cbbc7dc80ab4b9a36ea299d82774ac45410d35aaeb4174713e36",
+    },
+    "e2e-bumpy-oct-noise": {
+        "actual_spots.ply":
+            "cdb45244c8bb2a471b542c6c865f3518b6371ddd4a8852ed39ce3d4e1ccaefda",
+        "boundary.json":
+            "7fb6ba6a23fc2faad935c072a82b454634534bc06a87251945494d76fd7fe96a",
+        "calibration_observations.csv":
+            "fb19f8e4198e9ee01dfa3ac9bffb5fb28cf5339a3388049e8e5c16e51f0371c9",
+        "camera_extrinsics.json":
+            "8238c4a2e10835bf1e3e3ba6c844562088316fe5124692b86f4c1c01cc11f86c",
+        "cut_plan.csv":
+            "4757cdb812febbcc90f87a9dfff3b70c281f383c230111205387583fa9bffa99",
+        "e2e_report.json":
+            "9603b3845574764078b81dd094bf6bd91e12502c9fe0fa21d415d782eb02195d",
+        "laser_calibration.json":
+            "2ad17afc785145fe8d2219596e1848dbe27932ee6a009ab9014f22de53379231",
+        "oct_volume.f32":
+            "24b0715887cfd980e78f21d3db349d6d9020912baf04b03002a2124d47241085",
+        "oct_volume.json":
+            "b35010ab19bc05072d09b3a8a967f7195da00470212267e827f61c807d4bac90",
+        "post_resection_surface.ply":
+            "eb0538146791c56617a13b48049d5a8c759437f730cf9f3f5b3f1353ea08534d",
+        "region_ledger.csv":
+            "d2b2a875efa4079fcc0b4a912759f5885fcef0716c46467098996c3acc536c82",
+        "scan_spectra.csv":
+            "3423f9c4a218524f93b04c6708abb230d4061381f7f350340e519df8ac455e4d",
+        "scan_spectra.sidecar.json":
+            "dd4eada1b064f2ef4191611fe2528ac4ef6c3334f756c447139827295ffbcf4c",
+        "surface.ply":
+            "e79969ea5d8e5b20263ca75d9ab69d50cc65c83781569e82fb35a1af94fdc407",
+        "tumor_map.ply":
+            "02c1a30eda6e3b36664e222a76a7aea1a8f26eade9519393ec5db2c58586bdce",
     },
     "trajectory-diode-noisy": {
         "laser_calibration.json":

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resectsim.errors import BehindCamera, EmptySurface, WindowOutOfDomain
+from resectsim.errors import (
+    BehindCamera,
+    EmptySurface,
+    NoRayHit,
+    WindowOutOfDomain,
+)
+from resectsim.geometry import Ray
 from resectsim.sensors import (
+    RAY_BLOCK,
     OctConfig,
     OctVolume,
     PinholeCamera,
     ScenePhantom,
     SpectrumConfig,
+    intersect_scene,
     project_world_to_image,
     project_points,
     render_oct_volume,
@@ -162,6 +170,92 @@ class TestRegionQueries:
             x, y = np.array([r, -r, 0.0, 0.0]), np.array([0.0, 0.0, r, -r])
             assert scene.label_at(x, y).tolist() == [
                 oracles.label_at(scene, *p) for p in zip(x, y)]
+
+
+BUMPS = [("gauss_bump",), ("sphere_cap",), ("gauss_bump", "sphere_cap")]
+
+
+def height_field(rng, kinds) -> ScenePhantom:
+    """A plane plus the given bumps, placed and sized at random over the
+    scan window."""
+    primitives = [{"kind": "plane", "z": float(rng.uniform(-2.0, 5.0))}]
+    for kind in kinds:
+        size = "sigma" if kind == "gauss_bump" else "radius"
+        primitives.append({"kind": kind,
+                           "center": rng.uniform(0.0, 12.0, 2).tolist(),
+                           size: float(rng.uniform(0.5, 4.0)),
+                           "height": float(rng.uniform(0.2, 3.0))})
+    return ScenePhantom(primitives=tuple(primitives))
+
+
+@st.composite
+def bumpy_points(draw):
+    """A bump or cap scene and query points: random ones, the bump centres
+    and points on the cap rims."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scene = height_field(rng, draw(st.sampled_from(BUMPS)))
+    xy = [rng.uniform(-2.0, 14.0, size=(200, 2))]
+    for p in scene.primitives[1:]:
+        ang = rng.uniform(0.0, 2.0 * np.pi, 20)
+        r = p.get("radius", p.get("sigma"))
+        xy += [np.array([p["center"]]),
+               p["center"] + r * np.column_stack([np.cos(ang), np.sin(ang)])]
+    xy = np.vstack(xy)
+    return scene, xy[:, 0], xy[:, 1]
+
+
+@st.composite
+def parallel_rays(draw):
+    """A plane, bump or cap scene and n parallel rays tilted up to 60 degrees
+    from straight down, with n = 1, one full block or one past it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scene = height_field(rng, draw(st.sampled_from([()] + BUMPS)))
+    n = draw(st.sampled_from([1, RAY_BLOCK, RAY_BLOCK + 1]))
+    tilt = np.radians(draw(st.floats(0.0, 60.0)))
+    azimuth = rng.uniform(0.0, 2.0 * np.pi)
+    direction = rng.uniform(0.5, 3.0) * np.array([
+        np.sin(tilt) * np.cos(azimuth), np.sin(tilt) * np.sin(azimuth),
+        -np.cos(tilt)])
+    origins = np.column_stack([rng.uniform(-5.0, 17.0, size=(n, 2)),
+                               rng.uniform(12.0, 80.0, n)])
+    return scene, origins, direction
+
+
+class TestHeight:
+    @given(bumpy_points())
+    def test_array_equals_scalar_calls(self, case):
+        scene, x, y = case
+        want = [scene.height(xi, yi) for xi, yi in zip(x, y)]
+        assert all(type(z) is float for z in want)
+        assert np.array_equal(scene.height(x, y), want)
+
+
+class TestIntersectScene:
+    @settings(max_examples=12)
+    @given(parallel_rays())
+    def test_matches_per_ray_oracle(self, case):
+        scene, origins, direction = case
+        want = [oracles.intersect_scene(Ray(o, direction), scene)
+                for o in origins]
+        assert np.array_equal(intersect_scene(origins, direction, scene),
+                              want)
+
+    def test_ray_under_the_surface_raises(self):
+        origins = np.array([[1.0, 1.0, 50.0], [2.0, 2.0, 1.0],
+                            [3.0, 3.0, 50.0]])
+        direction = [0.1, 0.0, -1.0]
+        with pytest.raises(NoRayHit, match=r"^1 of 3 rays .*waypoint 1\)"):
+            intersect_scene(origins, direction, FLAT3)
+        with pytest.raises(NoRayHit):
+            oracles.intersect_scene(Ray(origins[1], direction), FLAT3)
+
+    def test_misses_counted_across_blocks(self):
+        origins = np.column_stack([np.zeros((RAY_BLOCK + 3, 2)),
+                                   np.full(RAY_BLOCK + 3, 50.0)])
+        origins[[RAY_BLOCK, RAY_BLOCK + 2], 2] = 2.0
+        with pytest.raises(NoRayHit, match=rf"^2 of {RAY_BLOCK + 3} rays .*"
+                                           rf"waypoint {RAY_BLOCK}\)"):
+            intersect_scene(origins, [0.0, 0.0, -1.0], FLAT3)
 
 
 class TestRender:
