@@ -145,6 +145,10 @@ class EmptyTrueRegion(PipelineError):
     """Reference region rasterizes to an empty mask."""
 
 
+class RasterTooLarge(PipelineError):
+    """Region comparison grid would exceed ``MAX_RASTER_CELLS`` cells."""
+
+
 class DegenerateSamples(PipelineError):
     """t-test inputs too short or with zero variance."""
 

@@ -2,7 +2,8 @@
 
 Every writer is deterministic (fixed key order, fixed float formatting, no
 timestamps), so identical inputs produce byte-identical files. CSV floats
-use repr, which round-trips exactly.
+use repr, which round-trips exactly. PLY floats use ``%.9g``, formatted
+once per distinct value of each column.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import LaserCalibration
+from .errors import LengthMismatch
 from .geometry import SurfaceCloud
 from .kinematics import CutPlan
 from .sensors import OctVolume
@@ -31,27 +33,51 @@ def write_json(path, obj) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _column_text(values, fmt) -> np.ndarray:
+    """``fmt`` of every element, called once per distinct element.
+
+    Floats are keyed on their bits, not their values: ``np.unique`` would
+    merge -0.0 with 0.0 (and every nan), which print differently.
+    """
+    values = np.ascontiguousarray(values)
+    keys = values
+    if values.dtype.kind == "f":
+        keys = values.view(f"i{values.itemsize}")
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    return np.array([fmt(v) for v in values[first]], dtype=object)[inverse]
+
+
+def _integer_text(c) -> str:
+    return str(int(c))
+
+
 def write_ply_cloud(path, points, color=None, label=None) -> Path:
-    """ASCII PLY: x y z [red green blue] [label]. Label is a 0/1/2 scalar."""
+    """ASCII PLY: x y z [red green blue] [label]. Label is a 0/1/2 scalar.
+
+    Coordinates are written with ``%.9g``, colours and labels as integers;
+    each column formats each of its distinct values once.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
     lines = ["ply", "format ascii 1.0", f"element vertex {n}",
              "property float x", "property float y", "property float z"]
+    columns = [_column_text(points[:, k], "%.9g".__mod__) for k in range(3)]
     if color is not None:
         color = np.asarray(color).reshape(-1, 3)
         lines += ["property uchar red", "property uchar green",
                   "property uchar blue"]
+        columns += [_column_text(color[:, k], _integer_text)
+                    for k in range(3)]
     if label is not None:
         label = np.asarray(label).reshape(-1)
         lines += ["property uchar label"]
+        columns.append(_column_text(label, _integer_text))
+    if any(len(col) != n for col in columns):
+        raise LengthMismatch(
+            f"colour or label rows do not match the {n} points")
     lines.append("end_header")
-    for i in range(n):
-        parts = ["%.9g" % v for v in points[i]]
-        if color is not None:
-            parts += [str(int(c)) for c in color[i]]
-        if label is not None:
-            parts.append(str(int(label[i])))
-        lines.append(" ".join(parts))
+    lines += map(" ".join, zip(*columns))
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -1,17 +1,23 @@
-"""Scalar oracles for the array membership, nearest-neighbour and ray kernels.
+"""Scalar oracles for the array membership, nearest-neighbour and ray
+kernels, the region raster and the PLY writer.
 
 These are the one-point-at-a-time versions that ``points_in_polygon``,
 ``ScenePhantom._region_index``, the batched ``nearest_neighbor`` and the
 batched ``intersect_scene`` replaced, kept as they were so the tests can
-hold the array kernels to them.
+hold the array kernels to them. ``raster_on`` is the per-pixel region
+raster (``points_in_polygon`` over every pixel centre) that the scanline
+fill in ``metrics._raster_on`` replaced, and ``write_ply_cloud`` the
+row-at-a-time writer that the column-wise ``io.write_ply_cloud`` replaced.
 ``polygon_is_simple`` is the all-pairs edge-crossing check that test
 polygons must pass before they serve as membership inputs.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from resectsim.errors import EmptyCloud, NoRayHit
-from resectsim.geometry import EDGE_EPS
+from resectsim.geometry import EDGE_EPS, points_in_polygon
 from resectsim.sensors import RAY_SAMPLES, RAY_T_MAX
 from resectsim.spectra import HEALTHY
 
@@ -136,3 +142,39 @@ def intersect_scene(ray, scene) -> np.ndarray:
         else:
             hi = mid
     return ray.at(0.5 * (lo + hi))
+
+
+def raster_on(polygon, x0, y0, nx, ny, pitch) -> np.ndarray:
+    """Even-odd (ny, nx) mask: ``points_in_polygon`` at every pixel centre."""
+    xs = x0 + (np.arange(nx) + 0.5) * pitch
+    ys = y0 + (np.arange(ny) + 0.5) * pitch
+    gx, gy = np.meshgrid(xs, ys)
+    flat = points_in_polygon(np.column_stack([gx.ravel(), gy.ravel()]),
+                             polygon)
+    return flat.reshape(ny, nx)
+
+
+def write_ply_cloud(path, points, color=None, label=None) -> Path:
+    """ASCII PLY formatted one row and one ``"%.9g" % v`` at a time."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(points)
+    lines = ["ply", "format ascii 1.0", f"element vertex {n}",
+             "property float x", "property float y", "property float z"]
+    if color is not None:
+        color = np.asarray(color).reshape(-1, 3)
+        lines += ["property uchar red", "property uchar green",
+                  "property uchar blue"]
+    if label is not None:
+        label = np.asarray(label).reshape(-1)
+        lines += ["property uchar label"]
+    lines.append("end_header")
+    for i in range(n):
+        parts = ["%.9g" % v for v in points[i]]
+        if color is not None:
+            parts += [str(int(c)) for c in color[i]]
+        if label is not None:
+            parts.append(str(int(label[i])))
+        lines.append(" ".join(parts))
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n")
+    return path

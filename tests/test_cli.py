@@ -205,6 +205,22 @@ class TestExitCodes:
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
             "laser_calibration.json"]
 
+    def test_huge_tumor_disc_exits_1_before_rasterizing(self, tmp_path,
+                                                       capsys):
+        # a 10 m disc passes scene validation, but comparing it with the
+        # boundary at 0.02 mm would take a 1000005 x 1000005 raster
+        cfg = write_cfg(tmp_path, scene={
+            "primitives": [{"kind": "plane", "z": 3.0}],
+            "regions": [{"label": "tumor", "kind": "disc",
+                         "center": [6.3, 6.4], "radius": 10000.0}]})
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "phantom", "roi"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("pipeline failure: RasterTooLarge: a 1000005 x 1000005 "
+                "raster") in err
+        assert "Traceback" not in err
+
     def test_bad_config_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

@@ -1,14 +1,30 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resectsim import io as rio
 from resectsim.calibration import LaserCalibration, LaserSpotObservation
+from resectsim.errors import LengthMismatch
 from resectsim.geometry import PlaneFrame, ReferenceFrame
 from resectsim.kinematics import CutPlan
 from resectsim.sensors import OctConfig, OctVolume
 from resectsim.spectra import init_mlp
 
+import oracles
 import readers
+
+# values that formatting once per distinct value must keep apart or print
+# alike: signed zeros, non-finite values, subnormals, extremes, and
+# neighbours that agree to 9 significant digits but differ in their bits
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+                  1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                  0.1, np.nextafter(0.1, 1.0), 123456789.0, 123456789.00000001,
+                  6.3, -6.3]
 
 
 class TestPly:
@@ -33,6 +49,44 @@ class TestPly:
         a = rio.write_ply_cloud(tmp_path / "a.ply", pts)
         b = rio.write_ply_cloud(tmp_path / "b.ply", pts)
         assert a.read_bytes() == b.read_bytes()
+
+
+@st.composite
+def ply_clouds(draw):
+    """Clouds of 0 to 40 rows over a small value pool (heavy repeats), with
+    optional uint8, int64 or float colours and optional labels."""
+    n = draw(st.integers(0, 40))
+    extra = draw(st.lists(st.floats(-1e6, 1e6), max_size=4))
+    pool = np.array(SPECIAL_FLOATS + extra)
+    points = pool[np.array(draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=3 * n, max_size=3 * n)),
+        dtype=int)].reshape(n, 3)
+    color = None
+    dtype = draw(st.sampled_from([None, np.uint8, np.int64, np.float64]))
+    if dtype is not None:
+        values = [0, 1, 254, 255] + (
+            [-0.0, 254.9, 0.5] if dtype is np.float64 else [])
+        color = np.array(draw(st.lists(st.sampled_from(values),
+                                       min_size=3 * n, max_size=3 * n)),
+                         dtype=dtype).reshape(n, 3)
+    label = None
+    if draw(st.booleans()):
+        label = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return points, color, label
+
+
+class TestPlyAgainstOracle:
+    @given(ply_clouds())
+    def test_bytes_equal_row_writer(self, cloud):
+        with tempfile.TemporaryDirectory() as d:
+            got = rio.write_ply_cloud(Path(d) / "a.ply", *cloud)
+            want = oracles.write_ply_cloud(Path(d) / "b.ply", *cloud)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_label_rows_must_match_points(self, tmp_path):
+        with pytest.raises(LengthMismatch, match="match the 3 points"):
+            rio.write_ply_cloud(tmp_path / "c.ply", np.zeros((3, 3)),
+                                label=[0, 1])
 
 
 class TestVolume:

@@ -10,18 +10,24 @@ from resectsim.errors import (
     EmptyInput,
     EmptyTrueRegion,
     EmptyUnion,
+    RasterTooLarge,
 )
 from resectsim.metrics import (
+    MAX_RASTER_CELLS,
+    _raster_on,
     compare_regions,
     disc_polygon,
     edge_error,
     overcut_ratio,
+    rasterize_pair,
     region_iou,
     sample_polygon_boundary,
     summarize,
     two_sample_t_test,
     undercut_ratio,
 )
+
+import oracles
 
 SQUARE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
 FLAT = [(0.0, 0.0), (0.2, 0.0), (0.4, 0.0)]  # collinear: rasterizes to nothing
@@ -111,8 +117,6 @@ class TestAreas:
         u = undercut_ratio(t, a)
         iou = region_iou(t, a)
         # |T & A| recovered two ways must agree within raster tolerance
-        from resectsim.metrics import rasterize_pair
-
         mt, ma = rasterize_pair(t, a)
         inter_direct = np.sum(mt & ma) / mt.sum()
         assert abs((1.0 - u) - inter_direct) < 1e-12
@@ -123,6 +127,67 @@ class TestAreas:
         coarse = region_iou(t, a, pitch=0.02)
         fine = region_iou(t, a, pitch=0.01)
         assert abs(coarse - fine) / fine < 0.005
+
+
+@st.composite
+def raster_cases(draw):
+    """A grid and a polygon over it: a random star (its vertices sometimes
+    snapped to pixel centres, so vertices, horizontal edges and crossings
+    land exactly on them), the 360-gon disc or a triangle; vertices may
+    repeat and the polygon may leave the grid."""
+    pitch = draw(st.sampled_from([0.02, 0.1, 0.25, 1.0]))
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    x0 = draw(st.floats(-5.0, 5.0))
+    y0 = draw(st.floats(-5.0, 5.0))
+    # the centre may sit off the grid, so the polygon covers part of it
+    c = np.array([x0 + draw(st.floats(-0.3, 1.3)) * nx * pitch,
+                  y0 + draw(st.floats(-0.3, 1.3)) * ny * pitch])
+    size = draw(st.floats(0.05, 0.8)) * max(nx, ny) * pitch
+    kind = draw(st.sampled_from(["star", "disc", "triangle"]))
+    if kind == "disc":
+        return disc_polygon(c, size), x0, y0, nx, ny, pitch
+    n = 3 if kind == "triangle" else draw(st.integers(3, 24))
+    ang = np.sort(draw(st.lists(st.floats(0.0, 2.0 * np.pi),
+                                min_size=n, max_size=n)))
+    r = size * np.array(draw(st.lists(st.floats(0.1, 1.0),
+                                      min_size=n, max_size=n)))
+    verts = c + np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+    if draw(st.booleans()):
+        # the pixel-centre lattice, computed as _raster_on computes it
+        k = np.round((verts - [x0, y0]) / pitch - 0.5)
+        verts = np.array([x0, y0]) + (k + 0.5) * pitch
+    repeats = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return np.repeat(verts, repeats, axis=0), x0, y0, nx, ny, pitch
+
+
+class TestRaster:
+    @given(raster_cases())
+    def test_scanline_equals_per_pixel_oracle(self, case):
+        assert np.array_equal(_raster_on(*case), oracles.raster_on(*case))
+
+    def test_disc_and_hull_at_default_pitch(self):
+        # the full-size comparison the e2e run makes: the default tumor disc
+        # against a 13-vertex hull, on their common 0.02 mm grid
+        disc = disc_polygon((6.3, 6.4), 5.0)
+        hull = disc_polygon((6.1, 6.5), 4.6)[::28]
+        lo = np.minimum(disc.min(axis=0), hull.min(axis=0)) - 0.04
+        hi = np.maximum(disc.max(axis=0), hull.max(axis=0)) + 0.04
+        nx, ny = (int(v) for v in np.ceil((hi - lo) / 0.02))
+        got = rasterize_pair(disc, hull)
+        for poly, mask in zip((disc, hull), got):
+            assert mask.shape == (ny, nx)
+            assert np.array_equal(
+                mask, oracles.raster_on(poly, lo[0], lo[1], nx, ny, 0.02))
+
+    def test_over_the_cell_cap_raises_before_allocating(self):
+        # 10001 x 10000 cells at 1 mm: just over the cap, which is checked
+        # before any mask or outline sample is made
+        big = np.array([(0, 0), (9997, 0), (9997, 9996), (0, 9996)], float)
+        assert 10001 * 10000 > MAX_RASTER_CELLS
+        with pytest.raises(RasterTooLarge, match="10001 x 10000"):
+            rasterize_pair(big, big, pitch=1.0)
+        with pytest.raises(RasterTooLarge, match="10001 x 10000"):
+            compare_regions("system", big, big, pitch=1.0)
 
 
 class TestWelch:

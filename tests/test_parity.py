@@ -1,4 +1,4 @@
-"""Byte-identity guard: the SHA-256 of every artifact of eight fixed runs.
+"""Byte-identity guard: the SHA-256 of every artifact of nine fixed runs.
 
 Refactors must leave artifacts byte-identical (acceptance criterion 11 run
 across versions of the code, not only across repeats). The digests below
@@ -8,10 +8,13 @@ became fixed, and the roi-polygon-noisy digests (the one run whose true
 tumor region is a polygon, with integer vertices) before the region
 wrapper types gave way to plain vertex arrays. The two runs on a bumped and
 capped plane (ROI at 400 points, and e2e with OCT noise) were recorded
-before ``intersect_scene`` cast whole plans at once. No run trains the MLP,
-so no digest depends on how many threads BLAS uses. A digest changes only
-when the artifact's bytes do; if a change is meant to alter an artifact,
-re-record its digest and say why.
+before ``intersect_scene`` cast whole plans at once. The 400-point e2e run
+on the default scene (a 400-tag tumor map and a larger hull) was recorded
+before the region raster became a scanline fill and the PLY writer
+formatted whole columns. No run trains the MLP, so no digest depends on
+how many threads BLAS uses. A digest changes only when the artifact's
+bytes do; if a change is meant to alter an artifact, re-record its digest
+and say why.
 """
 
 import hashlib
@@ -57,6 +60,8 @@ RUNS = {
     "e2e-tumorid-noisy": (run_end_to_end, dict(
         seed=5, profile="tumorid", noiseless=False, classifier="threshold",
         scan_points=16)),
+    "e2e-400": (run_end_to_end, dict(
+        seed=5, noiseless=False, classifier="threshold", scan_points=400)),
     "roi-noisy": (run_roi_experiment, dict(
         seed=5, noiseless=False, classifier="threshold", scan_points=100)),
     "roi-noiseless": (run_roi_experiment, dict(
@@ -108,6 +113,38 @@ DIGESTS = {
             "846193670f45dc0d9ed18e6fa5291836d5cbbaf43370c10bdebdc9d02816306b",
         "tumor_map.ply":
             "67f83b6926aec1e799e1619b62f26c72a34e27e39e6b319c1cef6f8e8460ac66",
+    },
+    "e2e-400": {
+        "actual_spots.ply":
+            "ac8b96e7017a823b8b2ccb347f0230d3a06013342bfb7f38dbbb3905b71efed5",
+        "boundary.json":
+            "ea555a9773ee1f62dbe49eb45f6241ebb637732a43f2e0065290237b8a5a8493",
+        "calibration_observations.csv":
+            "a67669195e6016bb501ce9df8e3aa4d8406b604981a3d64738acd226f99433d6",
+        "camera_extrinsics.json":
+            "9af453835ca19be694a10a117de4236d744d4af6098b8ce6656e67671a685b75",
+        "cut_plan.csv":
+            "463402b6c1a19900a64ac1a829e019d9c941388278212f90659469b465af8868",
+        "e2e_report.json":
+            "6c1b570b0f7481fe43b6a67e39ca1f26d68fe631a0263fd8f6c66fc3d1796ef3",
+        "laser_calibration.json":
+            "83a8340bc81d798df5b6fa47eba3775cfd99ee47a40ce8e2d4ab16ede8e18cf1",
+        "oct_volume.f32":
+            "28523e990c4ff1cc464ef294ce43d87e71ba9ede1ad9d717e14074f556f0e07a",
+        "oct_volume.json":
+            "b35010ab19bc05072d09b3a8a967f7195da00470212267e827f61c807d4bac90",
+        "post_resection_surface.ply":
+            "f9e7118a0781cf2b57a84ed467987fcc52ff9e9a734ccc44be9363b0c7215289",
+        "region_ledger.csv":
+            "71de09779d3405f6e0dddfa6cf9af076cc4839b478c6c010153cca8cb14fe5f9",
+        "scan_spectra.csv":
+            "3845a7431e8125db63b16fba06740762dbd263f4a59b299260bafc8757f4271c",
+        "scan_spectra.sidecar.json":
+            "a0ae79771f7deb67e2c21f0042d8cbd7b5090d2dcadc8249bfadac40a7fdd4d7",
+        "surface.ply":
+            "846193670f45dc0d9ed18e6fa5291836d5cbbaf43370c10bdebdc9d02816306b",
+        "tumor_map.ply":
+            "e498904286aaf42a811e678089e75f646575014909d8903fe11c99fa6a31d06c",
     },
     "roi-noisy": {
         "laser_calibration.json":
