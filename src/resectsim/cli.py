@@ -7,7 +7,9 @@ artifacts; since every run is a pure function of (config, seed), recomputing
 is byte-identical to resuming.
 
 Exit codes: 0 success, 2 configuration error, 3 degenerate region (nothing
-to cut or segment), 4 solver failure, 1 any other pipeline failure.
+to cut or segment), 4 solver failure, 1 any other pipeline failure. A
+failure raised inside a pipeline stage ends its message with
+``(stage <name>)``.
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ def load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _stage(exc: PipelineError) -> str:
+    """`` (stage <name>)`` for a failure raised inside a stage, else ``""``."""
+    return f" (stage {exc.stage})" if exc.stage else ""
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -102,18 +109,19 @@ def main(argv=None) -> int:
         else:
             result = run_end_to_end(cfg, args.out, through_stage=args.command)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {exc}{_stage(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except _DEGENERATE as exc:
-        print(f"degenerate region: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        print(f"degenerate region: {type(exc).__name__}: {exc}"
+              f"{_stage(exc)}", file=sys.stderr)
         return EXIT_DEGENERATE
     except _SOLVER as exc:
-        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"solver failure: {type(exc).__name__}: {exc}{_stage(exc)}",
+              file=sys.stderr)
         return EXIT_SOLVER
     except PipelineError as exc:
-        print(f"pipeline failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        print(f"pipeline failure: {type(exc).__name__}: {exc}"
+              f"{_stage(exc)}", file=sys.stderr)
         return 1
     for name, path in sorted(result.artifacts.items()):
         print(f"{name}: {path}")

@@ -7,7 +7,13 @@ matching. All inherit from PipelineError.
 
 
 class PipelineError(Exception):
-    """Base class for all structured pipeline failures."""
+    """Base class for all structured pipeline failures.
+
+    ``stage`` names the pipeline stage a runner was in when the failure
+    was raised, and stays None for failures raised outside a stage.
+    """
+
+    stage: str | None = None
 
 
 # geometry

@@ -15,9 +15,10 @@ calibrate from exact board data, while the region-tracking runners
 (roi, e2e) use the ground-truth calibration directly, which is what
 "perfect calibration" means for their closed-loop checks.
 
-Stages. Each runner yields its stage names in order, and one loop drives
-all four: a stage's entry in TrialResult.timings runs from the end of the
-previous stage, so it includes that stage's artifact writes, and the
+Stages. Each runner yields each stage's name as the stage begins, and one
+loop drives all four: a stage's entry in TrialResult.timings runs until the
+next stage begins, so it includes that stage's artifact writes; a
+PipelineError carries the name of the stage it was raised in; and the
 report is written once, after the last stage that ran.
 
 Scanning. ROI and e2e share one raster scan, ``_raster_scan``: it fires the
@@ -54,7 +55,13 @@ from .calibration import (
     synthesize_spot_observations,
     waypoint_position,
 )
-from .errors import BehindCamera, ConfigError, NoRayHit, TooFewTumorTags
+from .errors import (
+    BehindCamera,
+    ConfigError,
+    NoRayHit,
+    PipelineError,
+    TooFewTumorTags,
+)
 from .geometry import (
     SurfaceCloud,
     convex_hull,
@@ -278,20 +285,29 @@ def _run_stages(stages, cfg: ExperimentConfig, out_dir, report_name: str,
     """Drive one runner's stage generator, then write its report once.
 
     ``stages(cfg, out, result)`` fills ``result.artifacts`` and
-    ``result.report`` and yields each stage's name once the stage and its
-    artifact writes are done. Each stage is timed from the end of the one
-    before it; the run stops after ``through_stage``.
+    ``result.report`` and yields each stage's name as the stage begins. A
+    stage, its artifact writes included, runs and is timed until the next
+    name is yielded or the generator ends; the run stops after
+    ``through_stage``. A ``PipelineError`` raised in a stage leaves with
+    the stage's name in its ``stage``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = TrialResult({}, {}, {})
+    steps = stages(cfg, out, result)
+    stage = next(steps)
     t0 = time.perf_counter()
-    for stage in stages(cfg, out, result):
+    while True:
+        try:
+            upcoming = next(steps, None)
+        except PipelineError as exc:
+            exc.stage = stage
+            raise
         t1 = time.perf_counter()
         result.timings[stage] = t1 - t0
-        t0 = t1
-        if stage == through_stage:
+        if upcoming is None or stage == through_stage:
             break
+        stage, t0 = upcoming, t1
     result.artifacts["report"] = rio.write_json(out / report_name,
                                                 result.report)
     return result
@@ -453,14 +469,15 @@ def run_marker_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
 
 
 def _marker_stages(cfg, out, run):
+    yield "calibrate"
     truth, estimated, observations = _effective_calibrations(
         cfg, perfect_when_noiseless=False)
     run.artifacts["calibration"] = _write_calibration(out, estimated)
     if observations:
         run.artifacts["observations"] = rio.write_spot_observations_csv(
             out / "calibration_observations.csv", observations)
-    yield "calibrate"
 
+    yield "execute"
     cx, cy = _scan_center()
     xs = np.linspace(cx - 5.0, cx + 5.0, 3)
     ys = np.linspace(cy - 5.0, cy + 5.0, 3)
@@ -492,7 +509,6 @@ def _marker_stages(cfg, out, run):
     })
     run.artifacts["plan"] = rio.write_cut_plan_csv(
         out / "marker_plan.csv", plan)
-    yield "execute"
 
 
 def s_curve_targets(cfg: ExperimentConfig, scene: ScenePhantom,
@@ -513,12 +529,13 @@ def run_trajectory_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
 
 
 def _trajectory_stages(cfg, out, run):
+    yield "calibrate"
     scene = _scene(cfg)
     truth, estimated, _ = _effective_calibrations(
         cfg, perfect_when_noiseless=False)
     run.artifacts["calibration"] = _write_calibration(out, estimated)
-    yield "calibrate"
 
+    yield "execute"
     targets = s_curve_targets(cfg, scene)
     plan = plan_trajectory(estimated, targets)
     actuals = _execute_plan(cfg, truth, plan, scene, _rng(cfg, _SALT_SPOT))
@@ -537,7 +554,6 @@ def _trajectory_stages(cfg, out, run):
     })
     run.artifacts["plan"] = rio.write_cut_plan_csv(
         out / "trajectory_plan.csv", plan)
-    yield "execute"
 
 
 def _true_region(scene: ScenePhantom) -> np.ndarray:
@@ -564,17 +580,19 @@ def run_roi_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
 
 
 def _roi_stages(cfg, out, run):
+    yield "calibrate"
     scene = _scene(cfg)
     true_region = _true_region(scene)
     truth, estimated, _ = _effective_calibrations(
         cfg, perfect_when_noiseless=True)
     run.artifacts["calibration"] = _write_calibration(out, estimated)
-    yield "calibrate"
 
     model = None
     if cfg.classifier == "mlp":
-        model, _ = _train_scan_classifier(cfg)
         yield "train"
+        model, _ = _train_scan_classifier(cfg)
+
+    yield "scan"
 
     def locate_all(measured, waypoints):
         # the map takes spots from the analytic scene along the estimated beam
@@ -585,8 +603,8 @@ def _roi_stages(cfg, out, run):
     rng = _rng(cfg, _SALT_SPOT)
     pattern, predicted_spots, labels, true_labels, _ = _raster_scan(
         cfg, scene, truth, estimated, model, rng, locate_all)
-    yield "scan"
 
+    yield "execute"
     tags = build_tumor_tags(predicted_spots, labels)
     boundary = boundary_from_tags(tags)
     plan = plan_trajectory(estimated, select_cut_targets(tags, boundary))
@@ -617,7 +635,6 @@ def _roi_stages(cfg, out, run):
         "ledger": rio.append_region_reports_csv(
             out / "region_ledger.csv", f"roi-seed{cfg.seed}", reports),
     })
-    yield "execute"
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +704,18 @@ def render_camera_image(scene: ScenePhantom, camera: PinholeCamera,
     return img
 
 
+def _scan_volume(scene: ScenePhantom, oct_cfg: OctConfig, seed: int,
+                 path_base):
+    """Render the C-scan into ``path_base`` (.f32 and .json), then segment
+    the surface from the file, so that only a B-scan at a time is held.
+
+    Returns the two written paths and the surface cloud.
+    """
+    volume = render_oct_volume(scene, (0.0, 0.0), oct_cfg, seed=seed)
+    paths = rio.write_oct_volume(path_base, volume)
+    return paths, segment_surface(rio.read_oct_volume(path_base))
+
+
 def run_end_to_end(cfg: ExperimentConfig, out_dir,
                    through_stage: str = "evaluate") -> TrialResult:
     """Full loop: volume scan, colorize, classify, map, plan, cut, evaluate.
@@ -702,6 +731,7 @@ def run_end_to_end(cfg: ExperimentConfig, out_dir,
 
 
 def _e2e_stages(cfg, out, run):
+    yield "calibrate"
     artifacts, report = run.artifacts, run.report
     report.update({"experiment": "e2e", "seed": cfg.seed,
                    "profile": cfg.profile, "classifier": cfg.classifier,
@@ -724,21 +754,19 @@ def _e2e_stages(cfg, out, run):
             out / "calibration_observations.csv", observations)
     report["camera_rms_px"] = [st.rms_px for st in cam_stats]
     report["laser_residual_rms"] = estimated.residual_rms
-    yield "calibrate"
 
+    yield "scan"
     # volume, surface, colorize
     oct_cfg = OctConfig(noise_amplitude=cfg.oct_noise)
-    volume = render_oct_volume(scene, (0.0, 0.0), oct_cfg,
-                               seed=cfg.seed + _SALT_OCT)
-    surface = segment_surface(volume)
+    volume_files, surface = _scan_volume(scene, oct_cfg, cfg.seed + _SALT_OCT,
+                                         out / "oct_volume")
+    artifacts["volume"], artifacts["volume_sidecar"] = volume_files
     image = render_camera_image(scene, cameras[0], oct_cfg)
     colored, in_view = colorize_surface(surface, cameras[0], image)
-    artifacts["volume"], artifacts["volume_sidecar"] = rio.write_oct_volume(
-        out / "oct_volume", volume)
     artifacts["surface"] = rio.write_surface_ply(out / "surface.ply", colored)
     report["surface_points"] = int(surface.valid_mask().sum())
-    yield "scan"
 
+    yield "classify"
     # raster scan with spot estimation
     model = None
     if cfg.classifier == "mlp":
@@ -778,8 +806,8 @@ def _e2e_stages(cfg, out, run):
         [s.intensities for s in spectra],
         subjects=[f"scan{cfg.seed}"] * len(spectra), labels=labels)
     report["classification"] = _classification(labels, true_labels)
-    yield "classify"
 
+    yield "map"
     # tags, boundary
     valid_idx = np.flatnonzero(colored.valid_mask())
     nearest, _ = nearest_neighbor(np.array(spots)[:, :2],
@@ -795,13 +823,13 @@ def _e2e_stages(cfg, out, run):
     artifacts["boundary"] = rio.write_json(
         out / "boundary.json",
         {"vertices": boundary.tolist(), "shrink": 0.0})
-    yield "map"
 
+    yield "plan"
     plan = plan_trajectory(estimated, select_cut_targets(tags, boundary))
     artifacts["cut_plan"] = rio.write_cut_plan_csv(out / "cut_plan.csv", plan)
     report["cut_targets"] = len(plan)
-    yield "plan"
 
+    yield "resect"
     # execute the plan, mark the footprint
     actual_spots = _execute_plan(cfg, truth, plan, scene, rng_spot)
     # a surface point is cut when its nearest spot is within the radius
@@ -817,11 +845,10 @@ def _e2e_stages(cfg, out, run):
     artifacts["post_surface"] = rio.write_surface_ply(
         out / "post_resection_surface.ply", post)
     report["resected_cells"] = int(cut_mask.sum())
-    yield "resect"
 
+    yield "evaluate"
     reports = _region_reports(_true_region(scene), boundary,
                               convex_hull(actual_spots[:, :2]))
     report["regions"] = {r.kind: r.as_dict() for r in reports}
     artifacts["ledger"] = rio.append_region_reports_csv(
         out / "region_ledger.csv", f"e2e-seed{cfg.seed}", reports)
-    yield "evaluate"

@@ -1,5 +1,8 @@
 """File formats: JSON reports, ASCII PLY clouds, CSV ledgers, raw volumes.
 
+Raw volumes are written and read back one B-scan at a time; the e2e scan
+segments the surface from the volume it has just written.
+
 Every writer is deterministic (fixed key order, fixed float formatting, no
 timestamps), so identical inputs produce byte-identical files. CSV floats
 use repr, which round-trips exactly. PLY floats use ``%.9g``, formatted
@@ -18,7 +21,7 @@ from .calibration import LaserCalibration
 from .errors import LengthMismatch
 from .geometry import SurfaceCloud
 from .kinematics import CutPlan
-from .sensors import OctVolume
+from .sensors import BScanStream, OctConfig, OctVolume
 from .spectra import MlpModel
 
 
@@ -89,10 +92,16 @@ def write_ply_cloud(path, points, color=None, label=None) -> Path:
 
 
 def write_oct_volume(path_base, volume: OctVolume) -> tuple[Path, Path]:
-    """Raw little-endian float32 plus a JSON sidecar with shape and pitches."""
+    """Raw little-endian float32 plus a JSON sidecar with shape and pitches.
+
+    Takes one pass over the volume and appends each B-scan to the raw file
+    as it comes, so a lazily rendered volume is never held whole.
+    """
     base = Path(path_base)
     raw = base.with_suffix(".f32")
-    volume.b_scans.astype("<f4").tofile(raw)
+    with raw.open("wb") as f:
+        for b_scan in volume:
+            b_scan.astype("<f4", copy=False).tofile(f)
     cfg = volume.config
     sidecar = write_json(base.with_suffix(".json"), {
         "dtype": "float32-le",
@@ -105,6 +114,27 @@ def write_oct_volume(path_base, volume: OctVolume) -> tuple[Path, Path]:
         "origin_xy_mm": list(volume.origin),
     })
     return raw, sidecar
+
+
+def read_oct_volume(path_base) -> OctVolume:
+    """The volume ``write_oct_volume`` wrote, read lazily: each pass over
+    it reads the raw file one B-scan at a time."""
+    base = Path(path_base)
+    meta = json.loads(base.with_suffix(".json").read_text())
+    n_bscans, n_axial, n_lateral = meta["shape"]
+    cfg = OctConfig(n_bscans=n_bscans, n_axial=n_axial, n_lateral=n_lateral,
+                    axial_pitch=meta["axial_pitch_mm"],
+                    extent_x=meta["extent_x_mm"],
+                    extent_y=meta["extent_y_mm"])
+    raw = base.with_suffix(".f32")
+
+    def b_scans():
+        with raw.open("rb") as f:
+            for _ in range(n_bscans):
+                yield np.fromfile(f, dtype="<f4", count=n_axial * n_lateral
+                                  ).reshape(n_axial, n_lateral)
+
+    return OctVolume(BScanStream(b_scans), cfg, tuple(meta["origin_xy_mm"]))
 
 
 # ---------------------------------------------------------------------------

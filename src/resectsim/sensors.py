@@ -3,8 +3,9 @@
 The scene is an analytic height field (sum of primitives) over a rectangular
 domain, with labeled 2D regions ("tumor" discs or polygons) that control the
 per-point pathology label and surface albedo. The virtual depth scanner images
-the scene as a stack of B-scan slices whose A-scans carry a Gaussian surface
-peak; surface segmentation is the argmax along each A-scan.
+the scene as a stream of B-scan slices, rendered one at a time, whose A-scans
+carry a Gaussian surface peak; surface segmentation reduces each B-scan to
+the argmax along each of its A-scans, so no pass holds the whole C-scan.
 
 Axial convention: A-scan index k maps to axial coordinate z = k * axial_pitch,
 so segmented clouds live in the same millimeter frame the lasers are
@@ -13,6 +14,7 @@ calibrated in.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -198,30 +200,55 @@ class OctConfig:
         return self.extent_y / self.n_bscans
 
 
+class BScanStream:
+    """Re-iterable B-scans: each pass over it calls ``make()`` for a fresh
+    iterator, so the stream can be read again without being held."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return self._make()
+
+
 @dataclass(frozen=True)
 class OctVolume:
-    """C-scan: stack of B-scan images, shape (n_bscans, n_axial, n_lateral).
+    """C-scan: ``n_bscans`` B-scan images of shape (n_axial, n_lateral).
+
+    ``b_scans`` is any iterable of B-scans in slow-axis order: a
+    ``BScanStream`` that renders or reads them one at a time, or a 3-D
+    array. Iterating the volume yields each B-scan as float32 after
+    checking its shape and that its intensities lie in [0, 1], and checks
+    the count at the end; a bad volume raises ValueError. Materialize a
+    volume with ``np.stack(list(volume))``.
 
     ``origin`` is the world (x, y) of lateral sample (0, 0); sample i along a
     B-scan sits at x = origin_x + i * pitch_x, B-scan j at y = origin_y +
     j * pitch_y, axial index k at z = k * axial_pitch.
     """
 
-    b_scans: np.ndarray
+    b_scans: Iterable
     config: OctConfig
     origin: tuple[float, float]
 
-    def __post_init__(self):
-        arr = np.asarray(self.b_scans, dtype=np.float32)
+    def __iter__(self):
         c = self.config
-        if arr.shape != (c.n_bscans, c.n_axial, c.n_lateral):
-            raise ValueError(
-                f"volume shape {arr.shape} inconsistent with config "
-                f"({c.n_bscans}, {c.n_axial}, {c.n_lateral})"
-            )
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("intensities must lie in [0, 1]")
-        object.__setattr__(self, "b_scans", arr)
+        shape = (c.n_axial, c.n_lateral)
+        count = 0
+        for b_scan in self.b_scans:
+            if count == c.n_bscans:
+                raise ValueError(f"volume has more than {c.n_bscans} B-scans")
+            b_scan = np.asarray(b_scan, dtype=np.float32)
+            if b_scan.shape != shape:
+                raise ValueError(f"B-scan {count} has shape {b_scan.shape}, "
+                                 f"config says {shape}")
+            if b_scan.size and (b_scan.min() < 0.0 or b_scan.max() > 1.0):
+                raise ValueError("intensities must lie in [0, 1]")
+            count += 1
+            yield b_scan
+        if count != c.n_bscans:
+            raise ValueError(f"volume has {count} B-scans, config says "
+                             f"{c.n_bscans}")
 
 
 def render_oct_volume(scene: ScenePhantom, window: tuple[float, float],
@@ -231,8 +258,12 @@ def render_oct_volume(scene: ScenePhantom, window: tuple[float, float],
 
     Each A-scan gets a Gaussian peak (sigma = cfg.peak_sigma_px axial pixels)
     centered at the local surface depth with amplitude equal to the local
-    albedo, over an optional uniform noise floor. Intensities are clipped to
-    [0, 1].
+    albedo, over an optional uniform noise floor; noisy intensities are
+    clipped to [0, 1]. The window and the height field are checked here;
+    the B-scans are rendered lazily, one at a time on each pass over the
+    returned volume. Each pass draws the noise from a fresh
+    ``default_rng(seed)``, one (n_axial, n_lateral) draw per B-scan, which
+    is the stream a single whole-volume draw would give.
     """
     x0, y0 = window
     dx0, dy0, dx1, dy1 = scene.domain
@@ -249,35 +280,40 @@ def render_oct_volume(scene: ScenePhantom, window: tuple[float, float],
     if not np.all(np.isfinite(height)):
         raise WindowOutOfDomain("height field not finite over the window")
     albedo = scene.albedo_at(gx, gy)
-
     k0 = height / cfg.axial_pitch  # fractional peak index per A-scan
-    k = np.arange(cfg.n_axial, dtype=float)
-    # peak[j, k, i] = albedo[j, i] * exp(-(k - k0[j, i])^2 / (2 sigma^2))
-    two_s2 = 2.0 * cfg.peak_sigma_px ** 2
-    vol = np.empty((cfg.n_bscans, cfg.n_axial, cfg.n_lateral), dtype=np.float32)
-    for j in range(cfg.n_bscans):
-        prof = np.exp(-((k[:, None] - k0[j][None, :]) ** 2) / two_s2)
-        vol[j] = (albedo[j][None, :] * prof).astype(np.float32)
-    if cfg.noise_amplitude > 0.0:
+
+    def b_scans():
+        k = np.arange(cfg.n_axial, dtype=float)
+        two_s2 = 2.0 * cfg.peak_sigma_px ** 2
         rng = np.random.default_rng(seed)
-        vol += rng.uniform(
-            0.0, cfg.noise_amplitude, size=vol.shape
-        ).astype(np.float32)
-        np.clip(vol, 0.0, 1.0, out=vol)
-    return OctVolume(vol, cfg, (float(x0), float(y0)))
+        for j in range(cfg.n_bscans):
+            # b_scan[k, i] = albedo[j, i] * exp(-(k - k0[j, i])^2 / (2 sigma^2))
+            prof = np.exp(-((k[:, None] - k0[j][None, :]) ** 2) / two_s2)
+            b_scan = (albedo[j][None, :] * prof).astype(np.float32)
+            if cfg.noise_amplitude > 0.0:
+                b_scan += rng.uniform(0.0, cfg.noise_amplitude,
+                                      size=b_scan.shape).astype(np.float32)
+                np.clip(b_scan, 0.0, 1.0, out=b_scan)
+            yield b_scan
+
+    return OctVolume(BScanStream(b_scans), cfg, (float(x0), float(y0)))
 
 
 def segment_surface(volume: OctVolume) -> SurfaceCloud:
     """One surface point per A-scan at the intensity argmax.
 
-    A-scans whose maximum stays below 0.15 are marked invalid; the
-    grid slot is kept so downstream consumers can skip it. Raises
-    EmptySurface when nothing clears the threshold.
+    Reads the volume once, one B-scan at a time, keeping each A-scan's
+    first maximal axial index and its maximum. A-scans whose maximum
+    stays below 0.15 are marked invalid; the grid slot is kept so
+    downstream consumers can skip it. Raises EmptySurface when nothing
+    clears the threshold.
     """
     cfg = volume.config
-    arr = volume.b_scans
-    peak_idx = arr.argmax(axis=1)  # (n_bscans, n_lateral)
-    peak_val = arr.max(axis=1)
+    peak_idx = np.empty((cfg.n_bscans, cfg.n_lateral), dtype=np.intp)
+    peak_val = np.empty((cfg.n_bscans, cfg.n_lateral), dtype=np.float32)
+    for j, b_scan in enumerate(volume):
+        peak_idx[j] = b_scan.argmax(axis=0)
+        peak_val[j] = b_scan.max(axis=0)
     valid = peak_val >= 0.15
     if not np.any(valid):
         raise EmptySurface("no A-scan max reached threshold 0.15")

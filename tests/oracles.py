@@ -1,5 +1,6 @@
 """Scalar oracles for the array membership, nearest-neighbour and ray
-kernels, the region raster and the PLY writer.
+kernels, the region raster and the PLY writer, and whole-volume oracles for
+the streamed OCT scan.
 
 These are the one-point-at-a-time versions that ``points_in_polygon``,
 ``ScenePhantom._region_index``, the batched ``nearest_neighbor`` and the
@@ -8,6 +9,8 @@ hold the array kernels to them. ``raster_on`` is the per-pixel region
 raster (``points_in_polygon`` over every pixel centre) that the scanline
 fill in ``metrics._raster_on`` replaced, and ``write_ply_cloud`` the
 row-at-a-time writer that the column-wise ``io.write_ply_cloud`` replaced.
+``render_oct_volume`` and ``segment_surface`` are the eager C-scan and its
+full-volume axis-1 reduction that the B-scan stream replaced.
 ``polygon_is_simple`` is the all-pairs edge-crossing check that test
 polygons must pass before they serve as membership inputs.
 """
@@ -16,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from resectsim.errors import EmptyCloud, NoRayHit
-from resectsim.geometry import EDGE_EPS, points_in_polygon
+from resectsim.errors import EmptyCloud, EmptySurface, NoRayHit
+from resectsim.geometry import EDGE_EPS, SurfaceCloud, points_in_polygon
 from resectsim.sensors import RAY_SAMPLES, RAY_T_MAX
 from resectsim.spectra import HEALTHY
 
@@ -178,3 +181,49 @@ def write_ply_cloud(path, points, color=None, label=None) -> Path:
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def render_oct_volume(scene, window, cfg, seed=0) -> np.ndarray:
+    """The whole (n_bscans, n_axial, n_lateral) float32 C-scan at once,
+    noise drawn for the whole volume in one ``rng.uniform`` call."""
+    x0, y0 = window
+    xs = x0 + np.arange(cfg.n_lateral) * cfg.pitch_x
+    ys = y0 + np.arange(cfg.n_bscans) * cfg.pitch_y
+    gx, gy = np.meshgrid(xs, ys)  # (n_bscans, n_lateral)
+    height = scene.height(gx, gy)
+    albedo = scene.albedo_at(gx, gy)
+
+    k0 = height / cfg.axial_pitch  # fractional peak index per A-scan
+    k = np.arange(cfg.n_axial, dtype=float)
+    # peak[j, k, i] = albedo[j, i] * exp(-(k - k0[j, i])^2 / (2 sigma^2))
+    two_s2 = 2.0 * cfg.peak_sigma_px ** 2
+    vol = np.empty((cfg.n_bscans, cfg.n_axial, cfg.n_lateral), dtype=np.float32)
+    for j in range(cfg.n_bscans):
+        prof = np.exp(-((k[:, None] - k0[j][None, :]) ** 2) / two_s2)
+        vol[j] = (albedo[j][None, :] * prof).astype(np.float32)
+    if cfg.noise_amplitude > 0.0:
+        rng = np.random.default_rng(seed)
+        vol += rng.uniform(
+            0.0, cfg.noise_amplitude, size=vol.shape
+        ).astype(np.float32)
+        np.clip(vol, 0.0, 1.0, out=vol)
+    return vol
+
+
+def segment_surface(vol, cfg, origin) -> SurfaceCloud:
+    """Surface cloud from the whole-volume ``argmax(axis=1)`` and
+    ``max(axis=1)`` of a (n_bscans, n_axial, n_lateral) array."""
+    peak_idx = vol.argmax(axis=1)  # (n_bscans, n_lateral)
+    peak_val = vol.max(axis=1)
+    valid = peak_val >= 0.15
+    if not np.any(valid):
+        raise EmptySurface("no A-scan max reached threshold 0.15")
+
+    x0, y0 = origin
+    xs = x0 + np.arange(cfg.n_lateral) * cfg.pitch_x
+    ys = y0 + np.arange(cfg.n_bscans) * cfg.pitch_y
+    gx, gy = np.meshgrid(xs, ys)
+    gz = peak_idx * cfg.axial_pitch
+    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    return SurfaceCloud(cfg.n_bscans, cfg.n_lateral, pts,
+                        valid=valid.ravel())

@@ -1,7 +1,9 @@
 """Readers for the artifact formats that ``resectsim.io`` writes.
 
-No run reads its own artifacts back, so these live with the round-trip
-tests in ``test_io.py`` that hold the writers to them.
+No run reads these artifacts back, so these readers live with the
+round-trip tests in ``test_io.py`` that hold the writers to them. The raw
+volume is the exception: the e2e scan segments it read back, so its reader
+is ``resectsim.io.read_oct_volume``.
 """
 
 import csv
@@ -13,7 +15,6 @@ import numpy as np
 from resectsim.calibration import LaserCalibration, LaserSpotObservation
 from resectsim.geometry import PlaneFrame, ReferenceFrame
 from resectsim.kinematics import CutPlan
-from resectsim.sensors import OctConfig, OctVolume
 from resectsim.spectra import MlpModel
 
 
@@ -46,19 +47,6 @@ def read_ply_cloud(path):
     if "label" in props:
         label = arr[:, props.index("label")].astype(int)
     return pts, color, label
-
-
-def read_oct_volume(path_base) -> OctVolume:
-    base = Path(path_base)
-    meta = read_json(base.with_suffix(".json"))
-    shape = tuple(meta["shape"])
-    data = np.fromfile(base.with_suffix(".f32"), dtype="<f4").reshape(shape)
-    cfg = OctConfig(
-        n_bscans=shape[0], n_axial=shape[1], n_lateral=shape[2],
-        axial_pitch=meta["axial_pitch_mm"],
-        extent_x=meta["extent_x_mm"], extent_y=meta["extent_y_mm"],
-    )
-    return OctVolume(data, cfg, tuple(meta["origin_xy_mm"]))
 
 
 def read_spot_observations_csv(path):

@@ -202,6 +202,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "pipeline failure: NoRayHit: 64 of 64 rays" in err
         assert "first: waypoint 0" in err
+        assert err.endswith("(stage scan)\n")
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
             "laser_calibration.json"]
 
@@ -221,12 +222,27 @@ class TestExitCodes:
                 "raster") in err
         assert "Traceback" not in err
 
-    def test_bad_config_json(self, tmp_path):
+    def test_dim_scene_exits_3_naming_the_scan_stage(self, tmp_path, capsys):
+        # no A-scan of an albedo-0.1 surface reaches the 0.15 threshold
+        cfg = write_cfg(tmp_path, scene={
+            "primitives": [{"kind": "plane", "z": 3.0}],
+            "regions": [{"label": "tumor", "kind": "disc",
+                         "center": [6.3, 6.4], "radius": 3.0}],
+            "albedo": {"default": 0.1}})
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "e2e"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == ("degenerate region: EmptySurface: no A-scan max "
+                       "reached threshold 0.15 (stage scan)\n")
+
+    def test_bad_config_json(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         rc = main(["--config", str(path), "--out", str(tmp_path / "o"),
                    "phantom", "roi"])
         assert rc == 2
+        # raised while loading the config, before any stage
+        assert "(stage" not in capsys.readouterr().err
 
 
 class TestStages:

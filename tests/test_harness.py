@@ -1,12 +1,18 @@
 import filecmp
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resectsim.errors import BehindCamera, ConfigError, TooFewTumorTags
+from resectsim.errors import (
+    BehindCamera,
+    ConfigError,
+    EmptySurface,
+    TooFewTumorTags,
+)
 from resectsim.harness import (
     PROFILES,
     ExperimentConfig,
@@ -15,10 +21,12 @@ from resectsim.harness import (
     run_roi_experiment,
     run_trajectory_experiment,
     _estimate_cameras,
+    _run_stages,
+    _scan_volume,
     _spot_error,
     truth_calibration,
 )
-from resectsim.sensors import ScenePhantom
+from resectsim.sensors import OctConfig, ScenePhantom
 
 NO_TUMOR_SCENE = {
     "primitives": [{"kind": "plane", "z": 3.0}],
@@ -274,8 +282,9 @@ class TestEndToEnd:
         cfg = ExperimentConfig(seed=1, noiseless=noiseless, scene=scene)
         with pytest.raises(BehindCamera):
             _estimate_cameras(cfg, ScenePhantom.from_dict(scene))
-        with pytest.raises(BehindCamera):
+        with pytest.raises(BehindCamera) as info:
             run_end_to_end(cfg, tmp_path)
+        assert info.value.stage == "calibrate"
         assert not list(tmp_path.iterdir())
 
     def test_stage_truncation(self, tmp_path, full_run):
@@ -310,3 +319,36 @@ class TestEndToEnd:
         r = run_end_to_end(cfg, tmp_path)
         assert "model" in r.artifacts
         assert r.report["classification"]["accuracy"] >= 0.9
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_scan_holds_one_b_scan_at_a_time(tmp_path, noise):
+    # the e2e scan path (render -> write -> segment the file read back) at
+    # the default grid, whose float32 C-scan is 128 MiB; holding it whole,
+    # or drawing its noise at once, would trace several times this bound
+    cfg = OctConfig(noise_amplitude=noise)
+    scene = ScenePhantom.from_dict(ExperimentConfig(seed=1).scene)
+    tracemalloc.start()
+    try:
+        (raw, _), surface = _scan_volume(scene, cfg, 7, tmp_path / "vol")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert raw.stat().st_size == cfg.n_bscans * cfg.n_axial * cfg.n_lateral * 4
+    assert surface.valid_mask().all()
+
+
+def test_run_stages_times_stops_and_names_the_failing_stage(tmp_path):
+    def stages(cfg, out, run):
+        yield "first"
+        run.report["first"] = True
+        yield "second"
+        raise EmptySurface("nothing to segment")
+
+    r = _run_stages(stages, None, tmp_path / "a", "r.json",
+                    through_stage="first")
+    assert list(r.timings) == ["first"] and r.report == {"first": True}
+    with pytest.raises(EmptySurface) as info:
+        _run_stages(stages, None, tmp_path / "b", "r.json")
+    assert info.value.stage == "second"

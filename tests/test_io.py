@@ -95,8 +95,8 @@ class TestVolume:
         data = np.random.default_rng(1).uniform(0, 1, (4, 512, 8)).astype(np.float32)
         vol = OctVolume(data, cfg, (1.0, 2.0))
         rio.write_oct_volume(tmp_path / "vol", vol)
-        back = readers.read_oct_volume(tmp_path / "vol")
-        assert np.array_equal(back.b_scans, data)
+        back = rio.read_oct_volume(tmp_path / "vol")
+        assert np.array_equal(np.stack(list(back)), data)
         assert back.origin == (1.0, 2.0)
         assert back.config.axial_pitch == cfg.axial_pitch
 

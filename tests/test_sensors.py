@@ -1,8 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resectsim import io as rio
 from resectsim.errors import (
     BehindCamera,
     EmptySurface,
@@ -260,8 +264,8 @@ class TestIntersectScene:
 
 class TestRender:
     def test_flat_peak_index(self):
-        vol = render_oct_volume(FLAT3, (0.0, 0.0), SMALL)
-        peak = vol.b_scans.argmax(axis=1)
+        vol = np.stack(list(render_oct_volume(FLAT3, (0.0, 0.0), SMALL)))
+        peak = vol.argmax(axis=1)
         assert np.all(peak == round(3.0 / SMALL.axial_pitch))
         assert int(peak[0, 0]) == 205
 
@@ -274,7 +278,7 @@ class TestRender:
         )
         cfg = OctConfig(n_bscans=8, n_lateral=16, noise_amplitude=0.05)
         vol = render_oct_volume(scene, (0.0, 0.0), cfg, seed=1)
-        assert vol.b_scans.max() < 0.1
+        assert np.stack(list(vol)).max() < 0.1
         pytest.raises(EmptySurface, segment_surface, vol)
 
     def test_sphere_cap_apex_extremal(self):
@@ -289,8 +293,8 @@ class TestRender:
             albedo={"default": 1.0},
         )
         cfg = OctConfig(n_bscans=32, n_lateral=64)
-        vol = render_oct_volume(scene, (0.0, 0.0), cfg)
-        peaks = vol.b_scans.argmax(axis=1)  # (n_bscans, n_lateral)
+        vol = np.stack(list(render_oct_volume(scene, (0.0, 0.0), cfg)))
+        peaks = vol.argmax(axis=1)  # (n_bscans, n_lateral)
         j, i = np.unravel_index(peaks.argmax(), peaks.shape)
         x = 0.0 + i * cfg.pitch_x
         y = 0.0 + j * cfg.pitch_y
@@ -305,9 +309,9 @@ class TestRender:
 
     def test_intensities_in_unit_interval(self):
         cfg = OctConfig(n_bscans=8, n_lateral=16, noise_amplitude=0.09)
-        vol = render_oct_volume(FLAT3, (0.0, 0.0), cfg, seed=3)
-        assert vol.b_scans.min() >= 0.0
-        assert vol.b_scans.max() <= 1.0
+        vol = np.stack(list(render_oct_volume(FLAT3, (0.0, 0.0), cfg, seed=3)))
+        assert vol.min() >= 0.0
+        assert vol.max() <= 1.0
 
     def test_noise_amplitude_capped(self):
         with pytest.raises(ValueError):
@@ -348,6 +352,109 @@ class TestSegment:
         assert np.isclose(cloud.points[0, 0], 1.0)
         assert np.isclose(cloud.points[1, 0], 1.0 + SMALL.pitch_x)
         assert np.isclose(cloud.points[SMALL.n_lateral, 1], 2.0 + SMALL.pitch_y)
+
+
+# a bump under a tumor disc, and a healthy triangle too dark to segment
+BUMP_DARK = ScenePhantom(
+    primitives=({"kind": "plane", "z": 2.0},
+                {"kind": "gauss_bump", "center": [3.0, 3.0], "sigma": 1.5,
+                 "height": 1.5}),
+    regions=({"label": "tumor", "kind": "disc", "center": [4.0, 4.0],
+              "radius": 2.5},
+             {"label": "healthy", "kind": "polygon",
+              "vertices": [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]}),
+    albedo={"default": 0.9, "tumor": 0.35, "healthy": 0.1},
+)
+
+
+def _surface_or_none(segment, *args):
+    try:
+        return segment(*args)
+    except EmptySurface:
+        return None
+
+
+def _same_surface(got, want):
+    if want is None:
+        return got is None
+    return (got is not None and (got.rows, got.cols) == (want.rows, want.cols)
+            and np.array_equal(got.points, want.points)
+            and np.array_equal(got.valid, want.valid))
+
+
+class TestStreamedScan:
+    """The B-scan stream against the eager whole-volume oracles."""
+
+    @settings(max_examples=80)
+    @given(scene=st.sampled_from([FLAT3, BUMP_DARK]),
+           window=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+           n_bscans=st.integers(1, 8), n_axial=st.integers(16, 64),
+           n_lateral=st.integers(1, 12), axial_pitch=st.floats(0.04, 0.4),
+           peak_sigma=st.floats(0.5, 12.0),
+           noise=st.one_of(st.just(0.0), st.floats(1e-3, 0.099)),
+           seed=st.integers(0, 2**63))
+    def test_matches_eager_oracle(self, scene, window, n_bscans, n_axial,
+                                  n_lateral, axial_pitch, peak_sigma, noise,
+                                  seed):
+        # wide peaks over an albedo-1 plane saturate under noise, so the
+        # clip makes plateaus of 1.0 whose first index must win
+        cfg = OctConfig(n_bscans=n_bscans, n_axial=n_axial,
+                        n_lateral=n_lateral, axial_pitch=axial_pitch,
+                        peak_sigma_px=peak_sigma, noise_amplitude=noise)
+        want = oracles.render_oct_volume(scene, window, cfg, seed)
+        volume = render_oct_volume(scene, window, cfg, seed)
+        b_scans = list(volume)
+        assert len(b_scans) == n_bscans
+        for got, ref in zip(b_scans, want):
+            assert got.dtype == np.float32 and np.array_equal(got, ref)
+
+        want_surface = _surface_or_none(oracles.segment_surface, want, cfg,
+                                        volume.origin)
+        assert _same_surface(_surface_or_none(segment_surface, volume),
+                             want_surface)
+        with tempfile.TemporaryDirectory() as d:
+            base = Path(d) / "vol"
+            rio.write_oct_volume(base, volume)
+            assert (base.with_suffix(".f32").read_bytes()
+                    == want.astype("<f4").tobytes())
+            back = rio.read_oct_volume(base)
+            assert _same_surface(_surface_or_none(segment_surface, back),
+                                 want_surface)
+
+    def test_ties_take_the_first_axial_index(self):
+        cfg = OctConfig(n_bscans=2, n_axial=8, n_lateral=3)
+        vol = np.zeros((2, 8, 3), dtype=np.float32)
+        vol[0, [2, 5], 0] = 0.5  # two equal peaks
+        vol[0, 1:7, 1] = 1.0  # a saturated plateau
+        vol[1] = 0.3  # flat A-scans: every index ties
+        vol[1, 0, 2] = 0.0
+        got = segment_surface(OctVolume(vol, cfg, (0.0, 0.0)))
+        assert _same_surface(got,
+                             oracles.segment_surface(vol, cfg, (0.0, 0.0)))
+        assert np.array_equal(got.points[:, 2],
+                              np.array([2, 1, 0, 0, 0, 1]) * cfg.axial_pitch)
+        assert got.valid.tolist() == [True, True, False, True, True, True]
+
+    def test_passes_replay_the_noise(self):
+        cfg = OctConfig(n_bscans=3, n_axial=32, n_lateral=4,
+                        noise_amplitude=0.05)
+        volume = render_oct_volume(FLAT3, (0.0, 0.0), cfg, seed=9)
+        assert np.array_equal(np.stack(list(volume)), np.stack(list(volume)))
+
+    @pytest.mark.parametrize("b_scans, match", [
+        (np.zeros((2, 8, 3)), "volume has 2 B-scans, config says 3"),
+        (np.zeros((4, 8, 3)), "volume has more than 3 B-scans"),
+        (np.zeros((3, 8, 4)), r"B-scan 0 has shape \(8, 4\), config says"),
+        (np.full((3, 8, 3), 1.5), "intensities must lie in"),
+        (np.full((3, 8, 3), -0.5), "intensities must lie in"),
+    ], ids=["too-few", "too-many", "wrong-shape", "above-1", "below-0"])
+    def test_bad_volumes_raise_while_streamed(self, tmp_path, b_scans, match):
+        volume = OctVolume(b_scans, OctConfig(n_bscans=3, n_axial=8,
+                                              n_lateral=3), (0.0, 0.0))
+        with pytest.raises(ValueError, match=match):
+            segment_surface(volume)
+        with pytest.raises(ValueError, match=match):
+            rio.write_oct_volume(tmp_path / "vol", volume)
 
 
 class TestProjection:
