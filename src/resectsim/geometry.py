@@ -14,7 +14,11 @@ deterministic.
 
 ``nearest_neighbor`` is the one distance kernel: squared distances
 ``sum((cloud - q) ** 2)`` for an array of queries, ties broken to the lowest
-cloud index, in blocks of at most ``NN_BLOCK`` query-cloud pairs.
+cloud index. Up to ``NN_BLOCK`` query-cloud pairs it is the brute force over
+every pair; above that a ``PointGrid`` (a uniform bucket grid) searches only
+the cells near each query and gives the same bits. Callers that query one
+cloud many times, or ask which points lie within a radius of some center,
+build the ``PointGrid`` themselves.
 
 2D polygons are (n, 2) vertex arrays, closed implicitly. ``points_in_polygon``
 is the one membership kernel: the even-odd crossing rule over an array of
@@ -25,6 +29,7 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +41,7 @@ PARALLEL_EPS = 1e-9
 DEGENERATE_AREA = 1e-12
 EDGE_EPS = 1e-9
 NN_BLOCK = 1 << 16  # query-cloud pairs per block: one query vs a 512x128 surface
+GRID_QUERY_BLOCK = 4096  # PointGrid queries (or centers) searched at once
 
 
 def as_vec3(p) -> np.ndarray:
@@ -251,18 +257,22 @@ def ray_mesh_intersect(ray: Ray, mesh: TriMesh):
     return ray.at(float(t[idx])), int(cand[idx])
 
 
-def nearest_neighbor(queries, cloud) -> tuple[np.ndarray, np.ndarray]:
-    """Index and squared distance of each query's closest cloud point.
-
-    ``queries`` is (k, d) and ``cloud`` (m, d); returns ``(idx (k,),
-    d2 (k,))``. Ties break to the lowest index.
-    """
+def _as_cloud(cloud) -> np.ndarray:
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
         raise EmptyCloud("nearest_neighbor needs a nonempty (N,k) cloud")
+    return pts
+
+
+def _as_queries(queries, pts) -> np.ndarray:
     q = np.asarray(queries, dtype=float)
     if q.ndim != 2 or q.shape[1] != pts.shape[1]:
         raise ValueError("queries must be (k, d) with the cloud's dimension")
+    return q
+
+
+def _nearest_blocked(q, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Brute force over every query-cloud pair, ``NN_BLOCK`` pairs a block."""
     idx = np.empty(len(q), dtype=np.intp)
     d2 = np.empty(len(q))
     step = max(1, NN_BLOCK // len(pts))
@@ -271,6 +281,207 @@ def nearest_neighbor(queries, cloud) -> tuple[np.ndarray, np.ndarray]:
         idx[lo:lo + step] = np.argmin(block, axis=1)
         d2[lo:lo + step] = block[np.arange(len(block)), idx[lo:lo + step]]
     return idx, d2
+
+
+def nearest_neighbor(queries, cloud) -> tuple[np.ndarray, np.ndarray]:
+    """Index and squared distance of each query's closest cloud point.
+
+    ``queries`` is (k, d) and ``cloud`` (m, d); returns ``(idx (k,),
+    d2 (k,))``. Ties break to the lowest index. Up to ``NN_BLOCK``
+    query-cloud pairs (and for 1-D points) this is the brute force over
+    every pair; above that it builds a ``PointGrid`` over the cloud, whose
+    answers are the same bits.
+    """
+    pts = _as_cloud(cloud)
+    q = _as_queries(queries, pts)
+    if len(q) * len(pts) <= NN_BLOCK or pts.shape[1] < 2:
+        return _nearest_blocked(q, pts)
+    return PointGrid(pts).nearest(q)
+
+
+def _expand(lo, hi) -> np.ndarray:
+    """Positions ``lo[j] .. hi[j] - 1`` of every range j, concatenated."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(lo - ends + counts, counts)
+
+
+def _annulus(a: int, b: int):
+    """Row segments ``(dy, dx0, dx1)`` of the cells whose Chebyshev
+    distance from cell (0, 0) lies in (a, b]: a full row where |dy| > a,
+    else the two pieces left and right of the inner square."""
+    dy = np.arange(-b, b + 1)
+    inner = dy[np.abs(dy) <= a]
+    return (np.concatenate([dy, inner]),
+            np.concatenate([np.full(len(dy), -b), np.full(len(inner), a + 1)]),
+            np.concatenate([np.where(np.abs(dy) <= a, -a - 1, b),
+                            np.full(len(inner), b)]))
+
+
+class PointGrid:
+    """Uniform bucket grid over a point cloud for exact nearest-neighbour
+    and fixed-radius queries (Bentley, Stanat & Williams, "The complexity
+    of finding fixed-radius near neighbors", IPL 6(6), 1977).
+
+    ``cloud`` is (m, d) with d >= 2; points are bucketed on their first two
+    coordinates into square cells whose side comes from the bounding box
+    and m: about one point per cell, never more than about m + 1 cells
+    along an axis, so collinear clouds stay small, and a box of zero area
+    and length (one distinct point) is one cell. Points are kept in
+    row-major cell order, ascending within a cell, so a row segment of
+    cells is one contiguous run of point indices. Distances are the brute
+    force's own ``np.sum((p - q) ** 2, axis=-1)`` and ties go to the lowest
+    index, so every answer is the bits ``nearest_neighbor``'s brute force
+    gives. A cloud with a non-finite coordinate or extent is not bucketed;
+    its queries run the brute force.
+    """
+
+    def __init__(self, cloud):
+        pts = _as_cloud(cloud)
+        if pts.shape[1] < 2:
+            raise ValueError("PointGrid needs points with at least 2 coordinates")
+        self.points = pts
+        xy = pts[:, :2]
+        self._lo, self._hi = xy.min(axis=0), xy.max(axis=0)
+        width, height = self._hi - self._lo
+        self._bucketed = bool(np.isfinite(pts).all()
+                              and np.isfinite([width, height]).all())
+        if not self._bucketed:
+            return
+        m = len(pts)
+        cell = max(math.sqrt(width) * math.sqrt(height) / math.sqrt(m),
+                   max(width, height) / m)
+        self._cell = cell if cell > 0.0 else 1.0
+        ix, iy = self._cell_of(xy)
+        self._nx, self._ny = int(ix.max()) + 1, int(iy.max()) + 1
+        key = iy * self._nx + ix
+        # cell c holds points order[starts[c]:starts[c + 1]]
+        self._order = np.argsort(key, kind="stable")
+        self._starts = np.concatenate([[0], np.cumsum(
+            np.bincount(key, minlength=self._nx * self._ny))])
+
+    def _cell_of(self, xy):
+        """Cell indices (ix, iy) of (n, 2) coordinates inside the box."""
+        t = np.floor((xy - self._lo) / self._cell).astype(np.intp)
+        return t[:, 0], t[:, 1]
+
+    def _runs(self, y, x0, x1):
+        """Point indices of the cell row segments (y, x0..x1), clipped to
+        the grid, concatenated, and the number from each segment."""
+        x0, x1 = np.maximum(x0, 0), np.minimum(x1, self._nx - 1)
+        ok = (y >= 0) & (y < self._ny) & (x0 <= x1)
+        first = np.where(ok, y * self._nx + x0, 0)
+        lo = self._starts[first]
+        hi = self._starts[np.where(ok, y * self._nx + x1 + 1, first)]
+        return self._order[_expand(lo.ravel(), hi.ravel())], hi - lo
+
+    def nearest(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """``nearest_neighbor(queries, cloud)`` by a ring search.
+
+        Each query starts at the cell of its projection q' onto the cloud's
+        box and takes in the cells of ring 0, 1, 2, ... (the cells at
+        Chebyshev cell distance R), a pass of one or more rings at a time,
+        until the best squared distance so far is below a lower bound for
+        every point not yet seen, or no cell is left. Such a point lies
+        R + 1 or more rings out, so at least R cells from q' in exact
+        arithmetic; cell indices are floors of rounded quotients and may
+        sit one off, so the bound counts R - 1 cells. Every box point p has
+        |p - q|^2 >= |p - q'|^2 + |q - q'|^2 (q' is the box point nearest
+        q), which adds the query's squared distance to the box; the factor
+        1 - 2^-40 covers the rounding of the squares. Queries with a
+        non-finite coordinate, or whose squared distance to the box
+        overflows, run the brute force.
+        """
+        q = _as_queries(queries, self.points)
+        if not self._bucketed:
+            return _nearest_blocked(q, self.points)
+        off = q[:, :2] - np.clip(q[:, :2], self._lo, self._hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            off2 = np.sum(off ** 2, axis=-1)
+        ok = np.isfinite(q).all(axis=1) & np.isfinite(off2)
+        idx = np.empty(len(q), dtype=np.intp)
+        d2 = np.empty(len(q))
+        if not ok.all():
+            idx[~ok], d2[~ok] = _nearest_blocked(q[~ok], self.points)
+        rows = np.flatnonzero(ok)
+        for s in range(0, len(rows), GRID_QUERY_BLOCK):
+            block = rows[s:s + GRID_QUERY_BLOCK]
+            idx[block], d2[block] = self._ring_search(q[block], off2[block])
+        return idx, d2
+
+    def _ring_search(self, q, off2):
+        m = len(self.points)
+        cx, cy = self._cell_of(np.clip(q[:, :2], self._lo, self._hi))
+        # the ring from which on every cell is searched
+        cover = np.maximum(np.maximum(cx, self._nx - 1 - cx),
+                           np.maximum(cy, self._ny - 1 - cy))
+        best_d2 = np.full(len(q), np.inf)
+        best_idx = np.full(len(q), m)
+        active = np.arange(len(q))
+        done = -1  # rings 0..done are searched
+        while active.size:
+            # the bound is 0 before ring 2, so the first pass takes 0-2;
+            # later passes widen the searched square by half its radius
+            last = 2 if done < 0 else done + max(1, (done + 1) // 2)
+            dy, dx0, dx1 = _annulus(done, last)
+            x, y = cx[active, None], cy[active, None]
+            cand, count = self._runs(y + dy, x + dx0, x + dx1)
+            count = count.sum(axis=1)  # candidates per query
+            if cand.size:
+                k = active[count > 0]
+                count = count[count > 0]
+                dd = np.sum((self.points[cand] - np.repeat(q[k], count, axis=0))
+                            ** 2, axis=-1)
+                # per query: the least d2, then the least index among ties
+                heads = np.cumsum(count) - count
+                least = np.minimum.reduceat(dd, heads)
+                tied = dd == np.repeat(least, count)
+                least_idx = np.minimum.reduceat(np.where(tied, cand, m), heads)
+                better = (least < best_d2[k]) | ((least == best_d2[k])
+                                                 & (least_idx < best_idx[k]))
+                best_d2[k[better]] = least[better]
+                best_idx[k[better]] = least_idx[better]
+            done = last
+            bound = ((max(done - 1, 0) * self._cell) ** 2
+                     + off2[active]) * (1.0 - 2.0 ** -40)
+            active = active[(cover[active] > done) & ~(best_d2[active] < bound)]
+        return best_idx, best_d2
+
+    def within(self, centers, radius: float) -> np.ndarray:
+        """(m,) bool: the cloud points whose squared distance to some
+        center, ``np.sum((center - p) ** 2, axis=-1)`` as the brute force
+        ``nearest_neighbor(cloud, centers)`` computes it, is at most
+        ``radius ** 2``.
+
+        Each center checks the cells that overlap its square of half-side
+        ``radius``, widened by one cell on every side for the rounding of
+        cell indices, one contiguous run of points per cell row.
+        """
+        c = _as_queries(_as_cloud(centers), self.points)
+        r2 = radius ** 2
+        if not (self._bucketed and np.isfinite(c).all()
+                and math.isfinite(radius)):
+            return _nearest_blocked(self.points, c)[1] <= r2
+        reach = abs(radius)
+        n = np.array([self._nx, self._ny])
+        with np.errstate(over="ignore"):
+            t0 = (c[:, :2] - reach - self._lo) / self._cell
+            t1 = (c[:, :2] + reach - self._lo) / self._cell
+        lo = np.floor(np.clip(t0, -2, n + 1)).astype(np.intp) - 1
+        hi = np.floor(np.clip(t1, -2, n + 1)).astype(np.intp) + 1
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
+        inside = np.zeros(len(self.points), dtype=bool)
+        for s in range(0, len(c), GRID_QUERY_BLOCK):
+            sl = slice(s, s + GRID_QUERY_BLOCK)
+            rows = np.maximum(hi[sl, 1] - lo[sl, 1] + 1, 0)
+            who = np.repeat(np.arange(len(rows)), rows)  # one per cell row
+            y = _expand(lo[sl, 1], lo[sl, 1] + rows)
+            cand, count = self._runs(y, lo[sl][who, 0], hi[sl][who, 0])
+            dd = np.sum((np.repeat(c[sl][who], count, axis=0)
+                         - self.points[cand]) ** 2, axis=-1)
+            inside[cand[dd <= r2]] = True
+        return inside
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from .errors import (
     TooFewTumorTags,
 )
 from .geometry import (
+    PointGrid,
     SurfaceCloud,
     convex_hull,
     nearest_neighbor,
@@ -697,10 +698,10 @@ def render_camera_image(scene: ScenePhantom, camera: PinholeCamera,
     rows = np.round(uv[:, 1]).astype(np.int64, copy=False)
     ok = in_front & (cols >= 0) & (cols < camera.width) & \
         (rows >= 0) & (rows < camera.height)
-    names, inverse = np.unique(scene.label_at(pts[ok, 0], pts[ok, 1]),
-                               return_inverse=True)
-    palette = np.array([REGION_COLORS[n] for n in names], dtype=np.uint8)
-    img[rows[ok], cols[ok]] = palette[inverse]
+    palette = np.array([REGION_COLORS[HEALTHY]] + [
+        REGION_COLORS[reg["label"]] for reg in scene.regions], dtype=np.uint8)
+    img[rows[ok], cols[ok]] = palette[scene.region_index(pts[ok, 0],
+                                                         pts[ok, 1]) + 1]
     return img
 
 
@@ -832,10 +833,9 @@ def _e2e_stages(cfg, out, run):
     yield "resect"
     # execute the plan, mark the footprint
     actual_spots = _execute_plan(cfg, truth, plan, scene, rng_spot)
-    # a surface point is cut when its nearest spot is within the radius
-    radius = cfg.spot_diameter / 2.0
-    cut_mask = nearest_neighbor(colored.points[:, :2],
-                                actual_spots[:, :2])[1] <= radius**2
+    # a surface point is cut when a spot is within the radius
+    cut_mask = PointGrid(colored.points[:, :2]).within(
+        actual_spots[:, :2], cfg.spot_diameter / 2.0)
     post_color = colored.color.copy()
     post_color[cut_mask] = (120, 120, 120)  # coagulation signature
     post = SurfaceCloud(colored.rows, colored.cols, colored.points,

@@ -22,12 +22,12 @@ from .errors import (
     TooFewTumorTags,
 )
 from .geometry import (
+    PointGrid,
     Ray,
     SurfaceCloud,
     TriMesh,
     as_vec3,
     convex_hull,
-    nearest_neighbor,
     points_in_polygon,
     ray_mesh_intersect,
 )
@@ -81,7 +81,8 @@ class SpotLocator:
     """Reusable spot locator: caches surface projections and the mesh.
 
     Locating many spots against one scan only needs the per-camera surface
-    projections once; this wrapper holds them and serves repeated queries.
+    projections once; this wrapper holds them, each bucketed in a
+    ``PointGrid``, and serves repeated queries.
     """
 
     def __init__(self, surface: SurfaceCloud,
@@ -99,7 +100,7 @@ class SpotLocator:
                 raise NoVisibleSurface(
                     "no surface point projects in front of a camera")
             visible = np.flatnonzero(in_front)
-            self._views.append((uv[visible], visible))
+            self._views.append((PointGrid(uv[visible]), visible))
 
     def locate(self, pixel_left, pixel_right, laser_ray: Ray) -> SpotEstimate:
         """Locate one laser spot on the scanned surface.
@@ -110,8 +111,8 @@ class SpotLocator:
         three.
         """
         cam_estimates = []
-        for (uv, visible), pixel in zip(self._views, (pixel_left, pixel_right)):
-            idx, _ = nearest_neighbor(np.reshape(pixel, (1, 2)), uv)
+        for (grid, visible), pixel in zip(self._views, (pixel_left, pixel_right)):
+            idx, _ = grid.nearest(np.reshape(pixel, (1, 2)))
             cam_estimates.append(self.points[visible[idx[0]]])
         hit = ray_mesh_intersect(laser_ray, self.mesh)
         if hit is None:

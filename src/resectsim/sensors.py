@@ -6,6 +6,8 @@ per-point pathology label and surface albedo. The virtual depth scanner images
 the scene as a stream of B-scan slices, rendered one at a time, whose A-scans
 carry a Gaussian surface peak; surface segmentation reduces each B-scan to
 the argmax along each of its A-scans, so no pass holds the whole C-scan.
+Each B-scan evaluates the Gaussian only on the band of axial rows within
+about 15 sigma of its peaks; every other row rounds to a float32 zero.
 
 Axial convention: A-scan index k maps to axial coordinate z = k * axial_pitch,
 so segmented clouds live in the same millimeter frame the lasers are
@@ -14,6 +16,7 @@ calibrated in.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from numbers import Real
@@ -28,6 +31,7 @@ DEFAULT_DOMAIN = (-100.0, -100.0, 100.0, 100.0)
 RAY_T_MAX = 500.0  # mm of beam searched by intersect_scene
 RAY_SAMPLES = 800  # bracketing samples along that length
 RAY_BLOCK = 256  # rays bracketed at once: a (256, 800, 3) float block is 4.7 MiB
+PEAK_BAND_EXPONENT = 110.0  # e^-110 < 2^-150: a float32 zero past the band
 
 
 def finite_number(value) -> bool:
@@ -140,7 +144,7 @@ class ScenePhantom:
                 z = z + h * np.exp(-d2 / (2.0 * s * s))
         return z if z.shape else float(z)
 
-    def _region_index(self, x, y) -> np.ndarray:
+    def region_index(self, x, y) -> np.ndarray:
         """Index of the last region covering each point, or -1."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(y, dtype=float))
@@ -161,7 +165,7 @@ class ScenePhantom:
     def label_at(self, x, y):
         """Region label at (x, y); accepts scalars or arrays."""
         labels = np.array([HEALTHY] + [r["label"] for r in self.regions])
-        out = labels[self._region_index(x, y) + 1]
+        out = labels[self.region_index(x, y) + 1]
         return out if out.shape else str(out)
 
     def albedo_at(self, x, y):
@@ -169,7 +173,7 @@ class ScenePhantom:
         default = self.albedo.get("default", 0.9)
         values = np.array([default] + [self.albedo.get(r["label"], default)
                                        for r in self.regions], dtype=float)
-        out = values[self._region_index(x, y) + 1]
+        out = values[self.region_index(x, y) + 1]
         return out if out.shape else float(out)
 
 
@@ -261,7 +265,12 @@ def render_oct_volume(scene: ScenePhantom, window: tuple[float, float],
     albedo, over an optional uniform noise floor; noisy intensities are
     clipped to [0, 1]. The window and the height field are checked here;
     the B-scans are rendered lazily, one at a time on each pass over the
-    returned volume. Each pass draws the noise from a fresh
+    returned volume. Each B-scan evaluates the peak only on the axial rows
+    from ``floor(min k0) - h`` to ``ceil(max k0) + h`` over its A-scans'
+    peak indices k0, with ``h = ceil(sqrt(110 * 2 sigma^2))`` (30 rows at
+    sigma = 2 px): past that band the value is below e^-110, which rounds
+    to a float32 zero, so the B-scan starts as zeros and is the same bits
+    as evaluating every row. Each pass draws the noise from a fresh
     ``default_rng(seed)``, one (n_axial, n_lateral) draw per B-scan, which
     is the stream a single whole-volume draw would give.
     """
@@ -285,11 +294,20 @@ def render_oct_volume(scene: ScenePhantom, window: tuple[float, float],
     def b_scans():
         k = np.arange(cfg.n_axial, dtype=float)
         two_s2 = 2.0 * cfg.peak_sigma_px ** 2
+        half = math.ceil(math.sqrt(PEAK_BAND_EXPONENT * two_s2))
         rng = np.random.default_rng(seed)
         for j in range(cfg.n_bscans):
             # b_scan[k, i] = albedo[j, i] * exp(-(k - k0[j, i])^2 / (2 sigma^2))
-            prof = np.exp(-((k[:, None] - k0[j][None, :]) ** 2) / two_s2)
-            b_scan = (albedo[j][None, :] * prof).astype(np.float32)
+            # on the rows within ``half`` of some peak. Off that band
+            # (k - k0)^2 > 110 * 2 sigma^2, so with albedo <= 1 the value is
+            # below e^-110 < 1.7e-48, under 2^-150: it rounds to a float32
+            # zero, signed as the albedo (an albedo of -0.0 gives -0.0)
+            b_scan = np.zeros((cfg.n_axial, cfg.n_lateral), dtype=np.float32)
+            b_scan[:, np.signbit(albedo[j])] = -0.0
+            lo = max(math.floor(k0[j].min()) - half, 0)
+            hi = min(math.ceil(k0[j].max()) + half + 1, cfg.n_axial)
+            prof = np.exp(-((k[lo:hi, None] - k0[j][None, :]) ** 2) / two_s2)
+            b_scan[lo:hi] = albedo[j][None, :] * prof
             if cfg.noise_amplitude > 0.0:
                 b_scan += rng.uniform(0.0, cfg.noise_amplitude,
                                       size=b_scan.shape).astype(np.float32)

@@ -3,14 +3,17 @@ kernels, the region raster and the PLY writer, and whole-volume oracles for
 the streamed OCT scan.
 
 These are the one-point-at-a-time versions that ``points_in_polygon``,
-``ScenePhantom._region_index``, the batched ``nearest_neighbor`` and the
+``ScenePhantom.region_index``, the batched ``nearest_neighbor`` and the
 batched ``intersect_scene`` replaced, kept as they were so the tests can
 hold the array kernels to them. ``raster_on`` is the per-pixel region
 raster (``points_in_polygon`` over every pixel centre) that the scanline
 fill in ``metrics._raster_on`` replaced, and ``write_ply_cloud`` the
 row-at-a-time writer that the column-wise ``io.write_ply_cloud`` replaced.
 ``render_oct_volume`` and ``segment_surface`` are the eager C-scan and its
-full-volume axis-1 reduction that the B-scan stream replaced.
+full-volume axis-1 reduction that the B-scan stream replaced; the eager
+render evaluates every axial row, where the stream evaluates only the band
+around the peaks. ``render_camera_image`` paints through label strings,
+where the harness paints through region indices.
 ``polygon_is_simple`` is the all-pairs edge-crossing check that test
 polygons must pass before they serve as membership inputs.
 """
@@ -155,6 +158,31 @@ def raster_on(polygon, x0, y0, nx, ny, pitch) -> np.ndarray:
     flat = points_in_polygon(np.column_stack([gx.ravel(), gy.ravel()]),
                              polygon)
     return flat.reshape(ny, nx)
+
+
+def render_camera_image(scene, camera, oct_cfg) -> np.ndarray:
+    """The camera view painted through the label strings: ``np.unique``
+    over ``label_at`` of every projected grid point, then a palette."""
+    from resectsim.harness import IMAGE_BACKGROUND, REGION_COLORS
+    from resectsim.sensors import project_points
+
+    img = np.tile(np.array(IMAGE_BACKGROUND, dtype=np.uint8),
+                  (camera.height, camera.width, 1))
+    xs = np.arange(oct_cfg.n_lateral) * oct_cfg.pitch_x
+    ys = np.arange(oct_cfg.n_bscans * 4) * (oct_cfg.pitch_y / 4.0)
+    gx, gy = np.meshgrid(xs, ys)
+    gz = scene.height(gx, gy)
+    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    uv, in_front = project_points(camera, pts)
+    cols = np.round(uv[:, 0]).astype(np.int64, copy=False)
+    rows = np.round(uv[:, 1]).astype(np.int64, copy=False)
+    ok = in_front & (cols >= 0) & (cols < camera.width) & \
+        (rows >= 0) & (rows < camera.height)
+    names, inverse = np.unique(scene.label_at(pts[ok, 0], pts[ok, 1]),
+                               return_inverse=True)
+    palette = np.array([REGION_COLORS[n] for n in names], dtype=np.uint8)
+    img[rows[ok], cols[ok]] = palette[inverse]
+    return img
 
 
 def write_ply_cloud(path, points, color=None, label=None) -> Path:

@@ -1,11 +1,16 @@
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resectsim
 from resectsim.cli import main
@@ -284,3 +289,73 @@ class TestDeterminism:
         for name in files_a:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
+
+
+def _scene():
+    num = st.floats(-3.0, 16.0)
+    xy = st.tuples(num, num).map(list)
+    plane = st.builds(lambda z: {"kind": "plane", "z": z}, st.floats(-5, 20))
+    bump = st.builds(lambda c, s, h: {"kind": "gauss_bump", "center": c,
+                                      "sigma": s, "height": h},
+                     xy, st.floats(0.05, 8.0), st.floats(-4.0, 6.0))
+    cap = st.builds(lambda c, r, h: {"kind": "sphere_cap", "center": c,
+                                     "radius": r, "height": h},
+                    xy, st.floats(0.05, 8.0), st.floats(0.05, 8.0))
+    disc = st.builds(lambda lab, c, r: {"label": lab, "kind": "disc",
+                                        "center": c, "radius": r},
+                     st.sampled_from(["tumor", "healthy"]), xy,
+                     st.floats(0.05, 12.0))
+    polygon = st.builds(lambda lab, v: {"label": lab, "kind": "polygon",
+                                        "vertices": v},
+                        st.sampled_from(["tumor", "healthy"]),
+                        st.lists(xy, min_size=3, max_size=6))
+    unit = st.floats(0.0, 1.0)
+    return st.fixed_dictionaries({
+        "primitives": st.lists(st.one_of(plane, bump, cap), min_size=1,
+                               max_size=3),
+        "regions": st.lists(st.one_of(disc, polygon), max_size=3),
+        "albedo": st.fixed_dictionaries({"default": unit},
+                                        optional={"tumor": unit,
+                                                  "healthy": unit}),
+    })
+
+
+RUN_CONFIGS = st.fixed_dictionaries({
+    "seed": st.integers(0, 1000),
+    "scan_points": st.sampled_from([4, 9, 16, 36, 64, 100]),
+}, optional={
+    "scene": _scene(),
+    "scan_extent": st.tuples(st.floats(0.5, 30.0),
+                             st.floats(0.5, 30.0)).map(list),
+    "profile": st.sampled_from(["diode", "tumorid", "fiber"]),
+    "classifier": st.sampled_from(["threshold", "perfect", "mlp"]),
+    "noiseless": st.booleans(),
+    "tilt_deg": st.one_of(st.none(), st.floats(-89.0, 89.0)),
+    "spot_diameter": st.floats(0.01, 20.0),
+    "uncertain_policy": st.sampled_from(["healthy", "tumor"]),
+    "oct_noise": st.one_of(st.just(0.0), st.floats(0.0, 0.099)),
+    "mlp_epochs": st.integers(1, 2),
+    "mlp_train_per_class": st.integers(1, 8),
+})
+
+EXIT_PREFIXES = {1: "pipeline failure: ", 2: "config error: ",
+                 3: "degenerate region: ", 4: "solver failure: "}
+
+
+@settings(max_examples=20)
+@given(cfg=RUN_CONFIGS, command=st.sampled_from([["e2e"],
+                                                  ["phantom", "roi"]]))
+def test_whole_runs_exit_with_a_documented_code(cfg, command):
+    # a config that constructs runs to exit 0 or to a PipelineError's exit
+    # code and message; a raw exception would escape main() and fail here
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        path = Path(d) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--config", str(path), "--out", str(Path(d) / "o"),
+                   *command])
+    err = err.getvalue()
+    assert rc in (0, *EXIT_PREFIXES)
+    if rc:
+        assert err.startswith(EXIT_PREFIXES[rc]) and err.count("\n") == 1

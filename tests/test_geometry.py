@@ -7,7 +7,9 @@ from resectsim import geometry
 from resectsim.errors import EmptyCloud, GridTooSmall, ParallelRay
 from resectsim.geometry import (
     DEGENERATE_AREA,
+    NN_BLOCK,
     PlaneFrame,
+    PointGrid,
     Ray,
     ReferenceFrame,
     SurfaceCloud,
@@ -390,6 +392,119 @@ class TestNearestNeighbor:
         assert np.array_equal(idx, [i for i, _ in want])
         assert np.array_equal(np.sqrt(d2), [d for _, d in want])
 
+    @pytest.mark.parametrize("k, m, grid", [
+        (1, NN_BLOCK, False), (2, NN_BLOCK // 2, False), (1, NN_BLOCK + 1, True),
+        (NN_BLOCK // 4 + 1, 4, True)])
+    def test_grid_only_above_nn_block_pairs(self, monkeypatch, k, m, grid):
+        # the selection is by input size: k * m <= NN_BLOCK runs the brute
+        # force; 1-D points always do
+        built = []
+        monkeypatch.setattr(geometry, "PointGrid",
+                            lambda c: built.append(len(c)) or PointGrid(c))
+        cloud = np.random.default_rng(m).uniform(-1, 1, (m, 2))
+        queries = np.random.default_rng(k).uniform(-1, 1, (k, 2))
+        idx, d2 = nearest_neighbor(queries, cloud)
+        assert built == ([m] if grid else [])
+        nearest_neighbor(queries[:, :1], cloud[:, :1])
+        assert len(built) == int(grid)
+        monkeypatch.setattr(geometry, "NN_BLOCK", 1 << 62)
+        assert all(map(np.array_equal, nearest_neighbor(queries, cloud),
+                       (idx, d2)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.sampled_from(["border", "collinear", "one-point",
+                                       "scatter", "clustered", "ties"]),
+           st.sampled_from([2, 3]))
+    def test_grid_matches_one_query_oracle(self, data, kind, dim):
+        # "border": a 4 x 4 box with 16 points has 1 mm cells, so points on
+        # the integer lattice sit on cell borders, repeated; "collinear":
+        # points on a horizontal, vertical or diagonal line; "one-point":
+        # one point, maybe repeated; "clustered": a tight cluster and a few
+        # outliers, so most cells are empty and searches span many rings;
+        # "ties": points at distance exactly 5 from (0, 0) in shuffled order
+        # and a far lattice that makes the cells small, so equal distances
+        # turn up in different rings
+        half = st.integers(0, 8).map(lambda v: v / 2.0)
+        if kind == "ties":
+            rim = [(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (4, 3), (-3, 4),
+                   (4, -3), (-4, -3), (-3, -4), (3, -4), (-4, 3)]
+            xy = data.draw(st.permutations(rim))[:data.draw(st.integers(2, 12))]
+            lattice = np.arange(40, 61) / 2.0
+            xy = xy + [(a, b) for a in lattice for b in lattice]
+        elif kind == "clustered":
+            xy = data.draw(st.lists(st.tuples(st.floats(0, 0.5),
+                                              st.floats(0, 0.5)),
+                                    min_size=20, max_size=50))
+            xy += data.draw(st.lists(st.tuples(st.floats(-30, 30),
+                                               st.floats(-30, 30)),
+                                     min_size=1, max_size=5))
+            xy = data.draw(st.permutations(xy))
+        elif kind == "border":
+            xy = [(0.0, 0.0), (4.0, 4.0)] + data.draw(st.lists(
+                st.tuples(half, half), min_size=14, max_size=14))
+        elif kind == "collinear":
+            t = data.draw(st.lists(st.floats(-3, 3), min_size=2, max_size=40))
+            ax, ay = data.draw(st.sampled_from([(1, 0), (0, 1), (1, 1),
+                                                (1, -0.5)]))
+            xy = [(ax * v + 1.0, ay * v - 2.0) for v in t]
+        elif kind == "one-point":
+            p = data.draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+            xy = [p] * data.draw(st.integers(1, 3))
+        else:
+            xy = data.draw(st.lists(st.tuples(st.floats(-5, 5),
+                                              st.floats(-5, 5)),
+                                    min_size=1, max_size=60))
+        extra = data.draw(st.lists(st.sampled_from([0.0, 0.5, -1.0]),
+                                   min_size=len(xy), max_size=len(xy)))
+        if kind == "ties":  # the third coordinate must not break the ties
+            extra = [0.5] * len(xy)
+        cloud = np.array([[x, y, z][:dim] for (x, y), z in zip(xy, extra)])
+        near = st.tuples(st.floats(-8, 8), st.floats(-8, 8))
+        if kind == "clustered":
+            near = st.tuples(st.floats(-40, 40), st.floats(-40, 40))
+        far = st.tuples(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12))
+        huge = st.tuples(st.sampled_from([1e200, -1e200, 3.0]),
+                         st.sampled_from([1e200, 2.0]))
+        pts = st.sampled_from([tuple(row[:2]) for row in cloud])
+        queries = np.array([[x, y, 0.5][:dim] for x, y in data.draw(
+            st.lists(st.one_of(st.tuples(half, half), pts, near, far, huge),
+                     min_size=1, max_size=30))] + [[0.0, 0.0, 0.5][:dim]])
+        with np.errstate(over="ignore"):  # the 1e200 queries' squares
+            idx, d2 = PointGrid(cloud).nearest(queries)
+            want = [oracles.nearest_neighbor(q, cloud)[0] for q in queries]
+            assert np.array_equal(idx, want)
+            assert np.array_equal(d2, np.sum((cloud[idx] - queries) ** 2,
+                                             axis=-1))
+            assert all(map(np.array_equal, nearest_neighbor(queries, cloud),
+                           (idx, d2)))
+
+    def test_grid_matches_brute_force_on_a_projected_surface(self):
+        # one-row queries against a 128 x 512 grid seen at an angle, about
+        # one point per cell; queries inside, just outside and far outside
+        rng = np.random.default_rng(5)
+        u, v = np.meshgrid(np.arange(512) * 0.39, np.arange(128) * 1.57)
+        cloud = np.column_stack([u.ravel() + 0.1 * v.ravel(), v.ravel()])
+        cloud += rng.normal(0.0, 0.05, cloud.shape)
+        queries = np.concatenate([rng.uniform(-20, 230, (300, 2)),
+                                  cloud[rng.integers(0, len(cloud), 100)],
+                                  rng.uniform(-1e6, 1e6, (20, 2))])
+        grid = PointGrid(cloud)
+        for q in queries[:, None]:
+            got = grid.nearest(q)
+            want = geometry._nearest_blocked(q, cloud)
+            assert all(map(np.array_equal, got, want))
+
+    def test_non_finite_queries_and_clouds_run_the_brute_force(self):
+        cloud = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        queries = np.array([[np.nan, 0.0], [np.inf, 1.0], [1.0, -np.inf],
+                            [0.9, 0.9]])
+        with np.errstate(invalid="ignore"):
+            for c in (cloud, np.vstack([cloud, [[np.inf, 0.0]]])):
+                got = PointGrid(c).nearest(queries)
+                want = geometry._nearest_blocked(queries, c)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1], equal_nan=True)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(1, 3), st.integers(1, 40))
     def test_footprint_matches_per_spot_loop(self, data, k, block):
@@ -415,6 +530,26 @@ class TestNearestNeighbor:
             mask = nearest_neighbor(pts, spots)[1] <= r**2
         assert np.array_equal(mask, loop)
         assert mask[:len(on_rim)].all()
+        if len(pts):
+            assert np.array_equal(PointGrid(pts).within(spots, r), loop)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.floats(0.01, 3.0))
+    def test_within_matches_brute_force_footprint(self, data, r):
+        # the resection footprint on a surface-like grid of points: the
+        # grid's fixed-radius query against the brute-force nearest spot,
+        # with points placed exactly on some spots' rims
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        nx, ny = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 30))
+        gx, gy = np.meshgrid(np.arange(nx) * 0.2, np.arange(ny) * 0.45)
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        spots = rng.uniform(-2.0, 14.0, (data.draw(st.integers(1, 40)), 2))
+        rim = spots[rng.integers(0, len(spots), 10)] + [r, 0.0]
+        pts = np.concatenate([pts, rim, spots[:3]])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "NN_BLOCK", 1 << 62)
+            want = nearest_neighbor(pts, spots)[1] <= r**2
+        assert np.array_equal(PointGrid(pts).within(spots, r), want)
 
 
 class TestFrames:

@@ -20,13 +20,17 @@ from resectsim.harness import (
     run_marker_experiment,
     run_roi_experiment,
     run_trajectory_experiment,
+    _default_cameras,
     _estimate_cameras,
     _run_stages,
     _scan_volume,
     _spot_error,
+    render_camera_image,
     truth_calibration,
 )
 from resectsim.sensors import OctConfig, ScenePhantom
+
+import oracles
 
 NO_TUMOR_SCENE = {
     "primitives": [{"kind": "plane", "z": 3.0}],
@@ -352,3 +356,24 @@ def test_run_stages_times_stops_and_names_the_failing_stage(tmp_path):
     with pytest.raises(EmptySurface) as info:
         _run_stages(stages, None, tmp_path / "b", "r.json")
     assert info.value.stage == "second"
+
+
+@pytest.mark.parametrize("spec", [
+    ExperimentConfig(seed=1).scene,
+    NO_TUMOR_SCENE,
+    # a polygon tumor with a healthy disc painted over it, on a bump
+    {"primitives": [{"kind": "plane", "z": 3.0},
+                    {"kind": "gauss_bump", "center": [6, 6], "sigma": 2,
+                     "height": 1}],
+     "regions": [{"label": "tumor", "kind": "polygon",
+                  "vertices": [[2, 2], [10, 3], [9, 10], [3, 9]]},
+                 {"label": "healthy", "kind": "disc", "center": [6, 6],
+                  "radius": 1}]},
+], ids=["default", "no-tumor", "polygon-and-disc"])
+def test_camera_image_matches_label_palette_oracle(spec):
+    # painting through region indices gives the image the label strings gave
+    scene = ScenePhantom.from_dict(spec)
+    cfg = OctConfig(n_bscans=32, n_lateral=256)
+    for camera in _default_cameras():
+        assert np.array_equal(render_camera_image(scene, camera, cfg),
+                              oracles.render_camera_image(scene, camera, cfg))

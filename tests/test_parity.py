@@ -1,4 +1,4 @@
-"""Byte-identity guard: the SHA-256 of every artifact of nine fixed runs.
+"""Byte-identity guard: the SHA-256 of every artifact of ten fixed runs.
 
 Refactors must leave artifacts byte-identical (acceptance criterion 11 run
 across versions of the code, not only across repeats). The digests below
@@ -11,10 +11,12 @@ capped plane (ROI at 400 points, and e2e with OCT noise) were recorded
 before ``intersect_scene`` cast whole plans at once. The 400-point e2e run
 on the default scene (a 400-tag tumor map and a larger hull) was recorded
 before the region raster became a scanline fill and the PLY writer
-formatted whole columns. No run trains the MLP, so no digest depends on
-how many threads BLAS uses. A digest changes only when the artifact's
-bytes do; if a change is meant to alter an artifact, re-record its digest
-and say why.
+formatted whole columns. The ROI run with the MLP classifier (two epochs,
+whose edge errors take the bucket-grid side of ``nearest_neighbor``) was
+recorded before the OCT render became band-limited and the grid search came
+in; its digests are the same with one BLAS thread and with the default
+count. A digest changes only when the artifact's bytes do; if a change is
+meant to alter an artifact, re-record its digest and say why.
 """
 
 import hashlib
@@ -66,6 +68,9 @@ RUNS = {
         seed=5, noiseless=False, classifier="threshold", scan_points=100)),
     "roi-noiseless": (run_roi_experiment, dict(
         seed=5, noiseless=True, classifier="threshold", scan_points=100)),
+    "roi-mlp": (run_roi_experiment, dict(
+        seed=5, noiseless=False, classifier="mlp", scan_points=100,
+        mlp_epochs=2)),
     "roi-polygon-noisy": (run_roi_experiment, dict(
         seed=3, noiseless=False, classifier="threshold", scan_points=100,
         scene=POLYGON_SCENE)),
@@ -173,6 +178,20 @@ DIGESTS = {
             "6022aa0122d31dc8647bee8b4414a18368da7ad79e149c3b26db74897d065173",
         "roi_tags.ply":
             "5da50744459e5f84c528eb462c077dc123eadbe77398988ed26c6e1275d6be8f",
+    },
+    "roi-mlp": {
+        "laser_calibration.json":
+            "83a8340bc81d798df5b6fa47eba3775cfd99ee47a40ce8e2d4ab16ede8e18cf1",
+        "region_ledger.csv":
+            "7dc66154f899339704bc722611f867bf37561503d45501ee51cd7e0e2d4b574b",
+        "roi_boundary.json":
+            "abebc2c62ed2a9e7303dbfb4d237c0460e8d290a93d507205a473d6d580d635d",
+        "roi_plan.csv":
+            "e60d8aa55473a1f2f402ead47ffb987257066fb1da7fe230625e87ffe3d94807",
+        "roi_report.json":
+            "7ba4342abfe793dcf5126051eec6faf249cb7f7a360b95de8b16457e4db6fc3c",
+        "roi_tags.ply":
+            "d1136bd06a908397ffa24048fe4bb6f269c8c6a4a13ff197b6c935aad10d7791",
     },
     "roi-polygon-noisy": {
         "laser_calibration.json":

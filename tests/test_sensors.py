@@ -382,16 +382,46 @@ def _same_surface(got, want):
             and np.array_equal(got.valid, want.valid))
 
 
+# a dip through z = 0: peaks near and above axial index 0
+DIP_BELOW_ZERO = ScenePhantom(
+    primitives=({"kind": "plane", "z": 0.05},
+                {"kind": "gauss_bump", "center": [5.0, 5.0], "sigma": 2.0,
+                 "height": -0.6}),
+    albedo={"default": 1.0})
+# a surface deeper than the last axial index of every config drawn below,
+# where the band is cut off or empty
+PAST_THE_END = ScenePhantom(primitives=({"kind": "plane", "z": 27.0},
+                                        {"kind": "gauss_bump",
+                                         "center": [6.0, 6.0], "sigma": 3.0,
+                                         "height": -2.0}),
+                            albedo={"default": 1.0})
+# a narrow, tall cap: steep walls spread one B-scan's peaks over many rows,
+# and a tumor of albedo -0.0 is a signed zero off the band too
+STEEP_CAP = ScenePhantom(
+    primitives=({"kind": "plane", "z": 1.0},
+                {"kind": "sphere_cap", "center": [4.0, 4.0], "radius": 2.0,
+                 "height": 3.5}),
+    regions=({"label": "tumor", "kind": "disc", "center": [9.0, 8.0],
+              "radius": 3.0},),
+    albedo={"default": 0.8, "tumor": -0.0})
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float32).view(np.uint32)
+
+
 class TestStreamedScan:
     """The B-scan stream against the eager whole-volume oracles."""
 
-    @settings(max_examples=80)
-    @given(scene=st.sampled_from([FLAT3, BUMP_DARK]),
+    @settings(max_examples=120)
+    @given(scene=st.sampled_from([FLAT3, BUMP_DARK, DIP_BELOW_ZERO,
+                                  PAST_THE_END, STEEP_CAP]),
            window=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
            n_bscans=st.integers(1, 8), n_axial=st.integers(16, 64),
            n_lateral=st.integers(1, 12), axial_pitch=st.floats(0.04, 0.4),
            peak_sigma=st.floats(0.5, 12.0),
-           noise=st.one_of(st.just(0.0), st.floats(1e-3, 0.099)),
+           noise=st.one_of(st.sampled_from([0.0, 0.05]),
+                           st.floats(1e-3, 0.099)),
            seed=st.integers(0, 2**63))
     def test_matches_eager_oracle(self, scene, window, n_bscans, n_axial,
                                   n_lateral, axial_pitch, peak_sigma, noise,
@@ -406,7 +436,8 @@ class TestStreamedScan:
         b_scans = list(volume)
         assert len(b_scans) == n_bscans
         for got, ref in zip(b_scans, want):
-            assert got.dtype == np.float32 and np.array_equal(got, ref)
+            assert got.dtype == np.float32
+            assert np.array_equal(_bits(got), _bits(ref))
 
         want_surface = _surface_or_none(oracles.segment_surface, want, cfg,
                                         volume.origin)
@@ -420,6 +451,18 @@ class TestStreamedScan:
             back = rio.read_oct_volume(base)
             assert _same_surface(_surface_or_none(segment_surface, back),
                                  want_surface)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_band_matches_full_render_at_the_default_size(self, noise):
+        # the default 128 x 512 x 512 grid with sigma 2 px, where the band is
+        # 30 rows either side of the peaks, on the steep-cap scene
+        cfg = OctConfig(n_bscans=6, noise_amplitude=noise)
+        want = oracles.render_oct_volume(STEEP_CAP, (0.0, 0.0), cfg, seed=4)
+        got = np.stack(list(render_oct_volume(STEEP_CAP, (0.0, 0.0), cfg,
+                                              seed=4)))
+        assert np.array_equal(_bits(got), _bits(want))
+        if noise == 0.0:
+            assert np.signbit(got).any() and (got > 0).sum() < got.size / 4
 
     def test_ties_take_the_first_axial_index(self):
         cfg = OctConfig(n_bscans=2, n_axial=8, n_lateral=3)
