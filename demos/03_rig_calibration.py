@@ -11,10 +11,10 @@ import numpy as np
 from resectsim.calibration import (
     LaserCalibration,
     calibrate_laser_orientation,
-    reprojection_error,
     synthesize_spot_observations,
 )
 from resectsim.geometry import ReferenceFrame, normalize
+from resectsim.kinematics import forward_model
 
 frame = ReferenceFrame([0.0, 0.0, 56.3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 truth = LaserCalibration(frame, alpha=(1.5, -2.0),
@@ -31,7 +31,7 @@ angle = np.degrees(np.arccos(np.clip(np.dot(est.v_w, truth.v_w), -1, 1)))
 print(f"\nnoiseless recovery from a vertical guess: beam error "
       f"{angle:.2e} deg, offset error "
       f"{np.max(np.abs(est.alpha - truth.alpha)):.2e} mm "
-      f"({est.iterations} iterations)")
+      f"({est.iterations} iterations, stopped on {est.stop})")
 
 # --- noise sweep --------------------------------------------------------------
 print("\nspot-noise sweep (8 observations, 4 board heights):")
@@ -49,5 +49,8 @@ for sigma in (0.02, 0.05, 0.1, 0.2):
     print(f"{sigma:8.2f}  {np.mean(rms_list):10.3f}  {np.mean(ang_list):12.4f}")
 
 # --- residual diagnostics ------------------------------------------------------
-residuals, rms = reprojection_error(truth, obs)
+predicted = forward_model(truth, [o.beta for o in obs],
+                          [o.plane.center[2] for o in obs])
+residuals = np.linalg.norm(predicted - [o.spot_center for o in obs], axis=1)
+rms = np.sqrt(np.mean(residuals**2))
 print(f"\nreprojection of the true rig on its own spots: rms {rms:.2e} mm")

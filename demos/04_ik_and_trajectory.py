@@ -2,14 +2,14 @@
 """Waypoint solving: forward model, single-target IK, multi-target plans.
 
 Shows the forward spot prediction, inverts it for single targets, round-trips
-a thousand random commands, and plans a serpentine raster plus an S-curve
-over a curved surface.
+a thousand random commands in one array pass, and plans a serpentine raster
+plus an S-curve over a curved surface.
 """
 
 import numpy as np
 
 from resectsim.calibration import LaserCalibration
-from resectsim.geometry import PlaneFrame, ReferenceFrame, normalize
+from resectsim.geometry import ReferenceFrame, normalize
 from resectsim.kinematics import (
     forward_model,
     plan_trajectory,
@@ -23,9 +23,8 @@ calib = LaserCalibration(frame, alpha=(1.5, -2.0),
                          v_w=normalize([0.15, -0.05, -1.0]))
 
 # --- forward model -----------------------------------------------------------
-plane = PlaneFrame([0.0, 0.0, 3.0], [0.0, 0.0, 1.0])
-spot = forward_model(calib, beta=(2.0, 1.0), plane=plane)
-print("commanded (2, 1) lands at", spot.round(4))
+spot = forward_model(calib, beta=(2.0, 1.0), z=3.0)
+print("commanded (2, 1) lands on the plane z = 3 at", spot.round(4))
 
 # --- single-target inversion ---------------------------------------------------
 target = np.array([5.0, 7.0, 3.0])
@@ -35,13 +34,10 @@ print(f"target {target} needs waypoint {sol.beta.round(6)} "
 
 # --- forward/inverse round trip -----------------------------------------------
 rng = np.random.default_rng(0)
-worst = 0.0
-for _ in range(1000):
-    beta = rng.uniform(-6, 6, 2)
-    z = rng.uniform(0, 6)
-    spot = forward_model(calib, beta, PlaneFrame([0, 0, z], [0, 0, 1.0]))
-    back = solve_ik(calib, spot)
-    worst = max(worst, float(np.max(np.abs(back.beta - beta))))
+betas = rng.uniform(-6, 6, (1000, 2))
+spots = forward_model(calib, betas, rng.uniform(0, 6, 1000))
+back = plan_trajectory(calib, spots)
+worst = float(np.max(np.abs(back.waypoints - betas)))
 print(f"1000 forward/inverse round trips, worst waypoint error {worst:.2e} mm")
 
 # --- raster pattern -------------------------------------------------------------

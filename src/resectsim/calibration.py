@@ -14,6 +14,7 @@ rotationally symmetric beam, so it is excluded by construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import (
     DegenerateAxis,
     DegenerateConfiguration,
-    EmptyObservations,
     IllConditioned,
     NonConvergence,
 )
@@ -87,6 +87,7 @@ class LaserCalibration:
     v_w: np.ndarray
     residual_rms: float = 0.0
     iterations: int = 0
+    stop: str | None = None  # LeastSquaresResult.stop of the solve, if any
 
     def __post_init__(self):
         object.__setattr__(self, "alpha",
@@ -143,12 +144,15 @@ def angles_from_beam(v_w) -> tuple[float, float]:
     return theta, phi
 
 
-def _spot_prediction(frame, alpha, beta, theta, phi, plane):
-    v = beam_from_angles(theta, phi)
+def predict_spots(frame: ReferenceFrame, alpha, beta, v, normal, center):
+    """Spots p_w - (s / d) v where the beams along ``v`` from waypoints
+    ``beta`` ((2,) or (m, 2)) meet their planes, with d = n.v and
+    s = n.(p_w - c). ``normal`` and ``center`` are (3,) or one per row; each
+    row's ``np.vecdot`` is the ``np.dot`` of that row alone."""
     p_w = waypoint_position(frame, alpha, beta)
-    d = float(np.dot(plane.normal, v))
-    s = float(np.dot(plane.normal, p_w - plane.center))
-    return p_w - (s / d) * v, v, d, s, p_w
+    d = np.vecdot(normal, v)
+    s = np.vecdot(normal, p_w - center)
+    return p_w - (s / d)[..., None] * v, d, s
 
 
 def calibrate_laser_axes(origin, obs_x: AxisObservation,
@@ -171,53 +175,60 @@ def calibrate_laser_axes(origin, obs_x: AxisObservation,
     return ReferenceFrame(as_vec3(origin), axes["x"], axes["y"])
 
 
+def laser_least_squares(frame: ReferenceFrame, observations):
+    """(residual, jacobian) of the laser calibration: for x = (theta, phi,
+    alpha_x, alpha_y), the (3m,) predicted minus measured spot centers and
+    their (3m, 4) derivative, as array expressions over the m observations
+    whose rows are the doubles of each observation alone."""
+    betas = np.array([o.beta for o in observations]).reshape(-1, 2)
+    normals = np.array([o.plane.normal for o in observations]).reshape(-1, 3)
+    centers = np.array([o.plane.center for o in observations]).reshape(-1, 3)
+    measured = np.array([o.spot_center for o in observations]).reshape(-1, 3)
+
+    def predict(x):
+        theta, phi, ax, ay = x
+        v = beam_from_angles(theta, phi)
+        return (v, *predict_spots(frame, (ax, ay), betas, v, normals, centers))
+
+    def residual(x):
+        return (predict(x)[1] - measured).ravel()
+
+    def jacobian(x):
+        v, _, d, s = predict(x)
+        t = (s / d)[:, None]
+        # float_power squares through pow(), as Python's d**2 does
+        d2 = np.float_power(d, 2.0)
+        cols = [(s * np.vecdot(normals, dvc) / d2)[:, None] * v - t * dvc
+                for dvc in beam_angle_jacobian(x[0], x[1]).T]
+        cols += [axis - (np.vecdot(normals, axis) / d)[:, None] * v
+                 for axis in (frame.v_x, frame.v_y)]
+        return np.stack(cols, axis=-1).reshape(-1, 4)
+
+    return residual, jacobian
+
+
 def calibrate_laser_orientation(frame: ReferenceFrame,
                                 observations) -> LaserCalibration:
     """Estimate (v_w, alpha) from measured spot centers.
 
     Solves min over (theta, phi, alpha) of the summed squared distances
     between predicted and measured spot centers, by damped Gauss-Newton
-    with the analytic Jacobian, always from a vertical beam with zero offsets
-    (theta = phi = 0, alpha = (0, 0)). Boards must span at least two distinct
-    heights; a single plane leaves the frame offsets and the beam tilt
-    coupled along a one-parameter family. A beam solved to point up is a
-    solver failure.
+    with the analytic Jacobian of ``laser_least_squares``, always from a
+    vertical beam with zero offsets (theta = phi = 0, alpha = (0, 0)).
+    Boards must span at least two distinct heights; a single plane leaves
+    the frame offsets and the beam tilt coupled along a one-parameter
+    family. A beam solved to point up is a solver failure. The result
+    carries the solver's ``stop``.
     """
     obs = list(observations)
     if len(obs) < 3:
         raise ValueError("need at least 3 spot observations")
-    heights = sorted(float(np.dot(o.plane.normal, o.plane.center)) for o in obs)
-    distinct = 1 + sum(1 for a, b in zip(heights, heights[1:]) if b - a > 1e-9)
-    if distinct < 2:
+    heights = np.sort([np.dot(o.plane.normal, o.plane.center) for o in obs])
+    if not np.any(np.diff(heights) > 1e-9):
         raise IllConditioned(
             "all boards at one height: offsets and beam tilt are coupled"
         )
-
-    def residual(x):
-        theta, phi, ax, ay = x
-        out = np.empty(3 * len(obs))
-        for k, o in enumerate(obs):
-            pred, _, _, _, _ = _spot_prediction(
-                frame, (ax, ay), o.beta, theta, phi, o.plane)
-            out[3 * k:3 * k + 3] = pred - o.spot_center
-        return out
-
-    def jacobian(x):
-        theta, phi, ax, ay = x
-        jac = np.empty((3 * len(obs), 4))
-        dv = beam_angle_jacobian(theta, phi)
-        for k, o in enumerate(obs):
-            _, v, d, s, _ = _spot_prediction(
-                frame, (ax, ay), o.beta, theta, phi, o.plane)
-            n = o.plane.normal
-            t = s / d
-            for col in range(2):  # theta, phi
-                dvc = dv[:, col]
-                dd = float(n @ dvc)
-                jac[3 * k:3 * k + 3, col] = (s * dd / d**2) * v - t * dvc
-            for col, axis in ((2, frame.v_x), (3, frame.v_y)):
-                jac[3 * k:3 * k + 3, col] = axis - (float(n @ axis) / d) * v
-        return jac
+    residual, jacobian = laser_least_squares(frame, obs)
 
     result = levenberg_marquardt(residual, jacobian, np.zeros(4))
     if not result.converged:
@@ -235,22 +246,7 @@ def calibrate_laser_orientation(frame: ReferenceFrame,
     r = residual(result.x).reshape(-1, 3)
     rms = float(np.sqrt(np.mean(np.sum(r * r, axis=1))))
     return LaserCalibration(frame, (ax, ay), beam, residual_rms=rms,
-                            iterations=result.iterations)
-
-
-def reprojection_error(calibration: LaserCalibration, observations):
-    """Per-observation distances between predicted and measured spots, plus RMS."""
-    obs = list(observations)
-    if not obs:
-        raise EmptyObservations("no observations to evaluate")
-    theta, phi = angles_from_beam(calibration.v_w)
-    res = []
-    for o in obs:
-        pred, _, _, _, _ = _spot_prediction(
-            calibration.frame, calibration.alpha, o.beta, theta, phi, o.plane)
-        res.append(float(np.linalg.norm(pred - o.spot_center)))
-    res = np.array(res)
-    return res, float(np.sqrt(np.mean(res**2)))
+                            iterations=result.iterations, stop=result.stop)
 
 
 def synthesize_spot_observations(calibration: LaserCalibration, betas,
@@ -258,22 +254,25 @@ def synthesize_spot_observations(calibration: LaserCalibration, betas,
                                  rng=None):
     """Forward-generate board observations from a known calibration.
 
-    One observation per (height, beta) pair on horizontal boards; optional
-    isotropic Gaussian noise on the measured spot centers.
+    One observation per (height, beta) pair on horizontal boards, heights
+    outermost; optional isotropic Gaussian noise on the measured spot
+    centers, drawn as one (m, 3) array in observation order.
     """
-    theta, phi = angles_from_beam(calibration.v_w)
+    v = beam_from_angles(*angles_from_beam(calibration.v_w))
     if rng is None:
         rng = np.random.default_rng(0)
-    out = []
-    for h in plane_heights:
-        plane = PlaneFrame([0.0, 0.0, float(h)], [0.0, 0.0, 1.0])
-        for beta in betas:
-            spot, _, _, _, _ = _spot_prediction(
-                calibration.frame, calibration.alpha, beta, theta, phi, plane)
-            if noise_sigma > 0:
-                spot = spot + rng.normal(0.0, noise_sigma, 3)
-            out.append(LaserSpotObservation(beta, plane, spot))
-    return out
+    planes = [PlaneFrame([0.0, 0.0, float(h)], [0.0, 0.0, 1.0])
+              for h in plane_heights]
+    betas = np.asarray(betas, dtype=float).reshape(-1, 2)
+    centers = np.array([p.center for p in planes for _ in betas])
+    spots, _, _ = predict_spots(
+        calibration.frame, calibration.alpha,
+        np.tile(betas, (len(planes), 1)), v, np.array([0.0, 0.0, 1.0]),
+        centers.reshape(-1, 3))
+    if noise_sigma > 0:
+        spots = spots + rng.normal(0.0, noise_sigma, spots.shape)
+    return [LaserSpotObservation(beta, plane, spot) for (plane, beta), spot
+            in zip(itertools.product(planes, betas), spots)]
 
 
 # ---------------------------------------------------------------------------

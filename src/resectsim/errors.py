@@ -59,10 +59,6 @@ class IllConditioned(PipelineError):
     """Calibration geometry leaves parameters coupled (e.g. single-height data)."""
 
 
-class EmptyObservations(PipelineError):
-    """Residual statistics need at least one observation."""
-
-
 # kinematics / planning
 class Unreachable(PipelineError):
     """IK residual stays above tolerance; carries the failing target index."""

@@ -74,7 +74,6 @@ from .kinematics import (
     plan_trajectory,
     raster_pattern,
     solve_ik,
-    target_plane,
 )
 from .mapping import (
     SpotLocator,
@@ -464,6 +463,16 @@ def _train_scan_classifier(cfg):
 # ---------------------------------------------------------------------------
 
 
+def _error_report(cfg, experiment: str, errors: np.ndarray, **extra) -> dict:
+    """A phantom study's report: the run, its per-target errors and their
+    mean, sample std and RMSE, then ``extra``."""
+    mean, std, rmse = summarize(errors)
+    return {"experiment": experiment, "profile": cfg.profile,
+            "noiseless": cfg.noiseless, "seed": cfg.seed,
+            "errors_mm": errors.tolist(), "mean_mm": mean, "std_mm": std,
+            "rmse_mm": rmse, **extra}
+
+
 def run_marker_experiment(cfg: ExperimentConfig, out_dir) -> TrialResult:
     """Nine fiducials on a 3x3 grid at varied heights; fire and measure."""
     return _run_stages(_marker_stages, cfg, out_dir, "marker_report.json")
@@ -480,34 +489,19 @@ def _marker_stages(cfg, out, run):
 
     yield "execute"
     cx, cy = _scan_center()
-    xs = np.linspace(cx - 5.0, cx + 5.0, 3)
-    ys = np.linspace(cy - 5.0, cy + 5.0, 3)
-    targets = []
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            targets.append([x, y, 2.0 + 1.25 * ((i + j) % 3)])
-    targets = np.array(targets)
+    j, i = np.divmod(np.arange(9), 3)
+    targets = np.column_stack([np.linspace(cx - 5.0, cx + 5.0, 3)[i],
+                               np.linspace(cy - 5.0, cy + 5.0, 3)[j],
+                               2.0 + 1.25 * ((i + j) % 3)])
 
     plan = plan_trajectory(estimated, targets)
-    hits = _spot_error(cfg, np.array([
-        forward_model(truth, beta, target_plane(target))
-        for beta, target in zip(plan.waypoints, targets)
-    ]), _rng(cfg, _SALT_SPOT))
-    errors = [float(np.linalg.norm(hit[:2] - target[:2]))
-              for hit, target in zip(hits, targets)]
-
-    mean, std, rmse = summarize(errors)
-    run.report.update({
-        "experiment": "marker",
-        "profile": cfg.profile,
-        "noiseless": cfg.noiseless,
-        "seed": cfg.seed,
-        "errors_mm": errors,
-        "mean_mm": mean,
-        "std_mm": std,
-        "rmse_mm": rmse,
-        "calibration_residual_rms_mm": estimated.residual_rms,
-    })
+    hits = _spot_error(cfg, forward_model(truth, plan.waypoints,
+                                          targets[:, 2]),
+                       _rng(cfg, _SALT_SPOT))
+    miss = hits[:, :2] - targets[:, :2]
+    run.report.update(_error_report(
+        cfg, "marker", np.sqrt(np.vecdot(miss, miss)),
+        calibration_residual_rms_mm=estimated.residual_rms))
     run.artifacts["plan"] = rio.write_cut_plan_csv(
         out / "marker_plan.csv", plan)
 
@@ -541,18 +535,8 @@ def _trajectory_stages(cfg, out, run):
     plan = plan_trajectory(estimated, targets)
     actuals = _execute_plan(cfg, truth, plan, scene, _rng(cfg, _SALT_SPOT))
     errors = np.sqrt(nearest_neighbor(actuals[:, :2], targets[:, :2])[1])
-    mean, std, rmse = summarize(errors)
-    run.report.update({
-        "experiment": "trajectory",
-        "profile": cfg.profile,
-        "noiseless": cfg.noiseless,
-        "seed": cfg.seed,
-        "errors_mm": errors.tolist(),
-        "mean_mm": mean,
-        "std_mm": std,
-        "rmse_mm": rmse,
-        "max_mm": float(np.max(errors)),
-    })
+    run.report.update(_error_report(cfg, "trajectory", errors,
+                                    max_mm=float(np.max(errors))))
     run.artifacts["plan"] = rio.write_cut_plan_csv(
         out / "trajectory_plan.csv", plan)
 

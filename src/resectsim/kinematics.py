@@ -1,15 +1,17 @@
-"""Laser forward model, single-target IK, trajectory planning, raster grids.
+"""Laser forward model, array IK, trajectory planning, raster grids.
 
 The forward model composes the commanded waypoint (frame origin plus offsets
 along the calibrated axes) with the beam/plane intersection. Because the
 waypoint is affine in the commanded coordinates beta and the beam direction
-is fixed after calibration, the predicted spot is affine in beta, and the
-single-target problem is solved exactly by one linearized step; the solver
-still iterates to polish floating-point error and to verify the residual.
+is fixed after calibration, the predicted spot is affine in beta, and each
+target is solved exactly by one linearized step; the solver still iterates
+to polish floating-point error and to verify the residual.
 
-Each target gets a horizontal virtual plane through its own height
-(center (0, 0, z_target), normal (0, 0, 1)), which makes every subproblem
-well-posed without estimating surface normals.
+Each target gets a horizontal virtual plane through its own height, which
+makes every subproblem well-posed without estimating surface normals and
+gives every target the same (3, 2) Jacobian. The Newton loop runs on all
+targets of a plan at once, one least-squares solve with a right-hand side
+per still-active target each turn; one target is the same loop on one row.
 """
 
 from __future__ import annotations
@@ -18,41 +20,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import LaserCalibration
+from .calibration import LaserCalibration, predict_spots
 from .errors import BadStep, ParallelRay, Unreachable
-from .geometry import PlaneFrame, as_vec3, ray_plane_intersect
+from .geometry import PARALLEL_EPS, as_vec3, normalize
 
 IK_TOLERANCE = 1e-9  # mm
+UP = np.array([0.0, 0.0, 1.0])
 
 
-def target_plane(target) -> PlaneFrame:
-    """Horizontal virtual plane through the target's height."""
-    t = as_vec3(target)
-    return PlaneFrame([0.0, 0.0, t[2]], [0.0, 0.0, 1.0])
+def forward_model(calibration: LaserCalibration, beta, z) -> np.ndarray:
+    """Predicted spots of waypoints ``beta`` ((2,) or (n, 2)) on the
+    horizontal planes at heights ``z`` (one, or one per waypoint).
 
-
-def forward_model(calibration: LaserCalibration, beta,
-                  plane: PlaneFrame) -> np.ndarray:
-    """Predicted spot: beam from the commanded waypoint intersected with the plane.
-
-    The beam anchors at the commanded waypoint p_w (origin plus offsets), not
-    at the bare frame origin; an alternative reading that anchors the ray
-    term at the frame origin would decouple the spot from beta entirely and
-    is rejected here.
+    The beam anchors at the commanded waypoint p_w (origin plus offsets),
+    not at the bare frame origin, which would decouple the spot from beta.
+    Its direction is ``v_w`` normalized once more, as ``beam`` gives it.
     """
-    return ray_plane_intersect(calibration.beam(beta), plane)
-
-
-def beta_jacobian(calibration: LaserCalibration, plane: PlaneFrame) -> np.ndarray:
-    """(3, 2) derivative of the predicted spot wrt beta; constant for a fixed plane."""
-    n, v = plane.normal, calibration.v_w
-    d = float(np.dot(n, v))
-    if abs(d) <= 1e-9:
+    direction = normalize(calibration.v_w)
+    if abs(direction[2]) <= PARALLEL_EPS:
         raise ParallelRay("beam parallel to the virtual plane")
-    cols = []
-    for axis in (calibration.frame.v_x, calibration.frame.v_y):
-        cols.append(axis - (float(np.dot(n, axis)) / d) * v)
-    return np.column_stack(cols)
+    center = np.zeros(np.shape(z) + (3,))
+    center[..., 2] = z
+    spots, _, _ = predict_spots(calibration.frame, calibration.alpha, beta,
+                                direction, UP, center)
+    return spots
+
+
+def beta_jacobian(calibration: LaserCalibration) -> np.ndarray:
+    """(3, 2) derivative of the predicted spot wrt beta on a horizontal plane."""
+    v, frame = calibration.v_w, calibration.frame
+    if abs(v[2]) <= 1e-9:
+        raise ParallelRay("beam parallel to the virtual plane")
+    return np.column_stack([a - (a[2] / v[2]) * v
+                            for a in (frame.v_x, frame.v_y)])
+
+
+def _solve(calibration: LaserCalibration, targets: np.ndarray, bounds,
+           tol: float):
+    """(waypoints (n, 2), residuals (n,)) of the Newton loop on all targets:
+    a row stops at residual <= ``tol * 0.01`` or a non-finite step, after at
+    most 10 steps. The first row above ``tol`` or outside ``bounds`` raises
+    Unreachable with its index."""
+    beta = np.zeros((len(targets), 2))
+    if not len(targets):
+        return beta, np.zeros(0)
+    jac = beta_jacobian(calibration)
+    diff = forward_model(calibration, beta, targets[:, 2]) - targets
+    residual = np.sqrt(np.vecdot(diff, diff))
+    active = np.arange(len(targets))
+    for _ in range(10):
+        active = active[~(residual[active] <= tol * 0.01)]
+        if not len(active):
+            break
+        step = np.linalg.lstsq(jac, -diff[active].T, rcond=None)[0].T
+        finite = np.all(np.isfinite(step), axis=1)
+        active, step = active[finite], step[finite]
+        beta[active] += step
+        diff[active] = (forward_model(calibration, beta[active],
+                                      targets[active, 2]) - targets[active])
+        # vecdot takes the norm as np.linalg.norm does for one row
+        residual[active] = np.sqrt(np.vecdot(diff[active], diff[active]))
+    failed = residual > tol
+    if bounds is not None:
+        (xl, xh), (yl, yh) = bounds
+        x, y = beta.T
+        failed |= ~((xl <= x) & (x <= xh) & (yl <= y) & (y <= yh))
+    if failed.any():
+        k = int(np.argmax(failed))
+        if residual[k] > tol:
+            raise Unreachable(f"IK residual {residual[k]:.3e} mm above "
+                              f"tolerance {tol:.1e}", index=k)
+        raise Unreachable(f"waypoint {beta[k]} outside workspace bounds "
+                          f"{bounds}", index=k)
+    return beta, residual
 
 
 @dataclass(frozen=True)
@@ -68,33 +108,8 @@ def solve_ik(calibration: LaserCalibration, target,
     ``bounds`` is an optional ((x_lo, x_hi), (y_lo, y_hi)) workspace box;
     solutions outside it (or residuals above ``tol``) raise Unreachable.
     """
-    target = as_vec3(target)
-    plane = target_plane(target)
-    jac = beta_jacobian(calibration, plane)
-    beta = np.zeros(2)
-    residual = np.inf
-    for _ in range(10):
-        diff = forward_model(calibration, beta, plane) - target
-        residual = float(np.linalg.norm(diff))
-        if residual <= tol * 0.01:
-            break
-        step, *_ = np.linalg.lstsq(jac, -diff, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        beta = beta + step
-        diff = forward_model(calibration, beta, plane) - target
-        residual = float(np.linalg.norm(diff))
-    if residual > tol:
-        raise Unreachable(
-            f"IK residual {residual:.3e} mm above tolerance {tol:.1e}"
-        )
-    if bounds is not None:
-        (xl, xh), (yl, yh) = bounds
-        if not (xl <= beta[0] <= xh and yl <= beta[1] <= yh):
-            raise Unreachable(
-                f"waypoint {beta} outside workspace bounds {bounds}"
-            )
-    return IkSolution(beta, residual)
+    beta, residual = _solve(calibration, as_vec3(target)[None], bounds, tol)
+    return IkSolution(beta[0], float(residual[0]))
 
 
 @dataclass(frozen=True)
@@ -124,19 +139,22 @@ def plan_trajectory(calibration: LaserCalibration, targets,
     """Solve the multi-target problem.
 
     The summed objective is separable across targets, so the optimum is the
-    concatenation of single-target solutions; input order is preserved. The
-    first failing target aborts with Unreachable carrying its index.
+    concatenation of single-target solutions; input order is preserved and
+    every row has the bits its single-target solve gives. The first failing
+    target aborts with Unreachable carrying its index; a non-finite target
+    before it raises ValueError.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1, 3)
-    waypoints = np.empty((len(targets), 2))
-    residuals = np.empty(len(targets))
-    for k, t in enumerate(targets):
-        try:
-            sol = solve_ik(calibration, t, bounds=bounds)
-        except Unreachable as exc:
-            raise Unreachable(f"target {k}: {exc}", index=k) from exc
-        waypoints[k] = sol.beta
-        residuals[k] = sol.residual
+    finite = np.all(np.isfinite(targets), axis=1)
+    n = int(np.argmin(finite)) if not finite.all() else len(targets)
+    try:
+        waypoints, residuals = _solve(calibration, targets[:n], bounds,
+                                      IK_TOLERANCE)
+    except Unreachable as exc:
+        raise Unreachable(f"target {exc.index}: {exc}",
+                          index=exc.index) from exc
+    if n < len(targets):
+        raise ValueError("vector components must be finite")
     return CutPlan(targets, waypoints, residuals)
 
 

@@ -16,14 +16,41 @@ around the peaks. ``render_camera_image`` paints through label strings,
 where the harness paints through region indices.
 ``polygon_is_simple`` is the all-pairs edge-crossing check that test
 polygons must pass before they serve as membership inputs.
+``solve_ik`` and ``plan_trajectory`` are the one-target Newton loop and the
+per-target plan that the array Newton loop in ``kinematics`` replaced, with
+the ``Ray``-based forward model they stepped through. ``spot_prediction``,
+``laser_least_squares`` and ``reprojection_error`` predict one board
+observation at a time, as the laser calibration did before its residual and
+Jacobian became array expressions.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from resectsim.errors import EmptyCloud, EmptySurface, NoRayHit
-from resectsim.geometry import EDGE_EPS, SurfaceCloud, points_in_polygon
+from resectsim.calibration import (
+    angles_from_beam,
+    beam_angle_jacobian,
+    beam_from_angles,
+    waypoint_position,
+)
+from resectsim.errors import (
+    EmptyCloud,
+    EmptySurface,
+    NoRayHit,
+    ParallelRay,
+    PipelineError,
+    Unreachable,
+)
+from resectsim.geometry import (
+    EDGE_EPS,
+    PlaneFrame,
+    SurfaceCloud,
+    as_vec3,
+    points_in_polygon,
+    ray_plane_intersect,
+)
+from resectsim.kinematics import IK_TOLERANCE, CutPlan, IkSolution
 from resectsim.sensors import RAY_SAMPLES, RAY_T_MAX
 from resectsim.spectra import HEALTHY
 
@@ -255,3 +282,134 @@ def segment_surface(vol, cfg, origin) -> SurfaceCloud:
     pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
     return SurfaceCloud(cfg.n_bscans, cfg.n_lateral, pts,
                         valid=valid.ravel())
+
+
+def target_plane(target) -> PlaneFrame:
+    """Horizontal virtual plane through the target's height."""
+    t = as_vec3(target)
+    return PlaneFrame([0.0, 0.0, t[2]], [0.0, 0.0, 1.0])
+
+
+def forward_model(calibration, beta, plane: PlaneFrame) -> np.ndarray:
+    """The beam from the commanded waypoint intersected with the plane."""
+    return ray_plane_intersect(calibration.beam(beta), plane)
+
+
+def beta_jacobian(calibration, plane: PlaneFrame) -> np.ndarray:
+    """(3, 2) derivative of the predicted spot wrt beta for a fixed plane."""
+    n, v = plane.normal, calibration.v_w
+    d = float(np.dot(n, v))
+    if abs(d) <= 1e-9:
+        raise ParallelRay("beam parallel to the virtual plane")
+    cols = []
+    for axis in (calibration.frame.v_x, calibration.frame.v_y):
+        cols.append(axis - (float(np.dot(n, axis)) / d) * v)
+    return np.column_stack(cols)
+
+
+def solve_ik(calibration, target, bounds=None,
+             tol: float = IK_TOLERANCE) -> IkSolution:
+    """One target's Newton loop, one single-RHS least-squares step a turn."""
+    target = as_vec3(target)
+    plane = target_plane(target)
+    jac = beta_jacobian(calibration, plane)
+    beta = np.zeros(2)
+    residual = np.inf
+    for _ in range(10):
+        diff = forward_model(calibration, beta, plane) - target
+        residual = float(np.linalg.norm(diff))
+        if residual <= tol * 0.01:
+            break
+        step, *_ = np.linalg.lstsq(jac, -diff, rcond=None)
+        if not np.all(np.isfinite(step)):
+            break
+        beta = beta + step
+        diff = forward_model(calibration, beta, plane) - target
+        residual = float(np.linalg.norm(diff))
+    if residual > tol:
+        raise Unreachable(
+            f"IK residual {residual:.3e} mm above tolerance {tol:.1e}"
+        )
+    if bounds is not None:
+        (xl, xh), (yl, yh) = bounds
+        if not (xl <= beta[0] <= xh and yl <= beta[1] <= yh):
+            raise Unreachable(
+                f"waypoint {beta} outside workspace bounds {bounds}"
+            )
+    return IkSolution(beta, residual)
+
+
+def plan_trajectory(calibration, targets, bounds=None) -> CutPlan:
+    """``solve_ik`` on each target in input order; the first failure aborts."""
+    targets = np.asarray(targets, dtype=float).reshape(-1, 3)
+    waypoints = np.empty((len(targets), 2))
+    residuals = np.empty(len(targets))
+    for k, t in enumerate(targets):
+        try:
+            sol = solve_ik(calibration, t, bounds=bounds)
+        except Unreachable as exc:
+            raise Unreachable(f"target {k}: {exc}", index=k) from exc
+        waypoints[k] = sol.beta
+        residuals[k] = sol.residual
+    return CutPlan(targets, waypoints, residuals)
+
+
+def spot_prediction(frame, alpha, beta, theta, phi, plane):
+    """One board observation's predicted spot, with v, d, s and p_w."""
+    v = beam_from_angles(theta, phi)
+    p_w = waypoint_position(frame, alpha, beta)
+    d = float(np.dot(plane.normal, v))
+    s = float(np.dot(plane.normal, p_w - plane.center))
+    return p_w - (s / d) * v, v, d, s, p_w
+
+
+def laser_least_squares(frame, obs):
+    """(residual, jacobian) of the laser calibration, filled one
+    observation's three rows at a time."""
+
+    def residual(x):
+        theta, phi, ax, ay = x
+        out = np.empty(3 * len(obs))
+        for k, o in enumerate(obs):
+            pred, _, _, _, _ = spot_prediction(
+                frame, (ax, ay), o.beta, theta, phi, o.plane)
+            out[3 * k:3 * k + 3] = pred - o.spot_center
+        return out
+
+    def jacobian(x):
+        theta, phi, ax, ay = x
+        jac = np.empty((3 * len(obs), 4))
+        dv = beam_angle_jacobian(theta, phi)
+        for k, o in enumerate(obs):
+            _, v, d, s, _ = spot_prediction(
+                frame, (ax, ay), o.beta, theta, phi, o.plane)
+            n = o.plane.normal
+            t = s / d
+            for col in range(2):  # theta, phi
+                dvc = dv[:, col]
+                dd = float(n @ dvc)
+                jac[3 * k:3 * k + 3, col] = (s * dd / d**2) * v - t * dvc
+            for col, axis in ((2, frame.v_x), (3, frame.v_y)):
+                jac[3 * k:3 * k + 3, col] = axis - (float(n @ axis) / d) * v
+        return jac
+
+    return residual, jacobian
+
+
+class EmptyObservations(PipelineError):
+    """Residual statistics need at least one observation."""
+
+
+def reprojection_error(calibration, observations):
+    """Per-observation distances between predicted and measured spots, plus RMS."""
+    obs = list(observations)
+    if not obs:
+        raise EmptyObservations("no observations to evaluate")
+    theta, phi = angles_from_beam(calibration.v_w)
+    res = []
+    for o in obs:
+        pred, _, _, _, _ = spot_prediction(
+            calibration.frame, calibration.alpha, o.beta, theta, phi, o.plane)
+        res.append(float(np.linalg.norm(pred - o.spot_center)))
+    res = np.array(res)
+    return res, float(np.sqrt(np.mean(res**2)))

@@ -1,27 +1,35 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from oracles import EmptyObservations, reprojection_error
 from resectsim.calibration import (
     AxisObservation,
     Correspondence2D3D,
     LaserCalibration,
+    LaserSpotObservation,
     angles_from_beam,
     beam_angle_jacobian,
     beam_from_angles,
     calibrate_laser_axes,
     calibrate_laser_orientation,
     estimate_camera_extrinsics,
-    reprojection_error,
+    laser_least_squares,
     synthesize_spot_observations,
     waypoint_position,
 )
 from resectsim.errors import (
     DegenerateAxis,
     DegenerateConfiguration,
-    EmptyObservations,
     IllConditioned,
 )
-from resectsim.geometry import ReferenceFrame, normalize
+from resectsim.geometry import PlaneFrame, ReferenceFrame, normalize
+from resectsim.io import laser_calibration_to_dict
+from resectsim.optimize import levenberg_marquardt
 from resectsim.sensors import PinholeCamera, project_world_to_image
 
 FRAME = ReferenceFrame([0.0, 0.0, 56.3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
@@ -150,6 +158,107 @@ class TestLaserOrientation:
                 rng=np.random.default_rng(seed))
             est = calibrate_laser_orientation(FRAME, obs)
             assert 0.05 <= est.residual_rms <= 0.5
+
+
+    def test_normal_solve_reports_its_stop(self):
+        truth = self.truth()
+        for sigma in (0.0, 0.1):
+            obs = synthesize_spot_observations(
+                truth, BETAS, HEIGHTS, noise_sigma=sigma,
+                rng=np.random.default_rng(3))
+            est = calibrate_laser_orientation(FRAME, obs)
+            assert est.stop in ("gradient", "step")
+            assert "stop" not in laser_calibration_to_dict(est)
+
+
+def random_rig(rng, max_tilt_deg):
+    """A frame with non-orthogonal, slightly sloped axes, and a beam leaning
+    up to ``max_tilt_deg`` from vertical."""
+    skew = rng.uniform(np.radians(60), np.radians(120))
+    frame = ReferenceFrame(
+        rng.uniform(-20, 20, 2).tolist() + [rng.uniform(20, 80)],
+        normalize([1.0, rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1)]),
+        [np.cos(skew), np.sin(skew), rng.uniform(-0.1, 0.1)])
+    tilt = np.radians(rng.uniform(0.0, max_tilt_deg))
+    azim = rng.uniform(0, 2 * np.pi)
+    v = normalize([np.sin(tilt) * np.cos(azim), np.sin(tilt) * np.sin(azim),
+                   -np.cos(tilt)])
+    return LaserCalibration(frame, rng.uniform(-5, 5, 2), v)
+
+
+class TestArrayResidualAgainstOracle:
+    """The array residual, Jacobian and synthesis give the per-observation
+    bits."""
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+           max_tilt=st.sampled_from([0.0, 30.0, 85.0]))
+    def test_residual_and_jacobian_equal_per_observation_oracle(
+            self, seed, m, max_tilt):
+        # half the boards tilted, so d = n.v differs from row to row:
+        # squaring d through pow() and through a multiply disagree in
+        # about one d of a thousand
+        rng = np.random.default_rng(seed)
+        frame = random_rig(rng, 0.0).frame
+
+        def board(k):
+            slope = rng.uniform(-0.5, 0.5, 2) if k % 2 else (0.0, 0.0)
+            return PlaneFrame([*rng.uniform(-5, 5, 2), rng.uniform(-5, 10)],
+                              [*slope, 1.0])
+
+        obs = [LaserSpotObservation(rng.uniform(-10, 10, 2), board(k),
+                                    rng.uniform(-20, 20, 3))
+               for k in range(m)]
+        tilt = np.radians(max_tilt)
+        got = laser_least_squares(frame, obs)
+        want = oracles.laser_least_squares(frame, obs)
+        for x in np.column_stack([rng.uniform(-tilt, tilt, (8, 2)),
+                                  rng.uniform(-5, 5, (8, 2))]):
+            for fn, ref in zip(got, want):
+                assert fn(x).tobytes() == ref(x).tobytes()
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1),
+           max_tilt=st.sampled_from([0.0, 30.0, 60.0]),
+           sigma=st.sampled_from([0.0, 0.05]))
+    def test_solve_equals_oracle_solve(self, seed, max_tilt, sigma):
+        rng = np.random.default_rng(seed)
+        truth = random_rig(rng, max_tilt)
+        obs = synthesize_spot_observations(
+            truth, [(-4.0, -4.0), (4.0, -4.0), (4.0, 4.0), (-4.0, 4.0)],
+            HEIGHTS, noise_sigma=sigma, rng=rng)
+        est = calibrate_laser_orientation(truth.frame, obs)
+        ref = levenberg_marquardt(
+            *oracles.laser_least_squares(truth.frame, obs), np.zeros(4))
+        assert (est.iterations, est.stop) == (ref.iterations, ref.stop)
+        assert est.v_w.tobytes() == beam_from_angles(*ref.x[:2]).tobytes()
+        assert est.alpha.tobytes() == ref.x[2:].tobytes()
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n_betas=st.integers(0, 6),
+           n_heights=st.integers(0, 5), sigma=st.sampled_from([0.0, 0.1]))
+    def test_synthesis_replays_per_observation_draws(self, seed, n_betas,
+                                                     n_heights, sigma):
+        rng = np.random.default_rng(seed)
+        truth = random_rig(rng, 45.0)
+        betas = rng.uniform(-6, 6, (n_betas, 2))
+        heights = rng.uniform(-2, 8, n_heights)
+        obs = synthesize_spot_observations(
+            truth, betas, heights, noise_sigma=sigma,
+            rng=np.random.default_rng(seed))
+        replay = np.random.default_rng(seed)
+        theta, phi = angles_from_beam(truth.v_w)
+        pairs = list(itertools.product(heights, betas))
+        assert len(obs) == len(pairs)
+        for o, (h, beta) in zip(obs, pairs):
+            plane = PlaneFrame([0.0, 0.0, h], [0.0, 0.0, 1.0])
+            spot = oracles.spot_prediction(truth.frame, truth.alpha, beta,
+                                           theta, phi, plane)[0]
+            if sigma > 0:
+                spot = spot + replay.normal(0.0, sigma, 3)
+            assert o.spot_center.tobytes() == spot.tobytes()
+            assert o.beta.tobytes() == beta.tobytes()
+            assert o.plane.center.tobytes() == plane.center.tobytes()
 
 
 class TestReprojection:

@@ -1,4 +1,4 @@
-"""Byte-identity guard: the SHA-256 of every artifact of ten fixed runs.
+"""Byte-identity guard: the SHA-256 of every artifact of eleven fixed runs.
 
 Refactors must leave artifacts byte-identical (acceptance criterion 11 run
 across versions of the code, not only across repeats). The digests below
@@ -15,8 +15,12 @@ formatted whole columns. The ROI run with the MLP classifier (two epochs,
 whose edge errors take the bucket-grid side of ``nearest_neighbor``) was
 recorded before the OCT render became band-limited and the grid search came
 in; its digests are the same with one BLAS thread and with the default
-count. A digest changes only when the artifact's bytes do; if a change is
-meant to alter an artifact, re-record its digest and say why.
+count. The trajectory run with a beam tilted 30 degrees (its calibration
+recovers a tilted beam, and every plan step moves the spot off the
+waypoint's vertical) was recorded before the plan's Newton loop and the
+laser calibration's residual became array passes. A digest changes only
+when the artifact's bytes do; if a change is meant to alter an artifact,
+re-record its digest and say why.
 """
 
 import hashlib
@@ -84,6 +88,8 @@ RUNS = {
         seed=5, profile="diode", noiseless=False)),
     "marker-fiber-noisy": (run_marker_experiment, dict(
         seed=5, profile="fiber", noiseless=False)),
+    "trajectory-diode-tilt30-noisy": (run_trajectory_experiment, dict(
+        seed=5, profile="diode", noiseless=False, tilt_deg=30.0)),
 }
 
 DIGESTS = {
@@ -270,6 +276,14 @@ DIGESTS = {
             "24ffe19f90a8771755d091f0e88e3893c2c25322b8d20769c6c568f4bf2f9ff7",
         "marker_report.json":
             "69d9d6cfdd989cc12c67a7e14f6fc7d4b5face4eb96ca3a8ddcc4829fd7bfa26",
+    },
+    "trajectory-diode-tilt30-noisy": {
+        "laser_calibration.json":
+            "6ba1a6260d932eb17ac540149cafa3133db45e848c68e9c73f9b5d3f94a808f0",
+        "trajectory_plan.csv":
+            "56415b80a67e6eb09b2deb0d8430f8c6dbd5dcf6d7ebd6da0f8d963d4885e3ed",
+        "trajectory_report.json":
+            "650d9daf1d0e2b53cfcd13b251b8fa1f1cec11a92f28f6e8b8de861359ed731f",
     },
 }
 
