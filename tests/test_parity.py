@@ -1,4 +1,4 @@
-"""Byte-identity guard: the SHA-256 of every artifact of eleven fixed runs.
+"""Byte-identity guard: the SHA-256 of every artifact of twelve fixed runs.
 
 Refactors must leave artifacts byte-identical (acceptance criterion 11 run
 across versions of the code, not only across repeats). The digests below
@@ -18,7 +18,12 @@ in; its digests are the same with one BLAS thread and with the default
 count. The trajectory run with a beam tilted 30 degrees (its calibration
 recovers a tilted beam, and every plan step moves the spot off the
 waypoint's vertical) was recorded before the plan's Newton loop and the
-laser calibration's residual became array passes. A digest changes only
+laser calibration's residual became array passes. The e2e run with the MLP
+classifier (two epochs on 20 spectra a class; the one pin on
+``mlp_model.json``, its ``scan_spectra.csv`` and its MLP verdicts) was
+recorded before the scan's spectra and verdicts became one array pass over
+the raster; its digests are the same with one BLAS thread and with the
+default count. A digest changes only
 when the artifact's bytes do; if a change is meant to alter an artifact,
 re-record its digest and say why.
 """
@@ -90,6 +95,9 @@ RUNS = {
         seed=5, profile="fiber", noiseless=False)),
     "trajectory-diode-tilt30-noisy": (run_trajectory_experiment, dict(
         seed=5, profile="diode", noiseless=False, tilt_deg=30.0)),
+    "e2e-mlp": (run_end_to_end, dict(
+        seed=5, noiseless=False, classifier="mlp", scan_points=100,
+        mlp_epochs=2, mlp_train_per_class=20)),
 }
 
 DIGESTS = {
@@ -284,6 +292,40 @@ DIGESTS = {
             "56415b80a67e6eb09b2deb0d8430f8c6dbd5dcf6d7ebd6da0f8d963d4885e3ed",
         "trajectory_report.json":
             "650d9daf1d0e2b53cfcd13b251b8fa1f1cec11a92f28f6e8b8de861359ed731f",
+    },
+    "e2e-mlp": {
+        "actual_spots.ply":
+            "73e6ae459ff8b7f0d7bebcb3fc796c89ddfb7e46dcc49c2b49daeacfd5bdfb0d",
+        "boundary.json":
+            "57cb2a21b5a5f5f77f992417f3a5fd1696daef9bb0ec4bca805a4ea5ddb8b1c0",
+        "calibration_observations.csv":
+            "a67669195e6016bb501ce9df8e3aa4d8406b604981a3d64738acd226f99433d6",
+        "camera_extrinsics.json":
+            "9af453835ca19be694a10a117de4236d744d4af6098b8ce6656e67671a685b75",
+        "cut_plan.csv":
+            "f4c3196778369bee8a52ba04acc05711edb4c278158a37e582ad1a3c70c13afb",
+        "e2e_report.json":
+            "af75c5e8542e1b7c096c64082e8259610ced5189a0bc3a5df2806b324c0a0aca",
+        "laser_calibration.json":
+            "83a8340bc81d798df5b6fa47eba3775cfd99ee47a40ce8e2d4ab16ede8e18cf1",
+        "mlp_model.json":
+            "39a787506c4100ebbbb6c27eb6e253758fd50ede555d2a1905bc1efcf8b4b3d0",
+        "oct_volume.f32":
+            "28523e990c4ff1cc464ef294ce43d87e71ba9ede1ad9d717e14074f556f0e07a",
+        "oct_volume.json":
+            "b35010ab19bc05072d09b3a8a967f7195da00470212267e827f61c807d4bac90",
+        "post_resection_surface.ply":
+            "87ff31138edbc0c2ffd9374bb8a3608371b11665c0eb85291f7a22ccd2af9d1e",
+        "region_ledger.csv":
+            "2ee95dc33ecbca1c7c11c285c9772a3257d8bd63741aad8a9c3754f964e6f577",
+        "scan_spectra.csv":
+            "e18e2e178e25bc0efbb72e2d34be9109c64f50cc0655f787add2850601d06611",
+        "scan_spectra.sidecar.json":
+            "f1d5bcb642923a8a0e54a2d53796e26a04bd9e479fddeee638068b2d9f194bd5",
+        "surface.ply":
+            "846193670f45dc0d9ed18e6fa5291836d5cbbaf43370c10bdebdc9d02816306b",
+        "tumor_map.ply":
+            "b505634e9f7b9176a8dca55f42f3019cf382991ed2572a36de1fbc84705cecf0",
     },
 }
 
