@@ -26,6 +26,8 @@ whole centred raster in one ``intersect_scene`` call, then a runner-given
 ``locate_all(measured, waypoints)`` maps the executed spots and returns the
 indices of the mapped ones with their map positions. ROI casts every
 estimated beam in one more call; e2e locates spot by spot in the cameras.
+The spectra of all mapped points are then synthesized, preprocessed and
+classified in one call each.
 
 Region comparisons follow the three-way convention: system = actual vs
 true, algorithm = predicted vs true, calibration = actual vs predicted,
@@ -98,6 +100,7 @@ from .sensors import (
 from .spectra import (
     HEALTHY,
     TUMOR,
+    UNCERTAIN,
     ThresholdClassifier,
     TrainConfig,
     classification_metrics,
@@ -391,23 +394,16 @@ def _centred_raster(cfg, scene, estimated):
                                   beta_c[1] - cfg.scan_extent[1] / 2.0))
 
 
-def _scan_label(cfg, true_label: str, k: int, model=None):
-    """(label, spectrum) of scan point ``k``.
-
-    The spectrum is synthesized from the true label; the label is the truth
-    itself for the 'perfect' classifier, else the classifier's verdict on
-    that spectrum.
-    """
-    spectrum = synth_spectrum(true_label, seed=cfg.seed * 1_000_000 + k)
+def _scan_labels(cfg, spectra, true_labels, model=None) -> list[str]:
+    """The label of every scanned spectrum: the truth itself for the
+    'perfect' classifier, else the classifier's verdict on the spectrum."""
     if cfg.classifier == "perfect":
-        return true_label, spectrum
+        return list(true_labels)
     if cfg.classifier == "threshold":
-        verdict = threshold_classify(PHANTOM_RULE, preprocess(spectrum))
-        if verdict == "uncertain":
-            verdict = cfg.uncertain_policy
-        return verdict, spectrum
-    x = preprocess(spectrum).intensities
-    return (TUMOR if mlp_predict(model, x) == 1 else HEALTHY), spectrum
+        return [cfg.uncertain_policy if v == UNCERTAIN else v
+                for v in threshold_classify(PHANTOM_RULE, preprocess(spectra))]
+    codes = mlp_predict(model, preprocess(spectra).intensities)
+    return [TUMOR if c == 1 else HEALTHY for c in codes.tolist()]
 
 
 def _raster_scan(cfg, scene, truth, estimated, model, rng, locate_all):
@@ -417,7 +413,9 @@ def _raster_scan(cfg, scene, truth, estimated, model, rng, locate_all):
     the (n, 2) commanded waypoints and returns the scan indices of the
     mapped points, ascending, and their map positions; a point left out is
     unmapped. Returns the pattern and, per mapped point in scan order, the
-    map positions, labels, true labels and spectra. Raises TooFewTumorTags
+    map positions, labels and true labels, then their spectra as one
+    (n, w) ``Spectrum``, synthesized from the true labels with seed
+    ``cfg.seed * 1_000_000 + k`` for scan point k. Raises TooFewTumorTags
     when no point maps.
     """
     pattern = _centred_raster(cfg, scene, estimated)
@@ -427,9 +425,10 @@ def _raster_scan(cfg, scene, truth, estimated, model, rng, locate_all):
         raise TooFewTumorTags(f"none of {len(pattern)} scan points mapped")
     true_labels = scene.label_at(measured[mapped, 0],
                                  measured[mapped, 1]).tolist()
-    labels, spectra = zip(*(_scan_label(cfg, true_label, k, model)
-                            for k, true_label in zip(mapped, true_labels)))
-    return pattern, spots, list(labels), true_labels, list(spectra)
+    spectra = synth_spectrum(true_labels,
+                             [cfg.seed * 1_000_000 + k for k in mapped])
+    return (pattern, spots, _scan_labels(cfg, spectra, true_labels, model),
+            true_labels, spectra)
 
 
 def _tumor_codes(labels) -> list[int]:
@@ -445,14 +444,12 @@ def _classification(labels, true_labels) -> dict:
 def _train_scan_classifier(cfg):
     """Seeded corpus + training for the 'mlp' classifier choice."""
     per_class = cfg.mlp_train_per_class
-    rows, labels = [], []
-    for c, label in enumerate((HEALTHY, TUMOR)):
-        for k in range(per_class):
-            s = synth_spectrum(label, seed=cfg.seed * 1_000_000 + 2 * k + c)
-            rows.append(preprocess(s).intensities)
-            labels.append(c)
-    x = np.array(rows)
-    y = np.array(labels)
+    spectra = synth_spectrum(
+        [HEALTHY] * per_class + [TUMOR] * per_class,
+        [cfg.seed * 1_000_000 + 2 * k + c
+         for c in (0, 1) for k in range(per_class)])
+    x = preprocess(spectra).intensities
+    y = np.repeat([0, 1], per_class)
     model, history = mlp_train(
         x, y, TrainConfig(epochs=cfg.mlp_epochs, seed=cfg.seed))
     return model, history
@@ -787,9 +784,8 @@ def _e2e_stages(cfg, out, run):
         cfg, scene, truth, estimated, model, rng_spot, locate_all)
     report["unmapped_points"] = len(pattern) - len(spots)
     artifacts["spectra"], artifacts["spectra_sidecar"] = rio.write_spectra_csv(
-        out / "scan_spectra", spectra[0].wavelengths,
-        [s.intensities for s in spectra],
-        subjects=[f"scan{cfg.seed}"] * len(spectra), labels=labels)
+        out / "scan_spectra", spectra.wavelengths, spectra.intensities,
+        subjects=[f"scan{cfg.seed}"] * len(labels), labels=labels)
     report["classification"] = _classification(labels, true_labels)
 
     yield "map"

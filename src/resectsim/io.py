@@ -5,8 +5,9 @@ segments the surface from the volume it has just written.
 
 Every writer is deterministic (fixed key order, fixed float formatting, no
 timestamps), so identical inputs produce byte-identical files. CSV floats
-use repr, which round-trips exactly. PLY floats use ``%.9g``, formatted
-once per distinct value of each column.
+use repr, which round-trips exactly; the float tables go through one
+writer, ``_write_csv_rows``, with ``csv.writer``'s comma and CRLF line end.
+PLY floats use ``%.9g``, formatted once per distinct value of each column.
 """
 
 from __future__ import annotations
@@ -23,6 +24,18 @@ from .geometry import SurfaceCloud
 from .kinematics import CutPlan
 from .sensors import BScanStream, OctConfig, OctVolume
 from .spectra import MlpModel
+
+
+def _write_csv_rows(path, rows, header=()) -> Path:
+    """A CSV header of plain names, then one line of ``repr`` per row of
+    Python numbers (``tolist()`` rows): the text ``csv.writer`` writes for
+    them, since no such name or repr holds a comma, quote or line break."""
+    path = Path(path)
+    with path.open("w", newline="") as f:
+        if header:
+            f.write(",".join(header) + "\r\n")
+        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+    return path
 
 
 def write_json(path, obj) -> Path:
@@ -143,16 +156,12 @@ def read_oct_volume(path_base) -> OctVolume:
 
 
 def write_spot_observations_csv(path, observations) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["beta_x", "beta_y", "px", "py", "pz",
-                    "nx", "ny", "nz", "sx", "sy", "sz"])
-        for o in observations:
-            w.writerow([repr(float(x)) for x in
-                        (*o.beta, *o.plane.center, *o.plane.normal,
-                         *o.spot_center)])
-    return path
+    rows = [np.concatenate((o.beta, o.plane.center, o.plane.normal,
+                            o.spot_center), dtype=float).tolist()
+            for o in observations]
+    return _write_csv_rows(
+        path, rows, header=("beta_x", "beta_y", "px", "py", "pz",
+                            "nx", "ny", "nz", "sx", "sy", "sz"))
 
 
 def laser_calibration_to_dict(calibration: LaserCalibration) -> dict:
@@ -175,15 +184,11 @@ def laser_calibration_to_dict(calibration: LaserCalibration) -> dict:
 
 
 def write_cut_plan_csv(path, plan: CutPlan) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["k", "beta_x", "beta_y", "px", "py", "pz", "residual"])
-        for k in range(len(plan)):
-            w.writerow([k] + [repr(float(x)) for x in
-                              (*plan.waypoints[k], *plan.targets[k],
-                               plan.residuals[k])])
-    return path
+    rows = np.column_stack(
+        (plan.waypoints, plan.targets, plan.residuals)).astype(float).tolist()
+    return _write_csv_rows(
+        path, ([k, *row] for k, row in enumerate(rows)),
+        header=("k", "beta_x", "beta_y", "px", "py", "pz", "residual"))
 
 
 def write_spectra_csv(path_base, wavelengths, intensity_rows,
@@ -193,12 +198,9 @@ def write_spectra_csv(path_base, wavelengths, intensity_rows,
     The JSON sidecar carries one {subject, label} record per spectrum row.
     """
     base = Path(path_base)
-    csv_path = base.with_suffix(".csv")
-    with csv_path.open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([repr(float(x)) for x in wavelengths])
-        for row in np.asarray(intensity_rows, dtype=float):
-            w.writerow([repr(float(x)) for x in row])
+    csv_path = _write_csv_rows(base.with_suffix(".csv"), [
+        np.asarray(wavelengths, dtype=float).tolist(),
+        *np.asarray(intensity_rows, dtype=float).tolist()])
     sidecar = write_json(base.with_suffix(".sidecar.json"), [
         {"subject": str(s), "label": str(l)}
         for s, l in zip(subjects, labels)

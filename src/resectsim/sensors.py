@@ -23,7 +23,13 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import BehindCamera, EmptySurface, NoRayHit, WindowOutOfDomain
+from .errors import (
+    BehindCamera,
+    EmptySurface,
+    LengthMismatch,
+    NoRayHit,
+    WindowOutOfDomain,
+)
 from .geometry import SurfaceCloud, as_vec3, normalize, points_in_polygon
 from .spectra import HEALTHY, TUMOR, Spectrum
 
@@ -445,24 +451,36 @@ class SpectrumConfig:
 _CLASS_CODE = {HEALTHY: 0, TUMOR: 1}
 
 
-def synth_spectrum(label: str, seed: int,
-                   cfg: SpectrumConfig = SpectrumConfig()) -> Spectrum:
-    """Deterministic class-conditional spectrum for (label, seed)."""
-    if label not in _CLASS_CODE:
+def synth_spectrum(label, seed, cfg: SpectrumConfig = SpectrumConfig()
+                   ) -> Spectrum:
+    """Deterministic class-conditional spectrum for (label, seed), or one
+    row per pair of two equal-length sequences. Each row draws its jitter,
+    then its per-bin noise, from its own ``default_rng([seed, class code])``.
+    """
+    single = isinstance(label, str)
+    labels, seeds = ([label], [seed]) if single else (list(label), list(seed))
+    if len(labels) != len(seeds):
+        raise LengthMismatch(f"{len(labels)} labels for {len(seeds)} seeds")
+    if not set(labels) <= _CLASS_CODE.keys():
         raise ValueError(f"label must be one of {sorted(_CLASS_CODE)}")
     wl = cfg.wavelengths()
-    amps = cfg.healthy_amps if label == HEALTHY else cfg.tumor_amps
-    base = np.zeros_like(wl)
-    for a, c, w in zip(amps, cfg.centers, cfg.widths):
-        base += a * np.exp(-((wl - c) ** 2) / (2.0 * w * w))
-    base *= cfg.scale
+    bases = np.zeros((2, len(wl)))  # rows in class-code order
+    for base, amps in zip(bases, (cfg.healthy_amps, cfg.tumor_amps)):
+        for a, c, w in zip(amps, cfg.centers, cfg.widths):
+            base += a * np.exp(-((wl - c) ** 2) / (2.0 * w * w))
+    bases *= cfg.scale
 
-    rng = np.random.default_rng([int(seed), _CLASS_CODE[label]])
+    codes = [_CLASS_CODE[lab] for lab in labels]
+    rngs = [np.random.default_rng([int(s), c]) for s, c in zip(seeds, codes)]
+    rows = bases[codes]
     if cfg.jitter_sigma > 0:
-        base = base * np.exp(rng.normal(0.0, cfg.jitter_sigma))
+        rows = rows * np.exp([r.normal(0.0, cfg.jitter_sigma)
+                              for r in rngs])[:, None]
     if cfg.noise_sigma > 0:
-        base = base + rng.normal(0.0, cfg.noise_sigma, size=base.shape)
-    return Spectrum(wl, np.clip(base, 0.0, None), state="raw")
+        rows = rows + np.reshape([r.normal(0.0, cfg.noise_sigma, len(wl))
+                                  for r in rngs], rows.shape)
+    rows = np.clip(rows, 0.0, None)
+    return Spectrum(wl, rows[0] if single else rows, state="raw")
 
 
 def intersect_scene(origins, direction, scene: ScenePhantom) -> np.ndarray:

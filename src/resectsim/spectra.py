@@ -37,7 +37,11 @@ CONFIDENCE_FRACTION = 0.10  # fit_threshold's half-width over the band-mean rang
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Intensity vs wavelength (nm), plus a preprocessing state flag."""
+    """Intensity vs wavelength (nm), plus a preprocessing state flag.
+
+    ``intensities`` is one spectrum, (w,), or n spectra on the same grid as
+    the rows of an (n, w) array; every function here takes either form.
+    """
 
     wavelengths: np.ndarray
     intensities: np.ndarray
@@ -45,8 +49,10 @@ class Spectrum:
 
     def __post_init__(self):
         wl = np.asarray(self.wavelengths, dtype=float).reshape(-1)
-        it = np.asarray(self.intensities, dtype=float).reshape(-1)
-        if wl.shape != it.shape:
+        it = np.asarray(self.intensities, dtype=float)
+        if it.ndim != 2:
+            it = it.reshape(-1)
+        if it.shape[-1] != len(wl):
             raise ValueError("wavelengths and intensities must have equal length")
         if len(wl) and np.any(np.diff(wl) <= 0):
             raise ValueError("wavelengths must be strictly increasing")
@@ -99,17 +105,18 @@ def savgol_weights(window: int, polyorder: int) -> np.ndarray:
 
 
 def savgol_smooth(x: np.ndarray, window: int, polyorder: int) -> np.ndarray:
-    """Savitzky-Golay smoothing of a 1-D signal with mirror padding.
+    """Savitzky-Golay smoothing along the last axis, with mirror padding.
 
-    Needs ``len(x) >= window``; see ``preprocess`` for the summation order.
+    Needs ``x.shape[-1] >= window``; see ``preprocess`` for the summation
+    order, which each row keeps.
     """
     w = savgol_weights(window, polyorder)
     h = window // 2
-    n = len(x)
-    xp = np.pad(x, h, mode="reflect")
-    out = xp[h:h + n] * w[h]
+    n = x.shape[-1]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(h, h)], mode="reflect")
+    out = xp[..., h:h + n] * w[h]
     for j in range(h, 0, -1):
-        out += (xp[h - j:h - j + n] + xp[h + j:h + j + n]) * w[h - j]
+        out += (xp[..., h - j:h - j + n] + xp[..., h + j:h + j + n]) * w[h - j]
     return out
 
 
@@ -125,7 +132,9 @@ def preprocess(s: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spect
     weights, ``h`` the half window and ``xp`` the padded signal,
     ``out = xp[h:h+n] * w[h]``, then for ``j = h`` down to 1,
     ``out += (xp[h-j:h-j+n] + xp[h+j:h+j+n]) * w[h-j]``. Tiny smoothing
-    undershoots are clipped at zero.
+    undershoots are clipped at zero. Each row of an (n, w) batch goes
+    through the same elementwise steps as a one-row call, so its bits are
+    the same.
     """
     if s.state != "raw":
         raise ValueError("preprocess expects a raw spectrum")
@@ -134,12 +143,12 @@ def preprocess(s: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spect
     if not np.any(keep):
         raise EmptyBand(f"band [{lo}, {hi}] nm misses the wavelength grid")
     wl = s.wavelengths[keep]
-    it = s.intensities[keep]
-    m = float(it.max())
-    if m == 0.0:
+    it = np.ascontiguousarray(s.intensities[..., keep])
+    m = it.max(axis=-1, keepdims=True)
+    if np.any(m == 0.0):
         raise AllZero("spectrum is identically zero in the band")
     it = it / m
-    if len(it) < cfg.window:
+    if len(wl) < cfg.window:
         raise ValueError("band too narrow for the smoothing window")
     it = savgol_smooth(it, cfg.window, cfg.polyorder)
     it = np.clip(it, 0.0, None)
@@ -167,27 +176,33 @@ class ThresholdClassifier:
             raise ValueError("tumor_side must be 'low' or 'high'")
 
 
-def band_mean(s: Spectrum, bands) -> float:
-    """Mean intensity over the union of the given wavelength bands."""
+def band_mean(s: Spectrum, bands):
+    """Mean intensity over the union of the given wavelength bands: a float
+    for one spectrum, an (n,) array for n.
+
+    The selected columns are copied to C order first: ``x[:, mask]`` is an
+    F-ordered copy, whose row means sum in another order than the 1-D mean.
+    """
     sel = np.zeros(len(s.wavelengths), dtype=bool)
     for lo, hi in bands:
         sel |= (s.wavelengths >= lo) & (s.wavelengths <= hi)
     if not np.any(sel):
         raise EmptyBand("no wavelength falls inside the classifier bands")
-    return float(s.intensities[sel].mean())
+    means = np.ascontiguousarray(s.intensities[..., sel]).mean(axis=-1)
+    return float(means) if means.ndim == 0 else means
 
 
-def threshold_classify(clf: ThresholdClassifier, s: Spectrum) -> str:
-    """Classify one preprocessed spectrum as tumor, healthy, or uncertain."""
+def threshold_classify(clf: ThresholdClassifier, s: Spectrum):
+    """Classify a preprocessed spectrum as tumor, healthy, or uncertain: one
+    verdict for one spectrum, a list of n for n."""
     if s.state != "preprocessed":
         raise ValueError("threshold_classify expects a preprocessed spectrum")
-    m = band_mean(s, clf.bands)
-    if abs(m - clf.threshold) <= clf.half_width:
-        return UNCERTAIN
+    m = np.asarray(band_mean(s, clf.bands))
     below = m < clf.threshold
-    if (below and clf.tumor_side == "low") or (not below and clf.tumor_side == "high"):
-        return TUMOR
-    return HEALTHY
+    tumor = below if clf.tumor_side == "low" else ~below
+    verdicts = np.where(np.abs(m - clf.threshold) <= clf.half_width,
+                        UNCERTAIN, np.where(tumor, TUMOR, HEALTHY))
+    return verdicts.tolist()
 
 
 def fit_threshold(tumor_spectra, healthy_spectra, bands) -> ThresholdClassifier:
@@ -388,15 +403,85 @@ def mlp_train(x: np.ndarray, y: np.ndarray,
     return model, history
 
 
+PREDICT_BLOCK = 256  # rows per batched forward pass: bounds its memory
+TIE_MARGIN = 2.0**-30  # a logit gap past which probabilities cannot tie
+
+
+def _verdicts(logits: np.ndarray) -> np.ndarray:
+    return np.exp(_log_softmax(logits)).argmax(axis=1)
+
+
+def _error_terms(model: MlpModel) -> list[tuple[float, float, float]]:
+    """Per layer: gamma_k, the largest column sum of |W| and
+    gamma_k max|b| + k subnormals (see ``mlp_predict``)."""
+    u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
+    terms = []
+    for w, b in zip(model.weights, model.biases):
+        k = len(w) + 1
+        g = k * u / (1.0 - k * u)
+        terms.append((g, np.abs(w).sum(axis=0).max(initial=0.0),
+                      g * np.abs(b).max(initial=0.0) + k * eta))
+    return terms
+
+
+def _logit_error(terms, acts) -> np.ndarray:
+    """E_L of ``mlp_predict`` per row, from one computed forward pass."""
+    e = np.zeros(len(acts[0]))
+    for h, (g, col, bias) in zip(acts, terms):
+        e = (g * np.abs(h).max(axis=1, initial=0.0)
+             + (1.0 + 2.0 * g) * e) * col + bias
+    return e
+
+
 def mlp_predict(model: MlpModel, x) -> np.ndarray:
-    """Normalize with the stored stats and return argmax labels."""
+    """Normalize with the stored stats and return argmax labels: one for a
+    1-D ``x``, one per row of an (n, w) ``x``, each exactly what a one-row
+    call returns.
+
+    Rows run ``PREDICT_BLOCK`` at a time. A batched product sums in another
+    order than a one-row one, so any row whose label that difference could
+    flip is run again alone. The bound, with u = 2^-53 and E_0 = 0: a
+    k-term dot product computed in any order is off by at most
+    gamma_k |x|.|y|, gamma_k = ku / (1 - ku) (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 3.5), plus k subnormals for
+    underflow.
+    Layer i sums k_i = rows of W_i + 1 terms for h W + b. If E_{i-1} bounds
+    both passes' error in h against exact arithmetic (ReLU is 1-Lipschitz),
+    either pass's |h| is at most |h_hat| + 2 E_{i-1}, so
+    E_i = gamma_{k_i} ((|h_hat| + 2 E_{i-1}) |W_i| + |b_i|) + E_{i-1} |W_i|
+    bounds both at layer i; as v |W| <= max(v) c_i, c_i the largest column
+    sum of |W_i|, one number a row is carried. The passes' logit gaps then
+    differ by at most 4 E_L. Past ``TIE_MARGIN`` a gap fixes the label: the
+    two probabilities differ by a relative 2^-31 or more, far above the
+    few-ulp error of ``exp``, so they cannot round to a tie. A row is kept
+    when |gap| > 8 E_L + ``TIE_MARGIN``; the factor 2 covers the rounding of
+    the bound's own non-negative sums and of the gap, relative errors near
+    L gamma_k (about 5e-13 at these widths). Every other row, and every row
+    with a non-finite logit, is run alone.
+    """
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    probs = mlp_forward(model, (arr - model.norm_mean) / model.norm_std)
-    labels = probs.argmax(axis=1)
-    return labels[0] if single else labels
+    xn = (np.atleast_2d(arr) - model.norm_mean) / model.norm_std
+    if xn.shape[1] != model.weights[0].shape[0]:
+        raise ShapeMismatch(
+            f"input width {xn.shape[1]} != model width {model.weights[0].shape[0]}"
+        )
+    if len(xn) == 1:
+        labels = _verdicts(_forward_cached(model, xn)[-1])
+        return labels[0] if single else labels
+    terms = _error_terms(model)
+    labels = np.empty(len(xn), dtype=np.intp)
+    for start in range(0, len(xn), PREDICT_BLOCK):
+        block = xn[start:start + PREDICT_BLOCK]
+        acts = _forward_cached(model, block)
+        logits = acts[-1]
+        labels[start:start + len(block)] = _verdicts(logits)
+        sure = np.abs(logits[:, 1] - logits[:, 0]) > (
+            8.0 * _logit_error(terms, acts) + TIE_MARGIN)
+        for i in np.flatnonzero(~(sure & np.isfinite(logits).all(axis=1))):
+            labels[start + i] = _verdicts(
+                _forward_cached(model, block[i:i + 1])[-1])[0]
+    return labels
 
 
 def _relu_pattern(model: MlpModel, x: np.ndarray):

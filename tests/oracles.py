@@ -21,9 +21,18 @@ per-target plan that the array Newton loop in ``kinematics`` replaced, with
 the ``Ray``-based forward model they stepped through. ``spot_prediction``,
 ``laser_least_squares`` and ``reprojection_error`` predict one board
 observation at a time, as the laser calibration did before its residual and
-Jacobian became array expressions.
+Jacobian became array expressions. ``synth_spectrum``, ``preprocess`` (with
+its 1-D ``savgol_smooth``), ``band_mean``, ``threshold_classify`` and
+``mlp_predict`` are the one-spectrum bodies that the (n, w) versions in
+``sensors`` and ``spectra`` replaced, which the harness called once per scan
+point; ``mlp_predict`` normalizes and runs the forward pass on one call's
+rows together, so a batch through it is one batched pass, not n one-row
+ones. ``write_spot_observations_csv``, ``write_cut_plan_csv`` and
+``write_spectra_csv`` are the ``csv.writer`` bodies that
+``io._write_csv_rows`` replaced.
 """
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +44,8 @@ from resectsim.calibration import (
     waypoint_position,
 )
 from resectsim.errors import (
+    AllZero,
+    EmptyBand,
     EmptyCloud,
     EmptySurface,
     NoRayHit,
@@ -51,8 +62,22 @@ from resectsim.geometry import (
     ray_plane_intersect,
 )
 from resectsim.kinematics import IK_TOLERANCE, CutPlan, IkSolution
-from resectsim.sensors import RAY_SAMPLES, RAY_T_MAX
-from resectsim.spectra import HEALTHY
+from resectsim.io import write_json
+from resectsim.sensors import (
+    _CLASS_CODE,
+    RAY_SAMPLES,
+    RAY_T_MAX,
+    SpectrumConfig,
+)
+from resectsim.spectra import (
+    HEALTHY,
+    TUMOR,
+    UNCERTAIN,
+    PreprocessConfig,
+    Spectrum,
+    mlp_forward,
+    savgol_weights,
+)
 
 
 def point_on_segment(p, a, b, eps: float = EDGE_EPS) -> bool:
@@ -413,3 +438,132 @@ def reprojection_error(calibration, observations):
         res.append(float(np.linalg.norm(pred - o.spot_center)))
     res = np.array(res)
     return res, float(np.sqrt(np.mean(res**2)))
+
+
+def synth_spectrum(label: str, seed: int,
+                   cfg: SpectrumConfig = SpectrumConfig()) -> Spectrum:
+    """Deterministic class-conditional spectrum for (label, seed)."""
+    if label not in _CLASS_CODE:
+        raise ValueError(f"label must be one of {sorted(_CLASS_CODE)}")
+    wl = cfg.wavelengths()
+    amps = cfg.healthy_amps if label == HEALTHY else cfg.tumor_amps
+    base = np.zeros_like(wl)
+    for a, c, w in zip(amps, cfg.centers, cfg.widths):
+        base += a * np.exp(-((wl - c) ** 2) / (2.0 * w * w))
+    base *= cfg.scale
+
+    rng = np.random.default_rng([int(seed), _CLASS_CODE[label]])
+    if cfg.jitter_sigma > 0:
+        base = base * np.exp(rng.normal(0.0, cfg.jitter_sigma))
+    if cfg.noise_sigma > 0:
+        base = base + rng.normal(0.0, cfg.noise_sigma, size=base.shape)
+    return Spectrum(wl, np.clip(base, 0.0, None), state="raw")
+
+
+def savgol_smooth(x: np.ndarray, window: int, polyorder: int) -> np.ndarray:
+    """Savitzky-Golay smoothing of a 1-D signal with mirror padding."""
+    w = savgol_weights(window, polyorder)
+    h = window // 2
+    n = len(x)
+    xp = np.pad(x, h, mode="reflect")
+    out = xp[h:h + n] * w[h]
+    for j in range(h, 0, -1):
+        out += (xp[h - j:h - j + n] + xp[h + j:h + j + n]) * w[h - j]
+    return out
+
+
+def preprocess(s: Spectrum, cfg: PreprocessConfig = PreprocessConfig()) -> Spectrum:
+    """Crop to the configured band, divide by the band maximum, then smooth."""
+    if s.state != "raw":
+        raise ValueError("preprocess expects a raw spectrum")
+    lo, hi = cfg.band
+    keep = (s.wavelengths >= lo) & (s.wavelengths <= hi)
+    if not np.any(keep):
+        raise EmptyBand(f"band [{lo}, {hi}] nm misses the wavelength grid")
+    wl = s.wavelengths[keep]
+    it = s.intensities[keep]
+    m = float(it.max())
+    if m == 0.0:
+        raise AllZero("spectrum is identically zero in the band")
+    it = it / m
+    if len(it) < cfg.window:
+        raise ValueError("band too narrow for the smoothing window")
+    it = savgol_smooth(it, cfg.window, cfg.polyorder)
+    it = np.clip(it, 0.0, None)
+    return Spectrum(wl, it, state="preprocessed")
+
+
+def band_mean(s: Spectrum, bands) -> float:
+    """Mean intensity over the union of the given wavelength bands."""
+    sel = np.zeros(len(s.wavelengths), dtype=bool)
+    for lo, hi in bands:
+        sel |= (s.wavelengths >= lo) & (s.wavelengths <= hi)
+    if not np.any(sel):
+        raise EmptyBand("no wavelength falls inside the classifier bands")
+    return float(s.intensities[sel].mean())
+
+
+def threshold_classify(clf, s: Spectrum) -> str:
+    """Classify one preprocessed spectrum as tumor, healthy, or uncertain."""
+    if s.state != "preprocessed":
+        raise ValueError("threshold_classify expects a preprocessed spectrum")
+    m = band_mean(s, clf.bands)
+    if abs(m - clf.threshold) <= clf.half_width:
+        return UNCERTAIN
+    below = m < clf.threshold
+    if (below and clf.tumor_side == "low") or (not below and clf.tumor_side == "high"):
+        return TUMOR
+    return HEALTHY
+
+
+def mlp_predict(model, x) -> np.ndarray:
+    """Normalize with the stored stats and return argmax labels."""
+    arr = np.asarray(x, dtype=float)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[None, :]
+    probs = mlp_forward(model, (arr - model.norm_mean) / model.norm_std)
+    labels = probs.argmax(axis=1)
+    return labels[0] if single else labels
+
+
+def write_spot_observations_csv(path, observations) -> Path:
+    path = Path(path)
+    with path.open("w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["beta_x", "beta_y", "px", "py", "pz",
+                    "nx", "ny", "nz", "sx", "sy", "sz"])
+        for o in observations:
+            w.writerow([repr(float(x)) for x in
+                        (*o.beta, *o.plane.center, *o.plane.normal,
+                         *o.spot_center)])
+    return path
+
+
+def write_cut_plan_csv(path, plan: CutPlan) -> Path:
+    path = Path(path)
+    with path.open("w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["k", "beta_x", "beta_y", "px", "py", "pz", "residual"])
+        for k in range(len(plan)):
+            w.writerow([k] + [repr(float(x)) for x in
+                              (*plan.waypoints[k], *plan.targets[k],
+                               plan.residuals[k])])
+    return path
+
+
+def write_spectra_csv(path_base, wavelengths, intensity_rows,
+                      subjects, labels) -> tuple[Path, Path]:
+    """First CSV row is the wavelength grid; each later row one spectrum."""
+    base = Path(path_base)
+    csv_path = base.with_suffix(".csv")
+    with csv_path.open("w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([repr(float(x)) for x in wavelengths])
+        for row in np.asarray(intensity_rows, dtype=float):
+            w.writerow([repr(float(x)) for x in row])
+    sidecar = write_json(base.with_suffix(".sidecar.json"), [
+        {"subject": str(s), "label": str(l)}
+        for s, l in zip(subjects, labels)
+    ])
+    return csv_path, sidecar

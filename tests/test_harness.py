@@ -13,6 +13,7 @@ from resectsim.errors import (
     EmptySurface,
     TooFewTumorTags,
 )
+from resectsim import harness
 from resectsim.harness import (
     PROFILES,
     ExperimentConfig,
@@ -23,12 +24,14 @@ from resectsim.harness import (
     _default_cameras,
     _estimate_cameras,
     _run_stages,
+    _scan_labels,
     _scan_volume,
     _spot_error,
     render_camera_image,
     truth_calibration,
 )
-from resectsim.sensors import OctConfig, ScenePhantom
+from resectsim.sensors import OctConfig, ScenePhantom, synth_spectrum
+from resectsim.spectra import ThresholdClassifier, band_mean, preprocess
 
 import oracles
 
@@ -377,3 +380,25 @@ def test_camera_image_matches_label_palette_oracle(spec):
     for camera in _default_cameras():
         assert np.array_equal(render_camera_image(scene, camera, cfg),
                               oracles.render_camera_image(scene, camera, cfg))
+
+
+@pytest.mark.parametrize("policy", ["healthy", "tumor"])
+def test_threshold_scan_labels_map_uncertain_to_the_policy(monkeypatch,
+                                                            policy):
+    true_labels = ["tumor", "healthy", "tumor", "healthy", "tumor"]
+    spectra = synth_spectrum(true_labels, [11, 12, 13, 14, 15])
+    bands = harness.PHANTOM_RULE.bands
+    # a rule whose threshold is row 2's band mean exactly: row 2 is uncertain
+    rule = ThresholdClassifier(bands, band_mean(preprocess(spectra), bands)[2],
+                               0.0, "low")
+    monkeypatch.setattr(harness, "PHANTOM_RULE", rule)
+    cfg = ExperimentConfig(seed=1, classifier="threshold",
+                           uncertain_policy=policy)
+    got = _scan_labels(cfg, spectra, true_labels)
+    want = [oracles.threshold_classify(
+        rule, oracles.preprocess(oracles.synth_spectrum(lab, seed)))
+        for lab, seed in zip(true_labels, [11, 12, 13, 14, 15])]
+    assert want[2] == "uncertain" and "uncertain" not in want[:2] + want[3:]
+    assert got == want[:2] + [policy] + want[3:]
+    perfect = ExperimentConfig(seed=1, classifier="perfect")
+    assert _scan_labels(perfect, spectra, true_labels) == true_labels

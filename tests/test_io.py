@@ -1,5 +1,6 @@
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,6 +134,56 @@ class TestCsv:
         assert np.array_equal(rrows, rows)
         assert subj == ["m1", "m1", "m2"]
         assert lab == ["tumor", "healthy", "tumor"]
+
+
+@st.composite
+def float_tables(draw, width):
+    """(n, width) floats: the special values above mixed with any float,
+    subnormals, infinities and nan included."""
+    n = draw(st.integers(0, 6))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                  st.floats(allow_nan=True, allow_infinity=True,
+                            allow_subnormal=True)),
+        min_size=n * width, max_size=n * width))
+    return np.array(values, dtype=float).reshape(n, width)
+
+
+class TestCsvAgainstOracle:
+    """The three float-table writers give the ``csv.writer`` bytes."""
+
+    @given(float_tables(11))
+    def test_spot_observations(self, table):
+        obs = [SimpleNamespace(beta=row[:2], spot_center=row[8:],
+                               plane=SimpleNamespace(center=row[2:5],
+                                                     normal=row[5:8]))
+               for row in table]
+        with tempfile.TemporaryDirectory() as d:
+            got = rio.write_spot_observations_csv(Path(d) / "a.csv", obs)
+            want = oracles.write_spot_observations_csv(Path(d) / "b.csv", obs)
+            assert got.read_bytes() == want.read_bytes()
+
+    @given(float_tables(6))
+    def test_cut_plan(self, table):
+        plan = CutPlan(table[:, 2:5], table[:, :2], table[:, 5])
+        with tempfile.TemporaryDirectory() as d:
+            got = rio.write_cut_plan_csv(Path(d) / "a.csv", plan)
+            want = oracles.write_cut_plan_csv(Path(d) / "b.csv", plan)
+            assert got.read_bytes() == want.read_bytes()
+
+    @given(float_tables(5), st.booleans())
+    def test_spectra(self, table, as_list):
+        wl, rows = table[:1].reshape(-1), table[1:]
+        labels = ["tumor"] * len(rows)
+        if as_list:
+            rows = list(rows)
+        with tempfile.TemporaryDirectory() as d:
+            got = rio.write_spectra_csv(Path(d) / "a", wl, rows,
+                                        labels, labels)
+            want = oracles.write_spectra_csv(Path(d) / "b", wl, rows,
+                                             labels, labels)
+            for g, w in zip(got, want):
+                assert g.read_bytes() == w.read_bytes()
 
 
 class TestModels:

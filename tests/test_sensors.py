@@ -10,6 +10,7 @@ from resectsim import io as rio
 from resectsim.errors import (
     BehindCamera,
     EmptySurface,
+    LengthMismatch,
     NoRayHit,
     WindowOutOfDomain,
 )
@@ -558,6 +559,30 @@ class TestSynthSpectrum:
         for a, c, w in zip(cfg.healthy_amps, cfg.centers, cfg.widths):
             expect += a * np.exp(-((wl - c) ** 2) / (2 * w * w))
         assert np.allclose(s.intensities, expect, atol=1e-15)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.sampled_from(["healthy", "tumor"]),
+                              st.integers(0, 2**70)), max_size=12),
+           st.sampled_from([0.0, 0.01, 0.3]), st.sampled_from([0.0, 0.05, 2.0]),
+           st.sampled_from([1.0, 1e-3, 1e5]))
+    def test_rows_match_one_row_oracle(self, pairs, noise, jitter, scale):
+        cfg = SpectrumConfig(noise_sigma=noise, jitter_sigma=jitter,
+                             scale=scale)
+        labels = [lab for lab, _ in pairs]
+        seeds = [seed for _, seed in pairs]
+        got = synth_spectrum(labels, seeds, cfg)
+        assert got.intensities.shape == (len(pairs), 351)
+        for row, (lab, seed) in zip(got.intensities, pairs):
+            want = oracles.synth_spectrum(lab, seed, cfg).intensities
+            assert row.tobytes() == want.tobytes()
+            one = synth_spectrum(lab, seed, cfg).intensities
+            assert one.tobytes() == want.tobytes()
+
+    def test_batch_rejects_unknown_label_and_length_mismatch(self):
+        with pytest.raises(ValueError, match="label must be one of"):
+            synth_spectrum(["tumor", "necrosis"], [1, 2])
+        with pytest.raises(LengthMismatch):
+            synth_spectrum(["tumor"], [1, 2])
 
     def test_class_separation_many_seeds(self):
         # Monte-Carlo: the class gap in the discriminative band must dwarf

@@ -16,6 +16,7 @@ from resectsim.errors import (
     TooFewSubjects,
 )
 from resectsim.spectra import (
+    PREDICT_BLOCK,
     MlpModel,
     PreprocessConfig,
     Spectrum,
@@ -36,6 +37,8 @@ from resectsim.spectra import (
     savgol_weights,
     threshold_classify,
 )
+
+import oracles
 
 WL = np.arange(350.0, 701.0)
 DBL_EPSILON = np.finfo(float).eps
@@ -97,6 +100,30 @@ class TestPreprocess:
     def test_rejects_preprocessed_input(self):
         with pytest.raises(ValueError):
             preprocess(pre_spectrum(1.0))
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 7), st.integers(0, 2**32 - 1),
+           st.sampled_from([(11, 3), (5, 2), (21, 0), (3, 1)]),
+           st.sampled_from([(450.0, 750.0), (360.0, 400.0), (0.0, 1e4)]))
+    def test_rows_match_one_row_oracle(self, n, seed, smoothing, band):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(0.0, 1.0, (n, len(WL))) * 10.0 ** rng.uniform(
+            -300, 300, (n, 1))
+        rows[rng.uniform(size=rows.shape) < 0.2] = 0.0
+        cfg = PreprocessConfig(band=band, window=smoothing[0],
+                               polyorder=smoothing[1])
+        got = preprocess(Spectrum(WL, rows), cfg)
+        assert got.intensities.flags.c_contiguous
+        for row, want in zip(got.intensities, rows):
+            want = oracles.preprocess(Spectrum(WL, want), cfg)
+            assert np.array_equal(got.wavelengths, want.wavelengths)
+            assert row.tobytes() == want.intensities.tobytes()
+
+    def test_any_zero_row_raises(self):
+        rows = np.ones((3, len(WL)))
+        rows[1] = 0.0
+        with pytest.raises(AllZero):
+            preprocess(Spectrum(WL, rows))
 
 
 def scipy_weights(window, polyorder):
@@ -189,6 +216,39 @@ class TestThreshold:
         with pytest.raises(EmptyBand):
             threshold_classify(clf, pre_spectrum(0.4))
 
+    @pytest.mark.parametrize("bands", [((495.0, 570.0),),
+                                       ((360.0, 380.0), (600.0, 690.0))])
+    def test_batched_band_means_equal_one_row_bit_for_bit(self, bands):
+        # without the C-order copy, 2,195 of these 3,000 means differ
+        rows = np.random.default_rng(3).uniform(0.0, 1.0, (3000, len(WL)))
+        got = band_mean(Spectrum(WL, rows, state="preprocessed"), bands)
+        want = [oracles.band_mean(Spectrum(WL, r, state="preprocessed"), bands)
+                for r in rows]
+        assert got.tobytes() == np.array(want).tobytes()
+        one = band_mean(Spectrum(WL, rows[0], state="preprocessed"), bands)
+        assert type(one) is float and one == want[0]
+
+    @pytest.mark.parametrize("half_width", [0.0, 0.02])
+    @pytest.mark.parametrize("side", ["low", "high"])
+    def test_batch_matches_one_row_oracle(self, half_width, side):
+        bands = ((495.0, 570.0),)
+        rows = np.random.default_rng(4).uniform(0.3, 0.7, (500, len(WL)))
+        rows[7] = 0.5  # mean exactly at the threshold
+        batch = Spectrum(WL, rows, state="preprocessed")
+        means = band_mean(batch, bands)
+        rows[8] = rows[9] = 0.0
+        rows[8, 145:221] = 1.0  # 495-570 nm
+        rows[9, 145:221] = 0.3
+        clf = ThresholdClassifier(bands, 0.5, half_width, side)
+        got = threshold_classify(clf, Spectrum(WL, rows, state="preprocessed"))
+        want = [oracles.threshold_classify(
+            clf, Spectrum(WL, r, state="preprocessed")) for r in rows]
+        assert got == want
+        assert got[7] == "uncertain" and means[7] == 0.5
+        assert "uncertain" not in (got[8], got[9])
+        assert threshold_classify(clf, Spectrum(WL, rows[7], state="preprocessed")
+                                  ) == "uncertain"
+
 
 def tiny_model(width=10, seed=0):
     return init_mlp(width, hidden=(16, 8, 4), seed=seed)
@@ -255,6 +315,62 @@ class TestMlp:
         assert h1 == h2
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
+
+    def test_tied_rows_are_recomputed_one_at_a_time(self, monkeypatch):
+        # zero top-layer weights: every logit is the top bias, so with a
+        # zero bias every row ties exactly and is recomputed on its own
+        m = tiny_model(seed=2)
+        m.weights[-1][:] = 0.0
+        x = np.random.default_rng(5).normal(size=(PREDICT_BLOCK + 44, 10))
+        calls = []
+        forward = spectra._forward_cached
+        monkeypatch.setattr(spectra, "_forward_cached",
+                            lambda model, h: calls.append(len(h))
+                            or forward(model, h))
+        got = mlp_predict(m, x)
+        assert calls == [PREDICT_BLOCK] + [1] * PREDICT_BLOCK + [44] + [1] * 44
+        want = [oracles.mlp_predict(m, row) for row in x]
+        assert got.tolist() == want == [0] * len(x)
+        calls.clear()
+        m.biases[-1][:] = [0.0, 1.0]  # a gap of 1: nothing to recompute
+        assert mlp_predict(m, x).tolist() == [1] * len(x)
+        assert calls == [PREDICT_BLOCK, 44]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_rows_are_recomputed(self, monkeypatch):
+        m = tiny_model(seed=3)
+        x = np.random.default_rng(6).normal(size=(5, 10))
+        x[2, 4] = np.nan
+        x[3, 0] = np.inf
+        calls = []
+        forward = spectra._forward_cached
+        monkeypatch.setattr(spectra, "_forward_cached",
+                            lambda model, h: calls.append(len(h))
+                            or forward(model, h))
+        got = mlp_predict(m, x)
+        assert calls == [5, 1, 1]
+        assert got.tolist() == [oracles.mlp_predict(m, row) for row in x]
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 12), st.lists(st.integers(1, 24), max_size=3),
+           st.integers(0, 2**32 - 1), st.integers(0, 2 * PREDICT_BLOCK + 3),
+           st.floats(-3.0, 3.0))
+    def test_batch_equals_stacked_one_row_calls(self, width, hidden, seed, n,
+                                                log_scale):
+        m = init_mlp(width, hidden=tuple(hidden), seed=seed)
+        rng = np.random.default_rng(seed)
+        m.norm_mean, m.norm_std = rng.normal(), rng.uniform(0.5, 2.0)
+        x = rng.normal(size=(n, width)) * 10.0 ** log_scale
+        got = mlp_predict(m, x)
+        assert got.tolist() == [int(mlp_predict(m, row)) for row in x]
+        assert got.tolist() == [int(oracles.mlp_predict(m, row)) for row in x]
+        # the bound holds: batched and one-row logits differ by at most 2E
+        xn = (x[:PREDICT_BLOCK] - m.norm_mean) / m.norm_std
+        acts = spectra._forward_cached(m, xn)
+        err = spectra._logit_error(spectra._error_terms(m), acts)
+        for i, row in enumerate(xn):
+            one = spectra._forward_cached(m, row[None, :])[-1][0]
+            assert np.all(np.abs(acts[-1][i] - one) <= 2.0 * err[i])
 
     def test_single_class_rejected(self):
         x = np.ones((4, 10))
