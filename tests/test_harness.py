@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from resectsim import harness
 from resectsim.errors import (
     BehindCamera,
     ConfigError,
     EmptySurface,
     TooFewTumorTags,
 )
-from resectsim import harness
 from resectsim.harness import (
     PROFILES,
     ExperimentConfig,

@@ -264,6 +264,16 @@ def separable_data(n, width=10, seed=0):
     return x, y
 
 
+def forward_calls(monkeypatch) -> list:
+    """The row count of every forward pass from now on, in call order."""
+    calls = []
+    forward = spectra._forward_cached
+    monkeypatch.setattr(spectra, "_forward_cached",
+                        lambda model, h: calls.append(len(h))
+                        or forward(model, h))
+    return calls
+
+
 class TestMlp:
     def test_zero_weights_symmetric(self):
         m = tiny_model()
@@ -316,23 +326,24 @@ class TestMlp:
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
-    def test_tied_rows_are_recomputed_one_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize("tiny", [0.0, 1e-12])
+    def test_tied_rows_are_recomputed_one_at_a_time(self, monkeypatch, tiny):
         # zero top-layer weights: every logit is the top bias, so with a
-        # zero bias every row ties exactly and is recomputed on its own
+        # zero bias every row ties exactly and is recomputed on its own; one
+        # weight of 1e-12 leaves gaps that are not zero but far inside the
+        # bound, and those rows are recomputed too
         m = tiny_model(seed=2)
         m.weights[-1][:] = 0.0
+        m.weights[-1][0, 1] = tiny
         x = np.random.default_rng(5).normal(size=(PREDICT_BLOCK + 44, 10))
-        calls = []
-        forward = spectra._forward_cached
-        monkeypatch.setattr(spectra, "_forward_cached",
-                            lambda model, h: calls.append(len(h))
-                            or forward(model, h))
+        calls = forward_calls(monkeypatch)
         got = mlp_predict(m, x)
         assert calls == [PREDICT_BLOCK] + [1] * PREDICT_BLOCK + [44] + [1] * 44
         want = [oracles.mlp_predict(m, row) for row in x]
-        assert got.tolist() == want == [0] * len(x)
+        assert got.tolist() == want
+        assert (tiny > 0) == (want != [0] * len(x))
         calls.clear()
-        m.biases[-1][:] = [0.0, 1.0]  # a gap of 1: nothing to recompute
+        m.biases[-1][:] = [0.0, 1.0]  # a gap near 1: nothing to recompute
         assert mlp_predict(m, x).tolist() == [1] * len(x)
         assert calls == [PREDICT_BLOCK, 44]
 
@@ -342,11 +353,7 @@ class TestMlp:
         x = np.random.default_rng(6).normal(size=(5, 10))
         x[2, 4] = np.nan
         x[3, 0] = np.inf
-        calls = []
-        forward = spectra._forward_cached
-        monkeypatch.setattr(spectra, "_forward_cached",
-                            lambda model, h: calls.append(len(h))
-                            or forward(model, h))
+        calls = forward_calls(monkeypatch)
         got = mlp_predict(m, x)
         assert calls == [5, 1, 1]
         assert got.tolist() == [oracles.mlp_predict(m, row) for row in x]
