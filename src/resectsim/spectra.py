@@ -281,21 +281,6 @@ def _forward_cached(model: MlpModel, x: np.ndarray):
     return acts  # acts[-1] are logits
 
 
-def mlp_forward(model: MlpModel, x) -> np.ndarray:
-    """Class probabilities for one normalized vector or a batch of them."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.shape[1] != model.weights[0].shape[0]:
-        raise ShapeMismatch(
-            f"input width {arr.shape[1]} != model width {model.weights[0].shape[0]}"
-        )
-    logits = _forward_cached(model, arr)[-1]
-    probs = np.exp(_log_softmax(logits))
-    return probs[0] if single else probs
-
-
 def nll_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     """Mean negative log likelihood of the true labels."""
     logp = _log_softmax(_forward_cached(model, x)[-1])
@@ -466,9 +451,6 @@ def mlp_predict(model: MlpModel, x) -> np.ndarray:
         raise ShapeMismatch(
             f"input width {xn.shape[1]} != model width {model.weights[0].shape[0]}"
         )
-    if len(xn) == 1:
-        labels = _verdicts(_forward_cached(model, xn)[-1])
-        return labels[0] if single else labels
     terms = _error_terms(model)
     labels = np.empty(len(xn), dtype=np.intp)
     for start in range(0, len(xn), PREDICT_BLOCK):
@@ -481,7 +463,7 @@ def mlp_predict(model: MlpModel, x) -> np.ndarray:
         for i in np.flatnonzero(~(sure & np.isfinite(logits).all(axis=1))):
             labels[start + i] = _verdicts(
                 _forward_cached(model, block[i:i + 1])[-1])[0]
-    return labels
+    return labels[0] if single else labels
 
 
 def _relu_pattern(model: MlpModel, x: np.ndarray):

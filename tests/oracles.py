@@ -27,7 +27,8 @@ its 1-D ``savgol_smooth``), ``band_mean``, ``threshold_classify`` and
 ``sensors`` and ``spectra`` replaced, which the harness called once per scan
 point; ``mlp_predict`` normalizes and runs the forward pass on one call's
 rows together, so a batch through it is one batched pass, not n one-row
-ones. ``write_spot_observations_csv``, ``write_cut_plan_csv`` and
+ones. ``mlp_forward`` is the class-probability pass it runs, which the
+blocked, error-bounded ``spectra.mlp_predict`` no longer calls. ``write_spot_observations_csv``, ``write_cut_plan_csv`` and
 ``write_spectra_csv`` are the ``csv.writer`` bodies that
 ``io._write_csv_rows`` replaced.
 """
@@ -51,6 +52,7 @@ from resectsim.errors import (
     NoRayHit,
     ParallelRay,
     PipelineError,
+    ShapeMismatch,
     Unreachable,
 )
 from resectsim.geometry import (
@@ -75,7 +77,8 @@ from resectsim.spectra import (
     UNCERTAIN,
     PreprocessConfig,
     Spectrum,
-    mlp_forward,
+    _forward_cached,
+    _log_softmax,
     savgol_weights,
 )
 
@@ -514,6 +517,21 @@ def threshold_classify(clf, s: Spectrum) -> str:
     if (below and clf.tumor_side == "low") or (not below and clf.tumor_side == "high"):
         return TUMOR
     return HEALTHY
+
+
+def mlp_forward(model, x) -> np.ndarray:
+    """Class probabilities for one normalized vector or a batch of them."""
+    arr = np.asarray(x, dtype=float)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[None, :]
+    if arr.shape[1] != model.weights[0].shape[0]:
+        raise ShapeMismatch(
+            f"input width {arr.shape[1]} != model width {model.weights[0].shape[0]}"
+        )
+    logits = _forward_cached(model, arr)[-1]
+    probs = np.exp(_log_softmax(logits))
+    return probs[0] if single else probs
 
 
 def mlp_predict(model, x) -> np.ndarray:

@@ -28,7 +28,6 @@ from resectsim.spectra import (
     gradient_check,
     init_mlp,
     make_splits,
-    mlp_forward,
     mlp_predict,
     mlp_train,
     nll_loss,
@@ -279,27 +278,30 @@ class TestMlp:
         m = tiny_model()
         for w in m.weights:
             w[:] = 0.0
-        probs = mlp_forward(m, np.zeros(10))
+        probs = oracles.mlp_forward(m, np.zeros(10))
         assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_shift_invariance(self):
         m = tiny_model(seed=3)
         x = np.random.default_rng(1).normal(size=10)
-        p1 = mlp_forward(m, x)
+        p1 = oracles.mlp_forward(m, x)
         m.biases[-1] += 17.3  # shifts both logits equally
-        p2 = mlp_forward(m, x)
+        p2 = oracles.mlp_forward(m, x)
         assert np.allclose(p1, p2, atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
         m = tiny_model(seed=5)
         rng = np.random.default_rng(2)
-        probs = mlp_forward(m, rng.normal(size=(50, 10)))
+        probs = oracles.mlp_forward(m, rng.normal(size=(50, 10)))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert (probs > 0).all()
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            mlp_forward(tiny_model(), np.zeros(11))
+        for x in (np.zeros(11), np.zeros((3, 11))):
+            with pytest.raises(ShapeMismatch):
+                mlp_predict(tiny_model(), x)
+            with pytest.raises(ShapeMismatch):
+                oracles.mlp_forward(tiny_model(), x)
 
     def test_train_separable(self):
         x, y = separable_data(200)
@@ -342,6 +344,9 @@ class TestMlp:
         want = [oracles.mlp_predict(m, row) for row in x]
         assert got.tolist() == want
         assert (tiny > 0) == (want != [0] * len(x))
+        calls.clear()
+        assert mlp_predict(m, x[7]) == want[7]  # one row: the same path
+        assert calls == [1, 1]
         calls.clear()
         m.biases[-1][:] = [0.0, 1.0]  # a gap near 1: nothing to recompute
         assert mlp_predict(m, x).tolist() == [1] * len(x)
