@@ -13,14 +13,16 @@ from resectsim.geometry import (
     Ray,
     SurfaceCloud,
     ray_mesh_intersect,
-    ray_plane_intersect,
     triangulate_grid,
 )
 
 # --- a beam meeting a virtual plane ---------------------------------------
 ray = Ray(origin=[0.0, 0.0, 10.0], direction=[0.3, 0.0, -1.0])
 plane = PlaneFrame(center=[0.0, 0.0, 0.0], normal=[0.0, 0.0, 1.0])
-hit = ray_plane_intersect(ray, plane)
+# p = origin + t * direction with n . (p - center) = 0
+t = -np.dot(plane.normal, ray.origin - plane.center) / np.dot(plane.normal,
+                                                              ray.direction)
+hit = ray.origin + t * ray.direction
 print("oblique beam from z=10 meets the z=0 plane at:", hit.round(6))
 print("residual against the plane equation:",
       abs(np.dot(hit - plane.center, plane.normal)))

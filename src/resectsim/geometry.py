@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CollinearTags, EmptyCloud, GridTooSmall, ParallelRay
+from .errors import CollinearTags, EmptyCloud, GridTooSmall
 
 PARALLEL_EPS = 1e-9
 DEGENERATE_AREA = 1e-12
@@ -105,7 +105,7 @@ class ReferenceFrame:
 
 @dataclass(frozen=True)
 class SurfaceCloud:
-    """Gridded surface points with optional per-point color, label, and validity.
+    """Gridded surface points with optional per-point color and validity.
 
     ``points`` has shape (rows*cols, 3) in row-major grid order. ``valid``
     marks grid nodes whose depth measurement succeeded; invalid nodes keep
@@ -117,7 +117,6 @@ class SurfaceCloud:
     cols: int
     points: np.ndarray
     color: np.ndarray | None = None
-    label: np.ndarray | None = None
     valid: np.ndarray | None = None
 
     def __post_init__(self):
@@ -130,11 +129,6 @@ class SurfaceCloud:
             if c.shape != (len(pts), 3):
                 raise ValueError("color must be (N,3)")
             object.__setattr__(self, "color", c)
-        if self.label is not None:
-            lab = np.asarray(self.label)
-            if lab.shape != (len(pts),):
-                raise ValueError("label must be (N,)")
-            object.__setattr__(self, "label", lab)
         if self.valid is not None:
             v = np.asarray(self.valid, dtype=bool)
             if v.shape != (len(pts),):
@@ -174,19 +168,6 @@ class TriMesh:
         return (np.ascontiguousarray(corners[:2].min(axis=1)),
                 np.ascontiguousarray(corners[:2].max(axis=1)),
                 float(corners[2].min()), float(corners[2].max()))
-
-
-def ray_plane_intersect(ray: Ray, plane: PlaneFrame) -> np.ndarray:
-    """Intersection of a beam with a virtual plane.
-
-    Returns p = origin - [n.(origin - center) / n.direction] * direction.
-    Raises ParallelRay when |n.direction| <= 1e-9.
-    """
-    denom = float(np.dot(plane.normal, ray.direction))
-    if abs(denom) <= PARALLEL_EPS:
-        raise ParallelRay(f"|normal . direction| = {abs(denom):.3e} <= {PARALLEL_EPS}")
-    t = -float(np.dot(plane.normal, ray.origin - plane.center)) / denom
-    return ray.origin + t * ray.direction
 
 
 def triangulate_grid(surface: SurfaceCloud) -> TriMesh:

@@ -25,9 +25,10 @@ Scanning. ROI and e2e share one raster scan, ``_raster_scan``: it fires the
 whole centred raster in one ``intersect_scene`` call, then a runner-given
 ``locate_all(measured, waypoints)`` maps the executed spots and returns the
 indices of the mapped ones with their map positions. ROI casts every
-estimated beam in one more call; e2e locates spot by spot in the cameras.
-The spectra of all mapped points are then synthesized, preprocessed and
-classified in one call each.
+estimated beam in one more call; e2e projects the spots into each camera in
+one call, then locates them one by one with ``SpotLocator.locate``. The
+spectra of all mapped points are then synthesized, preprocessed and
+classified in one call each; the scan leaves as arrays.
 
 Region comparisons follow the three-way convention: system = actual vs
 true, algorithm = predicted vs true, calibration = actual vs predicted,
@@ -80,7 +81,6 @@ from .kinematics import (
 from .mapping import (
     SpotLocator,
     boundary_from_tags,
-    build_tumor_tags,
     colorize_surface,
     select_cut_targets,
 )
@@ -92,7 +92,6 @@ from .sensors import (
     finite_number,
     intersect_scene,
     project_points,
-    project_world_to_image,
     render_oct_volume,
     segment_surface,
     synth_spectrum,
@@ -394,51 +393,48 @@ def _centred_raster(cfg, scene, estimated):
                                   beta_c[1] - cfg.scan_extent[1] / 2.0))
 
 
-def _scan_labels(cfg, spectra, true_labels, model=None) -> list[str]:
-    """The label of every scanned spectrum: the truth itself for the
-    'perfect' classifier, else the classifier's verdict on the spectrum."""
+def _scan_labels(cfg, spectra, true_tumor, model=None) -> np.ndarray:
+    """The (n,) tumor flags of the scanned spectra: the truth for 'perfect',
+    else the verdicts, with an uncertain one taking ``uncertain_policy``."""
     if cfg.classifier == "perfect":
-        return list(true_labels)
+        return true_tumor
     if cfg.classifier == "threshold":
-        return [cfg.uncertain_policy if v == UNCERTAIN else v
-                for v in threshold_classify(PHANTOM_RULE, preprocess(spectra))]
-    codes = mlp_predict(model, preprocess(spectra).intensities)
-    return [TUMOR if c == 1 else HEALTHY for c in codes.tolist()]
+        verdicts = np.array(threshold_classify(PHANTOM_RULE,
+                                               preprocess(spectra)))
+        return np.where(verdicts == UNCERTAIN, cfg.uncertain_policy,
+                        verdicts) == TUMOR
+    return mlp_predict(model, preprocess(spectra).intensities) == 1
 
 
 def _raster_scan(cfg, scene, truth, estimated, model, rng, locate_all):
     """Fire the centred raster, map the executed spots, label the mapped ones.
 
     ``locate_all(measured, waypoints)`` takes the (n, 3) executed spots and
-    the (n, 2) commanded waypoints and returns the scan indices of the
-    mapped points, ascending, and their map positions; a point left out is
-    unmapped. Returns the pattern and, per mapped point in scan order, the
-    map positions, labels and true labels, then their spectra as one
-    (n, w) ``Spectrum``, synthesized from the true labels with seed
-    ``cfg.seed * 1_000_000 + k`` for scan point k. Raises TooFewTumorTags
-    when no point maps.
+    the (n, 2) commanded waypoints and returns the (m,) scan indices of the
+    mapped points, ascending, and their (m, 3) map positions; a point left
+    out is unmapped. Returns the pattern, then for the mapped points in scan
+    order: the map positions, the (m,) tumor flags, the (m,) true tumor
+    flags and their spectra as one (m, w) ``Spectrum``, synthesized from the
+    true labels with seed ``cfg.seed * 1_000_000 + k`` for scan point k.
+    Raises TooFewTumorTags when no point maps.
     """
     pattern = _centred_raster(cfg, scene, estimated)
     measured = _execute_plan(cfg, truth, pattern, scene, rng)
     mapped, spots = locate_all(measured, pattern.waypoints)
-    if not mapped:
+    if not len(mapped):
         raise TooFewTumorTags(f"none of {len(pattern)} scan points mapped")
-    true_labels = scene.label_at(measured[mapped, 0],
-                                 measured[mapped, 1]).tolist()
-    spectra = synth_spectrum(true_labels,
-                             [cfg.seed * 1_000_000 + k for k in mapped])
-    return (pattern, spots, _scan_labels(cfg, spectra, true_labels, model),
-            true_labels, spectra)
+    true_labels = scene.label_at(measured[mapped, 0], measured[mapped, 1])
+    # Python ints: a large seed overflows int64
+    spectra = synth_spectrum(true_labels, [cfg.seed * 1_000_000 + k
+                                           for k in mapped.tolist()])
+    true_tumor = true_labels == TUMOR
+    return (pattern, spots, _scan_labels(cfg, spectra, true_tumor, model),
+            true_tumor, spectra)
 
 
-def _tumor_codes(labels) -> list[int]:
-    return [1 if label == TUMOR else 0 for label in labels]
-
-
-def _classification(labels, true_labels) -> dict:
+def _classification(tumor, true_tumor) -> dict:
     """Binary scan-label metrics with tumor as the positive class."""
-    return classification_metrics(
-        _tumor_codes(labels), _tumor_codes(true_labels)).as_dict()
+    return classification_metrics(tumor, true_tumor).as_dict()
 
 
 def _train_scan_classifier(cfg):
@@ -579,17 +575,16 @@ def _roi_stages(cfg, out, run):
     def locate_all(measured, waypoints):
         # the map takes spots from the analytic scene along the estimated beam
         origins = waypoint_position(estimated.frame, estimated.alpha, waypoints)
-        return (list(range(len(waypoints))),
+        return (np.arange(len(waypoints)),
                 intersect_scene(origins, estimated.v_w, scene))
 
     rng = _rng(cfg, _SALT_SPOT)
-    pattern, predicted_spots, labels, true_labels, _ = _raster_scan(
+    pattern, spots, tumor, true_tumor, _ = _raster_scan(
         cfg, scene, truth, estimated, model, rng, locate_all)
 
     yield "execute"
-    tags = build_tumor_tags(predicted_spots, labels)
-    boundary = boundary_from_tags(tags)
-    plan = plan_trajectory(estimated, select_cut_targets(tags, boundary))
+    boundary = boundary_from_tags(spots, tumor)
+    plan = plan_trajectory(estimated, select_cut_targets(spots, boundary))
     actual_spots = _execute_plan(cfg, truth, plan, scene, rng)
     reports = _region_reports(true_region, boundary,
                               convex_hull(actual_spots[:, :2]))
@@ -601,14 +596,12 @@ def _roi_stages(cfg, out, run):
         "classifier": cfg.classifier,
         "scan_points": cfg.scan_points,
         "step_mm": list(pattern.step),
-        "classification": _classification(labels, true_labels),
+        "classification": _classification(tumor, true_tumor),
         "regions": {r.kind: r.as_dict() for r in reports},
     })
     run.artifacts.update({
-        "tags": rio.write_ply_cloud(
-            out / "roi_tags.ply",
-            [t.position for t in tags],
-            label=_tumor_codes(t.label for t in tags)),
+        "tags": rio.write_ply_cloud(out / "roi_tags.ply", spots,
+                                    label=tumor.astype(int)),
         # "shrink" is always 0.0; the key is kept for artifact compatibility
         "boundary": rio.write_json(
             out / "roi_boundary.json",
@@ -763,50 +756,51 @@ def _e2e_stages(cfg, out, run):
     pixel_sigma = 0.0 if cfg.noiseless else PROFILES[cfg.profile].pixel_sigma
 
     def locate_all(measured, waypoints):
+        pixels = []
+        for cam in cameras:
+            uv, in_front = project_points(cam, measured)
+            if not in_front.all():
+                raise BehindCamera("a scan spot is behind a camera")
+            pixels.append(uv)
+        if pixel_sigma > 0:
+            # in spot, camera, axis order, as one draw of two per spot did
+            noise = rng_px.normal(0.0, pixel_sigma, (len(measured), 2, 2))
+            pixels = [uv + noise[:, c] for c, uv in enumerate(pixels)]
         mapped, spots = [], []
         for k, beta in enumerate(waypoints):
-            hits = []
-            for cam in cameras:
-                uv = project_world_to_image(cam, measured[k])
-                if pixel_sigma > 0:
-                    uv = uv + rng_px.normal(0.0, pixel_sigma, 2)
-                hits.append(uv)
             try:
-                spot = locator.locate(hits[0], hits[1], estimated.beam(beta))
+                spots.append(locator.locate(pixels[0][k], pixels[1][k],
+                                            estimated.beam(beta)))
             except NoRayHit:
                 # scan exceeds the imaging field; edge spots have no geometry
                 continue
             mapped.append(k)
-            spots.append(spot.fused)
-        return mapped, spots
+        return np.array(mapped, dtype=int), np.reshape(spots, (-1, 3))
 
-    pattern, spots, labels, true_labels, spectra = _raster_scan(
+    pattern, spots, tumor, true_tumor, spectra = _raster_scan(
         cfg, scene, truth, estimated, model, rng_spot, locate_all)
     report["unmapped_points"] = len(pattern) - len(spots)
     artifacts["spectra"], artifacts["spectra_sidecar"] = rio.write_spectra_csv(
         out / "scan_spectra", spectra.wavelengths, spectra.intensities,
-        subjects=[f"scan{cfg.seed}"] * len(labels), labels=labels)
-    report["classification"] = _classification(labels, true_labels)
+        subjects=[f"scan{cfg.seed}"] * len(spots),
+        labels=np.where(tumor, TUMOR, HEALTHY))
+    report["classification"] = _classification(tumor, true_tumor)
 
     yield "map"
-    # tags, boundary
+    # boundary, and the map coloured from the nearest surface point
     valid_idx = np.flatnonzero(colored.valid_mask())
-    nearest, _ = nearest_neighbor(np.array(spots)[:, :2],
-                                  colored.points[valid_idx, :2])
-    colors = colored.color[valid_idx[nearest]].tolist()
-    tags = build_tumor_tags(spots, labels, colors=colors)
-    boundary = boundary_from_tags(tags)
+    nearest, _ = nearest_neighbor(spots[:, :2], colored.points[valid_idx, :2])
+    boundary = boundary_from_tags(spots, tumor)
     artifacts["tumor_map"] = rio.write_ply_cloud(
-        out / "tumor_map.ply", [t.position for t in tags],
-        color=[t.color for t in tags],
-        label=_tumor_codes(t.label for t in tags))
+        out / "tumor_map.ply", spots,
+        color=colored.color[valid_idx[nearest]], label=tumor.astype(int))
     # "shrink" is always 0.0; the key is kept for artifact compatibility
     artifacts["boundary"] = rio.write_json(
         out / "boundary.json",
         {"vertices": boundary.tolist(), "shrink": 0.0})
 
     yield "plan"
-    plan = plan_trajectory(estimated, select_cut_targets(tags, boundary))
+    plan = plan_trajectory(estimated, select_cut_targets(spots, boundary))
     artifacts["cut_plan"] = rio.write_cut_plan_csv(out / "cut_plan.csv", plan)
     report["cut_targets"] = len(plan)
 

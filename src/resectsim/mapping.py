@@ -1,21 +1,18 @@
-"""3D tumor map construction: spot location, tags, boundary, cut targets.
+"""3D tumor map construction: spot location, boundary, cut targets.
 
 The laser spot seen during a scan is located three ways (nearest surface
 point to each camera's pixel hit, plus a ray trace onto the triangulated
-surface) and fused by averaging. Classified tags project along z to 2D,
-where the boundary is their convex hull; scan points inside or on the
-boundary become cut targets.
+surface) and fused by averaging. Spots are (n, 3) arrays with (n,) tumor
+flags; the tumor spots project along z to 2D, where the boundary is their
+convex hull, and spots inside or on it become cut targets.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EmptyRegion,
-    LengthMismatch,
     NoCalibration,
     NoRayHit,
     NoVisibleSurface,
@@ -26,55 +23,17 @@ from .geometry import (
     Ray,
     SurfaceCloud,
     TriMesh,
-    as_vec3,
     convex_hull,
     points_in_polygon,
     ray_mesh_intersect,
 )
 from .sensors import PinholeCamera, project_points
-from .spectra import HEALTHY, TUMOR
 
 OUT_OF_VIEW_COLOR = (0, 0, 0)  # surface points the camera does not see
 
 # ---------------------------------------------------------------------------
-# Tags and boundary
+# Spots and boundary
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TumorTag:
-    """One classified scan point: 3D position, label, color."""
-
-    position: np.ndarray
-    label: str
-    color: tuple = (0, 0, 0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", as_vec3(self.position))
-        if self.label not in (HEALTHY, TUMOR):
-            raise ValueError(f"label must be '{HEALTHY}' or '{TUMOR}'")
-
-
-@dataclass(frozen=True)
-class SpotEstimate:
-    """Laser spot located by both cameras and a surface ray trace."""
-
-    from_left_camera: np.ndarray
-    from_right_camera: np.ndarray
-    from_ray_trace: np.ndarray
-    fused: np.ndarray
-    spread: float
-
-    @classmethod
-    def from_estimates(cls, left, right, ray) -> "SpotEstimate":
-        left, right, ray = as_vec3(left), as_vec3(right), as_vec3(ray)
-        fused = (left + right + ray) / 3.0
-        spread = float(max(
-            np.linalg.norm(left - right),
-            np.linalg.norm(left - ray),
-            np.linalg.norm(right - ray),
-        ))
-        return cls(left, right, ray, fused, spread)
 
 
 class SpotLocator:
@@ -102,13 +61,13 @@ class SpotLocator:
             visible = np.flatnonzero(in_front)
             self._views.append((PointGrid(uv[visible]), visible))
 
-    def locate(self, pixel_left, pixel_right, laser_ray: Ray) -> SpotEstimate:
+    def locate(self, pixel_left, pixel_right, laser_ray: Ray) -> np.ndarray:
         """Locate one laser spot on the scanned surface.
 
         Per-camera estimate: the valid surface point whose projection lands
         nearest the observed pixel. Ray estimate: beam intersection with the
-        triangulated surface. The fused position is the plain mean of the
-        three.
+        triangulated surface. Returns the fused (3,) position, the plain mean
+        of the three.
         """
         cam_estimates = []
         for (grid, visible), pixel in zip(self._views, (pixel_left, pixel_right)):
@@ -117,42 +76,25 @@ class SpotLocator:
         hit = ray_mesh_intersect(laser_ray, self.mesh)
         if hit is None:
             raise NoRayHit("laser ray misses the surface mesh")
-        return SpotEstimate.from_estimates(
-            cam_estimates[0], cam_estimates[1], hit[0])
+        return (cam_estimates[0] + cam_estimates[1] + hit[0]) / 3.0
 
 
-def build_tumor_tags(spots, labels, colors=None):
-    """Zip scan outputs into tags, preserving scan order."""
-    spots = np.asarray(spots, dtype=float).reshape(-1, 3)
-    labels = list(labels)
-    if len(spots) != len(labels):
-        raise LengthMismatch(f"{len(spots)} spots vs {len(labels)} labels")
-    if colors is None:
-        colors = [(0, 0, 0)] * len(spots)
-    elif len(colors) != len(spots):
-        raise LengthMismatch("colors length mismatch")
-    return [
-        TumorTag(p, lab, tuple(int(c) for c in col))
-        for p, lab, col in zip(spots, labels, colors)
-    ]
+def boundary_from_tags(spots, tumor) -> np.ndarray:
+    """2D boundary of the tumor spots: the convex hull of the xy of the
+    (n, 3) ``spots`` flagged in the (n,) bool ``tumor``, an (m, 2) CCW
+    vertex array with m >= 3."""
+    tumor_xy = spots[tumor, :2]
+    if len(tumor_xy) < 3:
+        raise TooFewTumorTags(f"{len(tumor_xy)} tumor tags; need >= 3")
+    return convex_hull(tumor_xy)
 
 
-def boundary_from_tags(tags) -> np.ndarray:
-    """2D boundary of the tumor-labeled tags: the convex hull of their xy,
-    an (n, 2) CCW vertex array with n >= 3."""
-    tumor = [t.position for t in tags if t.label == TUMOR]
-    if len(tumor) < 3:
-        raise TooFewTumorTags(f"{len(tumor)} tumor tags; need >= 3")
-    return convex_hull(np.array(tumor)[:, :2])
-
-
-def select_cut_targets(tags, boundary) -> np.ndarray:
-    """(k, 3) positions of the tags whose xy projection falls inside the
-    ``(n, 2)`` boundary or within ``EDGE_EPS`` of an edge (hull vertices
+def select_cut_targets(spots, boundary) -> np.ndarray:
+    """(k, 3) rows of the (n, 3) ``spots`` whose xy projection falls inside
+    the ``(m, 2)`` boundary or within ``EDGE_EPS`` of an edge (hull vertices
     included), in scan order."""
-    positions = np.array([t.position for t in tags], dtype=float).reshape(-1, 3)
-    targets = positions[points_in_polygon(
-        positions[:, :2], boundary, include_boundary=True)]
+    targets = spots[points_in_polygon(spots[:, :2], boundary,
+                                      include_boundary=True)]
     if not len(targets):
         raise EmptyRegion("no tag projects inside the boundary")
     return targets
@@ -181,6 +123,5 @@ def colorize_surface(surface: SurfaceCloud, camera: PinholeCamera, image):
     color[sel] = img[rows[inside], cols[inside]]
     in_view[sel] = True
     cloud = SurfaceCloud(surface.rows, surface.cols, surface.points,
-                         color=color, label=surface.label,
-                         valid=surface.valid)
+                         color=color, valid=surface.valid)
     return cloud, in_view

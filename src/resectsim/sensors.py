@@ -24,7 +24,6 @@ from numbers import Real
 import numpy as np
 
 from .errors import (
-    BehindCamera,
     EmptySurface,
     LengthMismatch,
     NoRayHit,
@@ -391,15 +390,6 @@ class PinholeCamera:
     def to_camera(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         return pts @ self.rotation.T + self.translation
-
-
-def project_world_to_image(camera: PinholeCamera, p) -> np.ndarray:
-    """Project one world point to pixel coordinates (u, v), or raise
-    BehindCamera when it is not in front of the camera."""
-    uv, in_front = project_points(camera, np.reshape(p, (1, 3)))
-    if not in_front[0]:
-        raise BehindCamera("camera-frame depth <= 1e-6")
-    return uv[0]
 
 
 def project_points(camera: PinholeCamera, points):

@@ -18,7 +18,8 @@ where the harness paints through region indices.
 polygons must pass before they serve as membership inputs.
 ``solve_ik`` and ``plan_trajectory`` are the one-target Newton loop and the
 per-target plan that the array Newton loop in ``kinematics`` replaced, with
-the ``Ray``-based forward model they stepped through. ``spot_prediction``,
+the ``Ray``-based forward model they stepped through and its beam-plane
+intersection ``ray_plane_intersect``. ``spot_prediction``,
 ``laser_least_squares`` and ``reprojection_error`` predict one board
 observation at a time, as the laser calibration did before its residual and
 Jacobian became array expressions. ``synth_spectrum``, ``preprocess`` (with
@@ -57,11 +58,11 @@ from resectsim.errors import (
 )
 from resectsim.geometry import (
     EDGE_EPS,
+    PARALLEL_EPS,
     PlaneFrame,
     SurfaceCloud,
     as_vec3,
     points_in_polygon,
-    ray_plane_intersect,
 )
 from resectsim.kinematics import IK_TOLERANCE, CutPlan, IkSolution
 from resectsim.io import write_json
@@ -316,6 +317,19 @@ def target_plane(target) -> PlaneFrame:
     """Horizontal virtual plane through the target's height."""
     t = as_vec3(target)
     return PlaneFrame([0.0, 0.0, t[2]], [0.0, 0.0, 1.0])
+
+
+def ray_plane_intersect(ray, plane: PlaneFrame) -> np.ndarray:
+    """Intersection of a beam with a virtual plane.
+
+    Returns p = origin - [n.(origin - center) / n.direction] * direction.
+    Raises ParallelRay when |n.direction| <= 1e-9.
+    """
+    denom = float(np.dot(plane.normal, ray.direction))
+    if abs(denom) <= PARALLEL_EPS:
+        raise ParallelRay(f"|normal . direction| = {abs(denom):.3e} <= {PARALLEL_EPS}")
+    t = -float(np.dot(plane.normal, ray.origin - plane.center)) / denom
+    return ray.origin + t * ray.direction
 
 
 def forward_model(calibration, beta, plane: PlaneFrame) -> np.ndarray:

@@ -32,7 +32,6 @@ from resectsim.harness import (
 )
 from resectsim.kinematics import solve_ik
 from resectsim.mapping import boundary_from_tags, ray_mesh_intersect
-from resectsim.mapping import TumorTag
 from resectsim.metrics import (
     rasterize_pair,
     region_iou,
@@ -245,8 +244,8 @@ def test_criterion_06_hull_oracle_100_instances():
     rng = np.random.default_rng(7)
     for _ in range(100):
         pts = rng.uniform(-5.0, 5.0, size=(int(rng.integers(3, 51)), 2))
-        tags = [TumorTag([x, y, 0.0], "tumor") for x, y in pts]
-        hull = boundary_from_tags(tags)
+        spots = np.column_stack([pts, np.zeros(len(pts))])
+        hull = boundary_from_tags(spots, np.ones(len(pts), dtype=bool))
         oracle = _half_plane_hull(pts)
         assert len(hull) == len(oracle)
         match = False

@@ -30,7 +30,7 @@ from resectsim.errors import (
 from resectsim.geometry import PlaneFrame, ReferenceFrame, normalize
 from resectsim.io import laser_calibration_to_dict
 from resectsim.optimize import levenberg_marquardt
-from resectsim.sensors import PinholeCamera, project_world_to_image
+from resectsim.sensors import PinholeCamera, project_points
 
 FRAME = ReferenceFrame([0.0, 0.0, 56.3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 BETAS = [(-4.0, -4.0), (4.0, -4.0), (4.0, 4.0), (-4.0, 4.0)][:2]
@@ -324,9 +324,10 @@ def make_correspondences(cam, n, seed=0, pixel_noise=0.0):
     world = np.column_stack([
         rng.uniform(0, 13, n), rng.uniform(0, 13, n), rng.uniform(0, 7, n)
     ])
+    pixels, in_front = project_points(cam, world)
+    assert in_front.all()
     out = []
-    for w in world:
-        uv = project_world_to_image(cam, w)
+    for uv, w in zip(pixels, world):
         if pixel_noise > 0:
             uv = uv + rng.normal(0, pixel_noise, 2)
         out.append(Correspondence2D3D(uv, w))

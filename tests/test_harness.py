@@ -394,11 +394,14 @@ def test_threshold_scan_labels_map_uncertain_to_the_policy(monkeypatch,
     monkeypatch.setattr(harness, "PHANTOM_RULE", rule)
     cfg = ExperimentConfig(seed=1, classifier="threshold",
                            uncertain_policy=policy)
-    got = _scan_labels(cfg, spectra, true_labels)
+    true_tumor = np.array(true_labels) == "tumor"
+    got = _scan_labels(cfg, spectra, true_tumor)
     want = [oracles.threshold_classify(
         rule, oracles.preprocess(oracles.synth_spectrum(lab, seed)))
         for lab, seed in zip(true_labels, [11, 12, 13, 14, 15])]
     assert want[2] == "uncertain" and "uncertain" not in want[:2] + want[3:]
-    assert got == want[:2] + [policy] + want[3:]
+    assert got.tolist() == [v == "tumor"
+                            for v in want[:2] + [policy] + want[3:]]
     perfect = ExperimentConfig(seed=1, classifier="perfect")
-    assert _scan_labels(perfect, spectra, true_labels) == true_labels
+    assert _scan_labels(perfect, spectra, true_tumor).tolist() == [
+        True, False, True, False, True]

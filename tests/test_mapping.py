@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from resectsim.errors import (
     CollinearTags,
     EmptyRegion,
-    LengthMismatch,
     NoCalibration,
     NoRayHit,
     TooFewTumorTags,
@@ -14,15 +13,14 @@ from resectsim.errors import (
 from resectsim.geometry import (
     Ray,
     convex_hull,
+    nearest_neighbor,
     points_in_polygon,
+    ray_mesh_intersect,
     triangulate_grid,
 )
 from resectsim.mapping import (
-    SpotEstimate,
     SpotLocator,
-    TumorTag,
     boundary_from_tags,
-    build_tumor_tags,
     colorize_surface,
     select_cut_targets,
 )
@@ -30,7 +28,7 @@ from resectsim.sensors import (
     OctConfig,
     PinholeCamera,
     ScenePhantom,
-    project_world_to_image,
+    project_points,
     render_oct_volume,
     segment_surface,
 )
@@ -39,7 +37,17 @@ from oracles import point_in_polygon, polygon_is_simple
 
 
 def tags_at(xy_list, label="tumor", z=0.0):
-    return [TumorTag([x, y, z], label) for x, y in xy_list]
+    """(n, 3) spots over the xy points at height z, and (n,) tumor flags
+    that all read ``label == "tumor"``."""
+    xy = np.reshape(np.asarray(xy_list, dtype=float), (-1, 2))
+    return (np.column_stack([xy, np.full(len(xy), z)]),
+            np.full(len(xy), label == "tumor"))
+
+
+def joined(*tag_sets):
+    """The spots and flags of several ``tags_at`` results, in order."""
+    spots, tumor = zip(*tag_sets)
+    return np.concatenate(spots), np.concatenate(tumor)
 
 
 def brute_force_hull(pts):
@@ -79,7 +87,7 @@ def tag_sets(draw):
     """Shuffled tags: tumor points on an integer grid that span two
     dimensions, repeats of some of them, exact collinear runs at quarter
     steps along the edges of their hull, and healthy tags anywhere. Returns
-    (tags, tumor xy)."""
+    ((spots, tumor flags), tumor xy)."""
     xy = np.array(draw(st.lists(st.tuples(st.integers(-8, 8),
                                           st.integers(-8, 8)),
                                 min_size=3, max_size=20)), dtype=float)
@@ -93,11 +101,12 @@ def tag_sets(draw):
     tumor_xy = np.vstack([xy, *on_edges, xy[repeats]])
     healthy = draw(st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)),
                             max_size=5))
-    tags = [TumorTag([x, y, 0.5 * k], "tumor")
-            for k, (x, y) in enumerate(tumor_xy)]
-    tags += tags_at(healthy, label="healthy")
-    order = draw(st.permutations(range(len(tags))))
-    return [tags[k] for k in order], tumor_xy
+    spots, tumor = joined(
+        (np.column_stack([tumor_xy, 0.5 * np.arange(len(tumor_xy))]),
+         np.ones(len(tumor_xy), dtype=bool)),
+        tags_at(healthy, label="healthy"))
+    order = np.array(draw(st.permutations(range(len(spots)))), dtype=int)
+    return (spots[order], tumor[order]), tumor_xy
 
 
 class TestConvexHull:
@@ -210,33 +219,31 @@ class TestPointInPolygon:
 class TestBoundary:
     def test_square_hull(self):
         tags = tags_at([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
-        assert len(boundary_from_tags(tags)) == 4
+        assert len(boundary_from_tags(*tags)) == 4
 
     def test_too_few(self):
         with pytest.raises(TooFewTumorTags):
-            boundary_from_tags(tags_at([(0, 0), (1, 0)]))
+            boundary_from_tags(*tags_at([(0, 0), (1, 0)]))
 
     def test_healthy_ignored(self):
-        tags = tags_at([(0, 0), (4, 0), (2, 3)]) + tags_at(
-            [(10, 10)], label="healthy"
-        )
-        assert len(boundary_from_tags(tags)) == 3
+        tags = joined(tags_at([(0, 0), (4, 0), (2, 3)]),
+                      tags_at([(10, 10)], label="healthy"))
+        assert len(boundary_from_tags(*tags)) == 3
 
     def test_collinear(self):
         with pytest.raises(CollinearTags):
-            boundary_from_tags(tags_at([(0, 0), (1, 0), (2, 0), (3, 0)]))
+            boundary_from_tags(*tags_at([(0, 0), (1, 0), (2, 0), (3, 0)]))
 
     def test_every_tumor_tag_inside_hull(self):
         rng = np.random.default_rng(31)
         xy = rng.uniform(0, 8, size=(25, 2))
-        tags = tags_at(xy)
-        b = boundary_from_tags(tags)
+        b = boundary_from_tags(*tags_at(xy))
         assert points_in_polygon(xy, b, include_boundary=True).all()
 
     @given(tag_sets())
     def test_hull_strictly_convex_and_covering(self, case):
         tags, tumor_xy = case
-        hull = boundary_from_tags(tags)
+        hull = boundary_from_tags(*tags)
         assert hull.shape[1] == 2 and len(hull) >= 3
         # the hull's own turn test, cross(cur - prev, next - prev), at
         # every vertex: all left turns, so CCW with no collinear vertex
@@ -253,45 +260,26 @@ class TestSelect:
     SQUARE = np.array([(0, 0), (2, 0), (2, 2), (0, 2)], dtype=float)
 
     def test_center_only(self):
-        tags = tags_at([(1, 1), (50, 50)])
-        targets = select_cut_targets(tags, self.SQUARE)
+        spots, _ = tags_at([(1, 1), (50, 50)])
+        targets = select_cut_targets(spots, self.SQUARE)
         assert targets.tolist() == [[1.0, 1.0, 0.0]]
 
     def test_edge_tag_included(self):
-        tags = tags_at([(1, 0)])
-        targets = select_cut_targets(tags, self.SQUARE)
+        spots, _ = tags_at([(1, 0)])
+        targets = select_cut_targets(spots, self.SQUARE)
         assert targets.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_all_outside_empty(self):
-        tags = tags_at([(10, 10), (-5, -5)], label="healthy")
+        spots, _ = tags_at([(10, 10), (-5, -5)], label="healthy")
         with pytest.raises(EmptyRegion):
-            select_cut_targets(tags, self.SQUARE)
+            select_cut_targets(spots, self.SQUARE)
 
     def test_scan_order_preserved(self):
-        tags = tags_at([(1.5, 1.5), (0.5, 0.5), (1.0, 1.0)])
-        targets = select_cut_targets(tags, self.SQUARE)
+        spots, _ = tags_at([(1.5, 1.5), (0.5, 0.5), (1.0, 1.0)])
+        targets = select_cut_targets(spots, self.SQUARE)
         assert targets.shape == (3, 3)
         assert np.allclose(targets[:, :2],
                            [(1.5, 1.5), (0.5, 0.5), (1.0, 1.0)])
-
-
-class TestTags:
-    def test_zip(self):
-        tags = build_tumor_tags(
-            np.zeros((3, 3)), ["tumor", "healthy", "tumor"]
-        )
-        assert [t.label for t in tags] == ["tumor", "healthy", "tumor"]
-
-    def test_empty(self):
-        assert build_tumor_tags(np.empty((0, 3)), []) == []
-
-    def test_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            build_tumor_tags(np.zeros((2, 3)), ["tumor"])
-
-    def test_bad_label(self):
-        with pytest.raises(ValueError):
-            TumorTag([0, 0, 0], "maybe")
 
 
 def flat_surface_setup():
@@ -307,22 +295,24 @@ def flat_surface_setup():
 
 
 class TestSpotEstimate:
-    def test_fused_is_mean(self):
-        est = SpotEstimate.from_estimates([0, 0, 0], [1, 1, 1], [2, 2, 2])
-        assert np.allclose(est.fused, [1, 1, 1])
-        assert abs(est.spread - 2 * np.sqrt(3)) < 1e-12
-
     def test_flat_surface_recovery(self):
         cloud, left, right, cfg = flat_surface_setup()
         true_spot = np.array([6.3, 6.4, 3.0])
-        pl = project_world_to_image(left, true_spot)
-        pr = project_world_to_image(right, true_spot)
+        pixels = [project_points(cam, true_spot[None])[0][0]
+                  for cam in (left, right)]
         ray = Ray([6.3, 6.4, 50.0], [0.0, 0.0, -1.0])
-        est = SpotLocator(cloud, left, right,
-                          triangulate_grid(cloud)).locate(pl, pr, ray)
+        mesh = triangulate_grid(cloud)
+        fused = SpotLocator(cloud, left, right, mesh).locate(*pixels, ray)
+        # each camera's estimate by brute force: the valid point whose
+        # projection lands nearest the pixel; then the ray's hit
+        pts = cloud.valid_points()
+        from_left, from_right = (
+            pts[nearest_neighbor(pixel[None], project_points(cam, pts)[0])[0][0]]
+            for cam, pixel in zip((left, right), pixels))
+        from_ray = ray_mesh_intersect(ray, mesh)[0]
+        assert np.array_equal(fused, (from_left + from_right + from_ray) / 3.0)
         spacing = max(cfg.pitch_x, cfg.pitch_y)
-        for e in (est.from_left_camera, est.from_right_camera,
-                  est.from_ray_trace, est.fused):
+        for e in (from_left, from_right, from_ray, fused):
             assert np.linalg.norm(e - true_spot) <= spacing
 
     def test_ray_miss(self):

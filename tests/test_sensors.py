@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from resectsim import io as rio
 from resectsim.errors import (
-    BehindCamera,
     EmptySurface,
     LengthMismatch,
     NoRayHit,
@@ -23,7 +22,6 @@ from resectsim.sensors import (
     ScenePhantom,
     SpectrumConfig,
     intersect_scene,
-    project_world_to_image,
     project_points,
     render_oct_volume,
     segment_surface,
@@ -504,24 +502,30 @@ class TestStreamedScan:
 class TestProjection:
     def test_principal_point(self):
         cam = identity_camera()
-        uv = project_world_to_image(cam, [0, 0, 100.0])
-        assert np.allclose(uv, [640.0, 360.0])
+        uv, in_front = project_points(cam, [[0, 0, 100.0]])
+        assert in_front[0]
+        assert np.allclose(uv[0], [640.0, 360.0])
 
     def test_offset_point(self):
         cam = identity_camera()
-        uv = project_world_to_image(cam, [0.1, 0.0, 100.0])
-        assert np.allclose(uv, [640.8, 360.0])
+        uv, in_front = project_points(cam, [[0.1, 0.0, 100.0]])
+        assert in_front[0]
+        assert np.allclose(uv[0], [640.8, 360.0])
 
     def test_behind_camera(self):
         cam = identity_camera()
-        with pytest.raises(BehindCamera):
-            project_world_to_image(cam, [0.0, 0.0, 0.0])
+        uv, in_front = project_points(cam, [[0.0, 0.0, 0.0],
+                                            [0.0, 0.0, -5.0],
+                                            [0.0, 0.0, 100.0]])
+        assert in_front.tolist() == [False, False, True]
+        assert np.isnan(uv[:2]).all() and np.isfinite(uv[2]).all()
 
     def test_scale_consistency(self):
         cam = identity_camera()
-        a = project_world_to_image(cam, [0.5, -0.25, 80.0])
-        b = project_world_to_image(cam, [1.0, -0.5, 160.0])
-        assert np.allclose(a, b, atol=1e-12)
+        uv, in_front = project_points(cam, [[0.5, -0.25, 80.0],
+                                            [1.0, -0.5, 160.0]])
+        assert in_front.all()
+        assert np.allclose(uv[0], uv[1], atol=1e-12)
 
     def test_batch_matches_single(self):
         cam = PinholeCamera.look_at([5.0, -3.0, 120.0], [6.0, 6.0, 3.0],
@@ -530,7 +534,8 @@ class TestProjection:
         uv, front = project_points(cam, pts)
         assert front.all()
         for k in range(3):
-            assert np.array_equal(uv[k], project_world_to_image(cam, pts[k]))
+            one, one_front = project_points(cam, pts[k:k + 1])
+            assert one_front[0] and np.array_equal(uv[k], one[0])
 
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError):
