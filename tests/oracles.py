@@ -29,9 +29,12 @@ its 1-D ``savgol_smooth``), ``band_mean``, ``threshold_classify`` and
 point; ``mlp_predict`` normalizes and runs the forward pass on one call's
 rows together, so a batch through it is one batched pass, not n one-row
 ones. ``mlp_forward`` is the class-probability pass it runs, which the
-blocked, error-bounded ``spectra.mlp_predict`` no longer calls. ``write_spot_observations_csv``, ``write_cut_plan_csv`` and
-``write_spectra_csv`` are the ``csv.writer`` bodies that
-``io._write_csv_rows`` replaced.
+blocked, error-bounded ``spectra.mlp_predict`` no longer calls. ``mlp_train``
+is the trainer whose Adam update (``adam_step``) ran over each whole
+parameter array, before ``spectra.mlp_train`` split the update into slices
+that two threads share. ``write_spot_observations_csv``,
+``write_cut_plan_csv`` and ``write_spectra_csv`` are the ``csv.writer``
+bodies that ``io._write_csv_rows`` replaced.
 """
 
 import csv
@@ -72,14 +75,18 @@ from resectsim.sensors import (
     RAY_T_MAX,
     SpectrumConfig,
 )
+from resectsim import spectra
 from resectsim.spectra import (
     HEALTHY,
+    HIDDEN_SIZES,
     TUMOR,
     UNCERTAIN,
     PreprocessConfig,
     Spectrum,
+    TrainConfig,
     _forward_cached,
     _log_softmax,
+    init_mlp,
     savgol_weights,
 )
 
@@ -557,6 +564,61 @@ def mlp_predict(model, x) -> np.ndarray:
     probs = mlp_forward(model, (arr - model.norm_mean) / model.norm_std)
     labels = probs.argmax(axis=1)
     return labels[0] if single else labels
+
+
+def adam_step(p, g, m, v, b1, b2, lr_t, eps_t):
+    """One whole-array Adam step, in place."""
+    s = np.empty_like(p)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g, out=g)
+    np.sqrt(v, out=s)
+    s += eps_t
+    np.divide(m, s, out=s)
+    s *= lr_t
+    p -= s
+
+
+def mlp_train(x, y, cfg=TrainConfig(), hidden=HIDDEN_SIZES):
+    """Adam training with one whole-array update of each parameter a step."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    mean = float(x.mean())
+    std = float(x.std())
+    if std == 0.0:
+        std = 1.0
+    xn = (x - mean) / std
+
+    model = init_mlp(x.shape[1], hidden=hidden, seed=cfg.seed)
+    model.norm_mean, model.norm_std = mean, std
+
+    params = model.weights + model.biases
+    moments1 = [np.zeros_like(p) for p in params]
+    moments2 = [np.zeros_like(p) for p in params]
+
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    rng = np.random.default_rng(cfg.seed + 1)
+    history = []
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(xn))
+        losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, gw, gb = spectra.nll_loss_and_gradients(model, xn[idx],
+                                                          y[idx])
+            losses.append(loss)
+            step += 1
+            lr_t = cfg.learning_rate * np.sqrt(1.0 - b2**step) / (1.0 - b1**step)
+            eps_t = cfg.adam_eps * np.sqrt(1.0 - b2**step)
+            for p, g, m, v in zip(params, gw + gb, moments1, moments2):
+                adam_step(p, g, m, v, b1, b2, lr_t, eps_t)
+            if step % spectra.FLUSH_EVERY == 0:
+                for m in moments1:
+                    m[np.abs(m) < np.finfo(float).tiny] = 0.0
+        history.append(float(np.mean(losses)))
+    return model, history
 
 
 def write_spot_observations_csv(path, observations) -> Path:

@@ -6,6 +6,7 @@ Run with: pytest tests/test_acceptance.py -v -s
 """
 
 import filecmp
+import hashlib
 import time
 
 import numpy as np
@@ -313,6 +314,10 @@ def _spectrum_corpus():
     return np.array(rows), np.array(labels), np.array(subjects)
 
 
+# SHA-256 of criterion 09's weight and bias bytes, then its history's
+C09_DIGEST = "fd4290776bbaa98369c13dc9aa6ae607a1c5d3cbbde94284f895b65a6cd25a6e"
+
+
 def test_criterion_09_synthetic_classification():
     t0 = time.perf_counter()
     x, y, subjects = _spectrum_corpus()
@@ -323,6 +328,13 @@ def test_criterion_09_synthetic_classification():
     model, history = mlp_train(x[plan.train_indices], y[plan.train_indices],
                                TrainConfig(epochs=150, batch_size=16,
                                            learning_rate=1e-3, seed=0))
+    # recorded before the Adam update ran on slices shared by two threads;
+    # the same with one BLAS thread and with the default count
+    digest = hashlib.sha256()
+    for a in model.weights + model.biases:
+        digest.update(a.tobytes())
+    digest.update(np.array(history).tobytes())
+    assert digest.hexdigest() == C09_DIGEST
     pred = mlp_predict(model, x[plan.test_indices])
     mlp_acc = float((pred == y[plan.test_indices]).mean())
     assert mlp_acc >= 0.95

@@ -36,13 +36,15 @@ def write_cfg(tmp_path, **extra):
 
 def test_cli_import_loads_no_scipy():
     # every command pays its imports before the first stage, and scipy's
-    # submodules take about a second to load; a fresh interpreter shows what
+    # submodules take about a second to load; concurrent.futures, which only
+    # MLP training uses, about 7 ms. A fresh interpreter shows what
     # importing the CLI alone pulls in
     src = str(Path(resectsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     code = ("import json, sys, resectsim.cli; print(json.dumps(sorted("
-            "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('concurrent.futures'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from resectsim.errors import (
     TooFewSubjects,
 )
 from resectsim.spectra import (
+    ADAM_BLOCK,
     PREDICT_BLOCK,
     MlpModel,
     PreprocessConfig,
@@ -390,22 +394,67 @@ class TestMlp:
             mlp_train(x, np.zeros(4, dtype=int))
 
 
-def adam_step(p, g, m, v, b1, b2, lr_t, eps_t):
-    """One whole-array Adam step, as ``mlp_train`` takes it, in place."""
-    s = np.empty_like(p)
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * np.square(g, out=g)
-    np.sqrt(v, out=s)
-    s += eps_t
-    np.divide(m, s, out=s)
-    s *= lr_t
-    p -= s
+def assert_same_training(got, want):
+    """Equal weight, bias and history bytes from two ``mlp_train`` calls."""
+    (m1, h1), (m2, h2) = got, want
+    assert np.array(h1).tobytes() == np.array(h2).tobytes()
+    for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases,
+                    strict=True):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestAdam:
-    """Flushing subnormal first moments to zero changes no weight."""
+    """The sliced, two-thread update takes the whole-array update's bits,
+    and flushing subnormal first moments to zero changes no weight."""
+
+    @pytest.mark.parametrize("width, hidden, size", [
+        (151, 217, ADAM_BLOCK - 1),
+        (128, 256, ADAM_BLOCK),
+        (99, 331, ADAM_BLOCK + 1),
+        (257, 256, 2 * ADAM_BLOCK + 256),
+    ])
+    def test_slices_match_whole_array_update(self, width, hidden, size):
+        rng = np.random.default_rng(width)
+        x = rng.normal(size=(40, width))  # batches of 16, 16 and 8
+        y = np.arange(40) % 2
+        cfg = TrainConfig(epochs=2, seed=4)
+        got = mlp_train(x, y, cfg, hidden=(hidden,))
+        assert got[0].weights[0].size == size
+        assert_same_training(got, oracles.mlp_train(x, y, cfg,
+                                                    hidden=(hidden,)))
+
+    def test_run_across_flushes_matches_whole_array_update(self):
+        x, y = separable_data(60, seed=4)
+        cfg = TrainConfig(epochs=12, batch_size=7, seed=2)  # 108 steps
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads interleave finely
+        try:
+            got = mlp_train(x, y, cfg, hidden=(300, 120, 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_training(got, oracles.mlp_train(x, y, cfg,
+                                                    hidden=(300, 120, 4)))
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        x, y = separable_data(40, seed=1)
+        before = threading.active_count()
+        mlp_train(x, y, TrainConfig(epochs=2, seed=0), hidden=(16, 8, 4))
+        assert threading.active_count() == before
+        steps = []
+        gradients = spectra.nll_loss_and_gradients
+
+        def fail_on_step_3(*args):
+            steps.append(len(steps) + 1)
+            if len(steps) == 3:
+                raise RuntimeError("step 3")
+            return gradients(*args)
+
+        monkeypatch.setattr(spectra, "nll_loss_and_gradients", fail_on_step_3)
+        with pytest.raises(RuntimeError, match="step 3"):
+            mlp_train(x, y, TrainConfig(epochs=2, seed=0), hidden=(16, 8, 4))
+        assert steps == [1, 2, 3]
+        assert threading.active_count() == before
 
     def test_trainer_matches_trainer_without_flush(self, monkeypatch):
         x, y = separable_data(60, seed=4)
@@ -437,10 +486,10 @@ class TestAdam:
             lr_t = cfg.learning_rate * np.sqrt(1.0 - b2**step) / (1.0 - b1**step)
             eps_t = cfg.adam_eps * np.sqrt(1.0 - b2**step)
             kept, flushed = p.copy(), p.copy()
-            adam_step(kept, np.zeros(n), m.copy(), v.copy(),
-                      b1, b2, lr_t, eps_t)
-            adam_step(flushed, np.zeros(n), np.zeros(n), v.copy(),
-                      b1, b2, lr_t, eps_t)
+            oracles.adam_step(kept, np.zeros(n), m.copy(), v.copy(),
+                              b1, b2, lr_t, eps_t)
+            oracles.adam_step(flushed, np.zeros(n), np.zeros(n), v.copy(),
+                              b1, b2, lr_t, eps_t)
             assert kept.tobytes() == flushed.tobytes() == p.tobytes()
 
 
