@@ -9,7 +9,6 @@ naive scan over every triangle.
 import numpy as np
 
 from resectsim.geometry import (
-    PlaneFrame,
     Ray,
     SurfaceCloud,
     ray_mesh_intersect,
@@ -17,15 +16,15 @@ from resectsim.geometry import (
 )
 
 # --- a beam meeting a virtual plane ---------------------------------------
+# a plane is a center point and a unit normal, as the calibration boards are
 ray = Ray(origin=[0.0, 0.0, 10.0], direction=[0.3, 0.0, -1.0])
-plane = PlaneFrame(center=[0.0, 0.0, 0.0], normal=[0.0, 0.0, 1.0])
+center, normal = np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
 # p = origin + t * direction with n . (p - center) = 0
-t = -np.dot(plane.normal, ray.origin - plane.center) / np.dot(plane.normal,
-                                                              ray.direction)
+t = -np.dot(normal, ray.origin - center) / np.dot(normal, ray.direction)
 hit = ray.origin + t * ray.direction
 print("oblique beam from z=10 meets the z=0 plane at:", hit.round(6))
 print("residual against the plane equation:",
-      abs(np.dot(hit - plane.center, plane.normal)))
+      abs(np.dot(hit - center, normal)))
 
 # --- a gridded surface with two bumps --------------------------------------
 rows = cols = 25

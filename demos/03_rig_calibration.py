@@ -3,7 +3,10 @@
 
 Forward-generates spot observations on boards at four heights from a known
 rig, then recovers the rig from scratch (vertical initial guess) and sweeps
-the measurement noise to show how the fit residual scales.
+the measurement noise to show how the fit residual scales. The observations
+are one ``SpotObservations`` record: the commanded waypoints, board centers,
+board normals and measured spots as (m, 2) and (m, 3) arrays, one row per
+board shot.
 """
 
 import numpy as np
@@ -26,6 +29,8 @@ heights = [0.0, 2.0, 4.0, 6.0]
 
 # --- noiseless recovery -----------------------------------------------------
 obs = synthesize_spot_observations(truth, betas, heights)
+print(f"{len(obs)} board shots: betas {obs.betas.shape}, "
+      f"board centers {obs.centers.shape}, spots {obs.spots.shape}")
 est = calibrate_laser_orientation(frame, obs)
 angle = np.degrees(np.arccos(np.clip(np.dot(est.v_w, truth.v_w), -1, 1)))
 print(f"\nnoiseless recovery from a vertical guess: beam error "
@@ -49,8 +54,7 @@ for sigma in (0.02, 0.05, 0.1, 0.2):
     print(f"{sigma:8.2f}  {np.mean(rms_list):10.3f}  {np.mean(ang_list):12.4f}")
 
 # --- residual diagnostics ------------------------------------------------------
-predicted = forward_model(truth, [o.beta for o in obs],
-                          [o.plane.center[2] for o in obs])
-residuals = np.linalg.norm(predicted - [o.spot_center for o in obs], axis=1)
+predicted = forward_model(truth, obs.betas, obs.centers[:, 2])
+residuals = np.linalg.norm(predicted - obs.spots, axis=1)
 rms = np.sqrt(np.mean(residuals**2))
 print(f"\nreprojection of the true rig on its own spots: rms {rms:.2e} mm")

@@ -1,11 +1,14 @@
 """Camera extrinsic estimation and laser rig calibration.
 
-Two estimators live here. The first recovers a camera pose from 2D-3D
-correspondences: a direct linear estimate on normalized image coordinates
-seeds a damped Gauss-Newton refinement of the pixel reprojection error. The
-second recovers the laser rig parameters (frame offsets alpha and the beam
-incidence direction) from commanded waypoints and the measured spot centers
-they produced on boards at several heights.
+Two estimators live here, and both take their data as arrays. The first
+recovers a camera pose from fiducial pixels (n, 2) and world points (n, 3):
+a direct linear estimate on normalized image coordinates seeds a damped
+Gauss-Newton refinement of the pixel reprojection error. The second recovers
+the laser rig parameters (frame offsets alpha and the beam incidence
+direction) from a ``SpotObservations`` record, one row per board shot: the
+commanded waypoint, the board plane at one of several heights and the
+measured spot center. ``calibrate_laser_axes`` builds the motion frame from
+one (start, end) fiducial pair per axis.
 
 The beam direction is parameterized by two tilt angles applied to the
 canonical down vector (0, 0, -1); a roll angle would be unobservable for a
@@ -14,7 +17,6 @@ rotationally symmetric beam, so it is excluded by construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ from .errors import (
     IllConditioned,
     NonConvergence,
 )
-from .geometry import PlaneFrame, Ray, ReferenceFrame, as_vec3, normalize
+from .geometry import Ray, ReferenceFrame, as_vec3, normalize
 from .optimize import levenberg_marquardt
 from .sensors import PinholeCamera
 
@@ -34,48 +36,35 @@ MIN_AXIS_LENGTH = 0.5  # mm
 
 
 @dataclass(frozen=True)
-class Correspondence2D3D:
-    """One observed fiducial: pixel location and its world position."""
+class SpotObservations:
+    """Board shots, one row each: the commanded waypoints ``betas`` (m, 2),
+    the board planes' ``centers`` and unit ``normals`` (m, 3), and the
+    measured spot centers ``spots`` (m, 3). Each normal is scaled to unit
+    length as ``geometry.normalize`` scales it alone."""
 
-    image_point: np.ndarray
-    world_point: np.ndarray
-
-    def __post_init__(self):
-        ip = np.asarray(self.image_point, dtype=float).reshape(2)
-        wp = as_vec3(self.world_point)
-        if not np.all(np.isfinite(ip)):
-            raise ValueError("image point must be finite")
-        object.__setattr__(self, "image_point", ip)
-        object.__setattr__(self, "world_point", wp)
-
-
-@dataclass(frozen=True)
-class AxisObservation:
-    """Fiducial pair delimiting one commanded axis of the motion frame."""
-
-    axis: str  # "x" | "y"
-    start_point: np.ndarray
-    end_point: np.ndarray
+    betas: np.ndarray
+    centers: np.ndarray
+    normals: np.ndarray
+    spots: np.ndarray
 
     def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise ValueError("axis must be 'x' or 'y'")
-        object.__setattr__(self, "start_point", as_vec3(self.start_point))
-        object.__setattr__(self, "end_point", as_vec3(self.end_point))
+        for name, width in (("betas", 2), ("centers", 3), ("normals", 3),
+                            ("spots", 3)):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.ndim != 2 or a.shape[1] != width or not np.isfinite(a).all():
+                raise ValueError(f"{name} must be a finite (m, {width}) "
+                                 f"array, not {a.shape}")
+            object.__setattr__(self, name, a)
+        if len({len(self.betas), len(self.centers), len(self.normals),
+                len(self.spots)}) > 1:
+            raise ValueError("observation arrays differ in row count")
+        norm = np.sqrt(np.vecdot(self.normals, self.normals))
+        if np.any(norm == 0.0):
+            raise ValueError("board normals must be nonzero")
+        object.__setattr__(self, "normals", self.normals / norm[:, None])
 
-
-@dataclass(frozen=True)
-class LaserSpotObservation:
-    """One calibration shot: commanded beta, board plane, measured spot center."""
-
-    beta: np.ndarray
-    plane: PlaneFrame
-    spot_center: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float).reshape(2)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "spot_center", as_vec3(self.spot_center))
+    def __len__(self):
+        return len(self.betas)
 
 
 @dataclass(frozen=True)
@@ -155,24 +144,21 @@ def predict_spots(frame: ReferenceFrame, alpha, beta, v, normal, center):
     return p_w - (s / d)[..., None] * v, d, s
 
 
-def calibrate_laser_axes(origin, obs_x: AxisObservation,
-                         obs_y: AxisObservation) -> ReferenceFrame:
-    """Build the motion frame from one fiducial pair per axis.
+def calibrate_laser_axes(origin, x_axis, y_axis) -> ReferenceFrame:
+    """Build the motion frame from one (start, end) fiducial pair per axis.
 
     Axes are stored exactly as measured; orthogonality is not enforced.
     """
-    axes = {}
-    for obs in (obs_x, obs_y):
-        delta = obs.end_point - obs.start_point
+    axes = []
+    for name, (start, end) in (("x", x_axis), ("y", y_axis)):
+        delta = as_vec3(end) - as_vec3(start)
         length = float(np.linalg.norm(delta))
         if length <= MIN_AXIS_LENGTH:
             raise DegenerateAxis(
-                f"axis '{obs.axis}' fiducials only {length:.3f} mm apart"
+                f"axis '{name}' fiducials only {length:.3f} mm apart"
             )
-        axes[obs.axis] = delta / length
-    if "x" not in axes or "y" not in axes:
-        raise ValueError("need one observation per axis")
-    return ReferenceFrame(as_vec3(origin), axes["x"], axes["y"])
+        axes.append(delta / length)
+    return ReferenceFrame(as_vec3(origin), *axes)
 
 
 def laser_least_squares(frame: ReferenceFrame, observations):
@@ -180,10 +166,8 @@ def laser_least_squares(frame: ReferenceFrame, observations):
     alpha_x, alpha_y), the (3m,) predicted minus measured spot centers and
     their (3m, 4) derivative, as array expressions over the m observations
     whose rows are the doubles of each observation alone."""
-    betas = np.array([o.beta for o in observations]).reshape(-1, 2)
-    normals = np.array([o.plane.normal for o in observations]).reshape(-1, 3)
-    centers = np.array([o.plane.center for o in observations]).reshape(-1, 3)
-    measured = np.array([o.spot_center for o in observations]).reshape(-1, 3)
+    betas, centers = observations.betas, observations.centers
+    normals, measured = observations.normals, observations.spots
 
     def predict(x):
         theta, phi, ax, ay = x
@@ -209,7 +193,7 @@ def laser_least_squares(frame: ReferenceFrame, observations):
 
 def calibrate_laser_orientation(frame: ReferenceFrame,
                                 observations) -> LaserCalibration:
-    """Estimate (v_w, alpha) from measured spot centers.
+    """Estimate (v_w, alpha) from the ``SpotObservations`` of board shots.
 
     Solves min over (theta, phi, alpha) of the summed squared distances
     between predicted and measured spot centers, by damped Gauss-Newton
@@ -220,15 +204,14 @@ def calibrate_laser_orientation(frame: ReferenceFrame,
     family. A beam solved to point up is a solver failure. The result
     carries the solver's ``stop``.
     """
-    obs = list(observations)
-    if len(obs) < 3:
+    if len(observations) < 3:
         raise ValueError("need at least 3 spot observations")
-    heights = np.sort([np.dot(o.plane.normal, o.plane.center) for o in obs])
+    heights = np.sort(np.vecdot(observations.normals, observations.centers))
     if not np.any(np.diff(heights) > 1e-9):
         raise IllConditioned(
             "all boards at one height: offsets and beam tilt are coupled"
         )
-    residual, jacobian = laser_least_squares(frame, obs)
+    residual, jacobian = laser_least_squares(frame, observations)
 
     result = levenberg_marquardt(residual, jacobian, np.zeros(4))
     if not result.converged:
@@ -251,7 +234,7 @@ def calibrate_laser_orientation(frame: ReferenceFrame,
 
 def synthesize_spot_observations(calibration: LaserCalibration, betas,
                                  plane_heights, noise_sigma: float = 0.0,
-                                 rng=None):
+                                 rng=None) -> SpotObservations:
     """Forward-generate board observations from a known calibration.
 
     One observation per (height, beta) pair on horizontal boards, heights
@@ -261,18 +244,17 @@ def synthesize_spot_observations(calibration: LaserCalibration, betas,
     v = beam_from_angles(*angles_from_beam(calibration.v_w))
     if rng is None:
         rng = np.random.default_rng(0)
-    planes = [PlaneFrame([0.0, 0.0, float(h)], [0.0, 0.0, 1.0])
-              for h in plane_heights]
+    heights = np.asarray(plane_heights, dtype=float).reshape(-1)
     betas = np.asarray(betas, dtype=float).reshape(-1, 2)
-    centers = np.array([p.center for p in planes for _ in betas])
-    spots, _, _ = predict_spots(
-        calibration.frame, calibration.alpha,
-        np.tile(betas, (len(planes), 1)), v, np.array([0.0, 0.0, 1.0]),
-        centers.reshape(-1, 3))
+    centers = np.zeros((len(heights) * len(betas), 3))
+    centers[:, 2] = np.repeat(heights, len(betas))
+    normals = np.tile([0.0, 0.0, 1.0], (len(centers), 1))
+    betas = np.tile(betas, (len(heights), 1))
+    spots, _, _ = predict_spots(calibration.frame, calibration.alpha, betas,
+                                v, normals, centers)
     if noise_sigma > 0:
         spots = spots + rng.normal(0.0, noise_sigma, spots.shape)
-    return [LaserSpotObservation(beta, plane, spot) for (plane, beta), spot
-            in zip(itertools.product(planes, betas), spots)]
+    return SpotObservations(betas, centers, normals, spots)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +324,23 @@ def _linear_pose_estimate(xn, world):
     return r, t
 
 
-def estimate_camera_extrinsics(camera: PinholeCamera, correspondences
+def estimate_camera_extrinsics(camera: PinholeCamera, image_points,
+                               world_points
                                ) -> tuple[PinholeCamera, ExtrinsicStats]:
-    """Estimate the world-to-camera pose from pixel/world fiducial pairs.
+    """Estimate the world-to-camera pose from fiducials seen at pixels
+    ``image_points`` (n, 2) and known to lie at ``world_points`` (n, 3).
 
     ``camera`` supplies the intrinsics (its pose fields are ignored).
     Returns a camera with the estimated pose plus reprojection statistics.
     """
-    corr = list(correspondences)
-    if len(corr) < 6:
+    uv = np.asarray(image_points, dtype=float)
+    world = np.asarray(world_points, dtype=float)
+    if not (uv.ndim == 2 and uv.shape[1] == 2 and world.shape == (len(uv), 3)
+            and np.isfinite(uv).all() and np.isfinite(world).all()):
+        raise ValueError("fiducials must be finite (n, 2) pixels and (n, 3) "
+                         f"world points, not {uv.shape} and {world.shape}")
+    if len(uv) < 6:
         raise ValueError("need at least 6 correspondences")
-    uv = np.array([c.image_point for c in corr])
-    world = np.array([c.world_point for c in corr])
 
     xn = np.column_stack([
         (uv[:, 0] - camera.cx) / camera.fx,

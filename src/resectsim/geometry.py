@@ -76,18 +76,6 @@ class Ray:
 
 
 @dataclass(frozen=True)
-class PlaneFrame:
-    """Virtual plane given by a center point and a unit normal."""
-
-    center: np.ndarray
-    normal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vec3(self.center))
-        object.__setattr__(self, "normal", normalize(self.normal))
-
-
-@dataclass(frozen=True)
 class ReferenceFrame:
     """Commanded-motion frame: origin plus two (not necessarily orthogonal) unit axes."""
 

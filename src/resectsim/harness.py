@@ -48,8 +48,6 @@ import numpy as np
 
 from . import io as rio
 from .calibration import (
-    AxisObservation,
-    Correspondence2D3D,
     LaserCalibration,
     beam_from_angles,
     calibrate_laser_axes,
@@ -158,9 +156,9 @@ def truth_calibration(profile: LaserProfile,
     skew = np.radians(profile.axis_skew_deg)
     frame = calibrate_laser_axes(
         [0.0, 0.0, WORKING_DISTANCE],
-        AxisObservation("x", [0, 0, WORKING_DISTANCE], [10, 0, WORKING_DISTANCE]),
-        AxisObservation("y", [0, 0, WORKING_DISTANCE],
-                        [10 * np.cos(skew), 10 * np.sin(skew), WORKING_DISTANCE]),
+        ([0, 0, WORKING_DISTANCE], [10, 0, WORKING_DISTANCE]),
+        ([0, 0, WORKING_DISTANCE],
+         [10 * np.cos(skew), 10 * np.sin(skew), WORKING_DISTANCE]),
     )
     return LaserCalibration(frame, profile.alpha, beam_from_angles(theta, phi))
 
@@ -344,8 +342,8 @@ def calibrate_laser_from_boards(cfg: ExperimentConfig,
 
     frame = calibrate_laser_axes(
         [0.0, 0.0, WORKING_DISTANCE],
-        AxisObservation("x", tip((0.0, 0.0)), tip((10.0, 0.0))),
-        AxisObservation("y", tip((0.0, 0.0)), tip((0.0, 10.0))),
+        (tip((0.0, 0.0)), tip((10.0, 0.0))),
+        (tip((0.0, 0.0)), tip((0.0, 10.0))),
     )
     observations = synthesize_spot_observations(
         truth, BOARD_BETAS, BOARD_HEIGHTS, noise_sigma=sigma, rng=rng)
@@ -356,7 +354,7 @@ def calibrate_laser_from_boards(cfg: ExperimentConfig,
 def _effective_calibrations(cfg, perfect_when_noiseless: bool):
     truth = truth_calibration(PROFILES[cfg.profile], cfg.tilt_deg)
     if cfg.noiseless and perfect_when_noiseless:
-        return truth, truth, []
+        return truth, truth, None
     estimated, observations = calibrate_laser_from_boards(cfg, truth)
     return truth, estimated, observations
 
@@ -476,9 +474,8 @@ def _marker_stages(cfg, out, run):
     truth, estimated, observations = _effective_calibrations(
         cfg, perfect_when_noiseless=False)
     run.artifacts["calibration"] = _write_calibration(out, estimated)
-    if observations:
-        run.artifacts["observations"] = rio.write_spot_observations_csv(
-            out / "calibration_observations.csv", observations)
+    run.artifacts["observations"] = rio.write_spot_observations_csv(
+        out / "calibration_observations.csv", observations)
 
     yield "execute"
     cx, cy = _scan_center()
@@ -628,33 +625,29 @@ def _default_cameras():
 
 
 def _camera_fiducials(scene):
-    """Known 3D markers spanning the volume for extrinsic calibration."""
-    pts = []
-    for x in (1.0, 6.3, 11.6):
-        for y in (1.0, 6.4, 11.8):
-            pts.append([x, y, float(scene.height(x, y))])
-    for k, (x, y) in enumerate(((2.5, 3.0), (10.0, 4.0), (4.0, 10.0))):
-        pts.append([x, y, 6.0 + 0.5 * k])
-    return np.array(pts)
+    """Known 3D markers spanning the volume for extrinsic calibration: a
+    3 x 3 grid on the surface, x outermost, then three raised markers."""
+    gx, gy = (g.ravel() for g in np.meshgrid(
+        (1.0, 6.3, 11.6), (1.0, 6.4, 11.8), indexing="ij"))
+    return np.concatenate([np.column_stack([gx, gy, scene.height(gx, gy)]),
+                           [[2.5, 3.0, 6.0], [10.0, 4.0, 6.5],
+                            [4.0, 10.0, 7.0]]])
 
 
 def _estimate_cameras(cfg, scene):
+    """(posed camera, ExtrinsicStats) for each default camera."""
     rng = _rng(cfg, _SALT_EXTRINSICS)
     sigma = 0.0 if cfg.noiseless else PROFILES[cfg.profile].pixel_sigma
     fiducials = _camera_fiducials(scene)
-    estimated = []
-    stats_out = []
+    solved = []
     for cam in _default_cameras():
         uv, in_front = project_points(cam, fiducials)
         if not in_front.all():
             raise BehindCamera("a camera fiducial is behind the camera")
         if sigma > 0:
             uv = uv + rng.normal(0.0, sigma, (len(fiducials), 2))
-        corr = [Correspondence2D3D(p, w) for p, w in zip(uv, fiducials)]
-        est, stats = estimate_camera_extrinsics(cam, corr)
-        estimated.append(est)
-        stats_out.append(stats)
-    return estimated, stats_out
+        solved.append(estimate_camera_extrinsics(cam, uv, fiducials))
+    return solved
 
 
 def render_camera_image(scene: ScenePhantom, camera: PinholeCamera,
@@ -715,7 +708,7 @@ def _e2e_stages(cfg, out, run):
 
     truth, estimated, observations = _effective_calibrations(
         cfg, perfect_when_noiseless=True)
-    cameras, cam_stats = _estimate_cameras(cfg, scene)
+    cameras, cam_stats = zip(*_estimate_cameras(cfg, scene))
     artifacts["laser_calibration"] = _write_calibration(out, estimated)
     artifacts["camera_extrinsics"] = rio.write_json(
         out / "camera_extrinsics.json", [
@@ -724,7 +717,7 @@ def _e2e_stages(cfg, out, run):
              "rms_px": st.rms_px, "rms_mm": st.rms_mm}
             for cam, st in zip(cameras, cam_stats)
         ])
-    if observations:
+    if observations is not None:
         artifacts["observations"] = rio.write_spot_observations_csv(
             out / "calibration_observations.csv", observations)
     report["camera_rms_px"] = [st.rms_px for st in cam_stats]

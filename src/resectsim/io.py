@@ -156,9 +156,8 @@ def read_oct_volume(path_base) -> OctVolume:
 
 
 def write_spot_observations_csv(path, observations) -> Path:
-    rows = [np.concatenate((o.beta, o.plane.center, o.plane.normal,
-                            o.spot_center), dtype=float).tolist()
-            for o in observations]
+    o = observations
+    rows = np.column_stack((o.betas, o.centers, o.normals, o.spots)).tolist()
     return _write_csv_rows(
         path, rows, header=("beta_x", "beta_y", "px", "py", "pz",
                             "nx", "ny", "nz", "sx", "sy", "sz"))

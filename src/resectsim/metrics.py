@@ -124,17 +124,16 @@ def overcut_ratio(true_r, actual_r, pitch: float = DEFAULT_PITCH) -> float:
 
 def sample_polygon_boundary(vertices,
                             spacing: float = BOUNDARY_SPACING) -> np.ndarray:
-    """Points along the polygon outline at most ``spacing`` apart."""
+    """Points along the polygon outline at most ``spacing`` apart: each
+    edge cut into ``max(1, ceil(length / spacing))`` equal steps."""
     v = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    out = []
-    n = len(v)
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        length = float(np.linalg.norm(b - a))
-        steps = max(1, int(np.ceil(length / spacing)))
-        for t in np.arange(steps) / steps:
-            out.append(a + t * (b - a))
-    return np.array(out)
+    edges = np.roll(v, -1, axis=0) - v
+    lengths = np.sqrt(np.vecdot(edges, edges))  # np.linalg.norm's bits
+    steps = np.maximum(1, np.ceil(lengths / spacing).astype(np.int64))
+    k = np.arange(steps.sum()) - np.repeat(np.cumsum(steps) - steps, steps)
+    t = k / np.repeat(steps, steps)
+    return np.repeat(v, steps, axis=0) \
+        + t[:, None] * np.repeat(edges, steps, axis=0)
 
 
 def disc_polygon(center, radius: float) -> np.ndarray:
@@ -146,14 +145,13 @@ def disc_polygon(center, radius: float) -> np.ndarray:
     ])
 
 
-def edge_error(a_samples, b_samples):
-    """Distance from every sample of a to its nearest sample of b, plus RMSE."""
+def edge_error(a_samples, b_samples) -> np.ndarray:
+    """Distance from every sample of a to its nearest sample of b."""
     a = np.asarray(a_samples, dtype=float).reshape(-1, 2)
     b = np.asarray(b_samples, dtype=float).reshape(-1, 2)
     if len(a) < 3 or len(b) < 3:
         raise EmptyBoundary("boundaries need at least 3 samples each")
-    dists = np.sqrt(nearest_neighbor(a, b)[1])
-    return dists, float(np.sqrt(np.mean(dists**2)))
+    return np.sqrt(nearest_neighbor(a, b)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +227,7 @@ def compare_regions(kind: str, reference, achieved,
     sampled.
     """
     m_ref, m_ach = rasterize_pair(reference, achieved, pitch)
-    errs, rmse = edge_error(
+    errs = edge_error(
         sample_polygon_boundary(achieved, BOUNDARY_SPACING),
         sample_polygon_boundary(reference, BOUNDARY_SPACING),
     )

@@ -7,8 +7,10 @@ These are the one-point-at-a-time versions that ``points_in_polygon``,
 batched ``intersect_scene`` replaced, kept as they were so the tests can
 hold the array kernels to them. ``raster_on`` is the per-pixel region
 raster (``points_in_polygon`` over every pixel centre) that the scanline
-fill in ``metrics._raster_on`` replaced, and ``write_ply_cloud`` the
-row-at-a-time writer that the column-wise ``io.write_ply_cloud`` replaced.
+fill in ``metrics._raster_on`` replaced, ``sample_polygon_boundary`` the
+edge-by-edge, step-by-step outline sampler that the array expression in
+``metrics`` replaced, and ``write_ply_cloud`` the row-at-a-time writer that
+the column-wise ``io.write_ply_cloud`` replaced.
 ``render_oct_volume`` and ``segment_surface`` are the eager C-scan and its
 full-volume axis-1 reduction that the B-scan stream replaced; the eager
 render evaluates every axial row, where the stream evaluates only the band
@@ -19,22 +21,26 @@ polygons must pass before they serve as membership inputs.
 ``solve_ik`` and ``plan_trajectory`` are the one-target Newton loop and the
 per-target plan that the array Newton loop in ``kinematics`` replaced, with
 the ``Ray``-based forward model they stepped through and its beam-plane
-intersection ``ray_plane_intersect``. ``spot_prediction``,
-``laser_least_squares`` and ``reprojection_error`` predict one board
-observation at a time, as the laser calibration did before its residual and
-Jacobian became array expressions. ``synth_spectrum``, ``preprocess`` (with
-its 1-D ``savgol_smooth``), ``band_mean``, ``threshold_classify`` and
-``mlp_predict`` are the one-spectrum bodies that the (n, w) versions in
-``sensors`` and ``spectra`` replaced, which the harness called once per scan
-point; ``mlp_predict`` normalizes and runs the forward pass on one call's
-rows together, so a batch through it is one batched pass, not n one-row
-ones. ``mlp_forward`` is the class-probability pass it runs, which the
-blocked, error-bounded ``spectra.mlp_predict`` no longer calls. ``mlp_train``
-is the trainer whose Adam update (``adam_step``) ran over each whole
-parameter array, before ``spectra.mlp_train`` split the update into slices
-that two threads share. ``write_spot_observations_csv``,
-``write_cut_plan_csv`` and ``write_spectra_csv`` are the ``csv.writer``
-bodies that ``io._write_csv_rows`` replaced.
+intersection ``ray_plane_intersect``. These oracles own the plane form the
+library no longer has: a ``(center, unit normal)`` pair of (3,) arrays, as
+``target_plane`` makes one. ``spot_prediction``, ``laser_least_squares`` and
+``reprojection_error`` predict one board observation at a time, as the
+laser calibration did before its residual and Jacobian became array
+expressions; ``observation_rows`` splits a ``SpotObservations`` record into
+the per-shot (beta, plane, spot) rows they walk. ``synth_spectrum``,
+``preprocess`` (with its 1-D ``savgol_smooth``), ``band_mean``,
+``threshold_classify`` and ``mlp_predict`` are the one-spectrum bodies that
+the (n, w) versions in ``sensors`` and ``spectra`` replaced, which the
+harness called once per scan point; ``mlp_predict`` normalizes and runs the
+forward pass on one call's rows together, so a batch through it is one
+batched pass, not n one-row ones. ``mlp_forward`` is the class-probability
+pass it runs, which the blocked, error-bounded ``spectra.mlp_predict`` no
+longer calls. ``mlp_train`` is the trainer whose Adam update
+(``adam_step``) ran over each whole parameter array, before
+``spectra.mlp_train`` split the update into slices that two threads share.
+``write_spot_observations_csv``, ``write_cut_plan_csv`` and
+``write_spectra_csv`` are the ``csv.writer`` bodies that
+``io._write_csv_rows`` replaced.
 """
 
 import csv
@@ -62,7 +68,6 @@ from resectsim.errors import (
 from resectsim.geometry import (
     EDGE_EPS,
     PARALLEL_EPS,
-    PlaneFrame,
     SurfaceCloud,
     as_vec3,
     points_in_polygon,
@@ -223,6 +228,21 @@ def raster_on(polygon, x0, y0, nx, ny, pitch) -> np.ndarray:
     return flat.reshape(ny, nx)
 
 
+def sample_polygon_boundary(vertices, spacing) -> np.ndarray:
+    """Points along the polygon outline at most ``spacing`` apart, one edge
+    and one step at a time."""
+    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
+    out = []
+    n = len(v)
+    for i in range(n):
+        a, b = v[i], v[(i + 1) % n]
+        length = float(np.linalg.norm(b - a))
+        steps = max(1, int(np.ceil(length / spacing)))
+        for t in np.arange(steps) / steps:
+            out.append(a + t * (b - a))
+    return np.array(out)
+
+
 def render_camera_image(scene, camera, oct_cfg) -> np.ndarray:
     """The camera view painted through the label strings: ``np.unique``
     over ``label_at`` of every projected grid point, then a palette."""
@@ -320,33 +340,35 @@ def segment_surface(vol, cfg, origin) -> SurfaceCloud:
                         valid=valid.ravel())
 
 
-def target_plane(target) -> PlaneFrame:
-    """Horizontal virtual plane through the target's height."""
+def target_plane(target):
+    """Horizontal virtual plane through the target's height, as a
+    (center, normal) pair."""
     t = as_vec3(target)
-    return PlaneFrame([0.0, 0.0, t[2]], [0.0, 0.0, 1.0])
+    return np.array([0.0, 0.0, t[2]]), np.array([0.0, 0.0, 1.0])
 
 
-def ray_plane_intersect(ray, plane: PlaneFrame) -> np.ndarray:
-    """Intersection of a beam with a virtual plane.
+def ray_plane_intersect(ray, plane) -> np.ndarray:
+    """Intersection of a beam with a virtual plane (center, unit normal).
 
     Returns p = origin - [n.(origin - center) / n.direction] * direction.
     Raises ParallelRay when |n.direction| <= 1e-9.
     """
-    denom = float(np.dot(plane.normal, ray.direction))
+    center, normal = plane
+    denom = float(np.dot(normal, ray.direction))
     if abs(denom) <= PARALLEL_EPS:
         raise ParallelRay(f"|normal . direction| = {abs(denom):.3e} <= {PARALLEL_EPS}")
-    t = -float(np.dot(plane.normal, ray.origin - plane.center)) / denom
+    t = -float(np.dot(normal, ray.origin - center)) / denom
     return ray.origin + t * ray.direction
 
 
-def forward_model(calibration, beta, plane: PlaneFrame) -> np.ndarray:
+def forward_model(calibration, beta, plane) -> np.ndarray:
     """The beam from the commanded waypoint intersected with the plane."""
     return ray_plane_intersect(calibration.beam(beta), plane)
 
 
-def beta_jacobian(calibration, plane: PlaneFrame) -> np.ndarray:
+def beta_jacobian(calibration, plane) -> np.ndarray:
     """(3, 2) derivative of the predicted spot wrt beta for a fixed plane."""
-    n, v = plane.normal, calibration.v_w
+    n, v = plane[1], calibration.v_w
     d = float(np.dot(n, v))
     if abs(d) <= 1e-9:
         raise ParallelRay("beam parallel to the virtual plane")
@@ -404,35 +426,44 @@ def plan_trajectory(calibration, targets, bounds=None) -> CutPlan:
 
 
 def spot_prediction(frame, alpha, beta, theta, phi, plane):
-    """One board observation's predicted spot, with v, d, s and p_w."""
+    """One board observation's predicted spot on the plane (center, unit
+    normal), with v, d, s and p_w."""
+    center, normal = plane
     v = beam_from_angles(theta, phi)
     p_w = waypoint_position(frame, alpha, beta)
-    d = float(np.dot(plane.normal, v))
-    s = float(np.dot(plane.normal, p_w - plane.center))
+    d = float(np.dot(normal, v))
+    s = float(np.dot(normal, p_w - center))
     return p_w - (s / d) * v, v, d, s, p_w
 
 
-def laser_least_squares(frame, obs):
+def observation_rows(observations):
+    """(beta, (center, normal), spot) for each row of a record."""
+    o = observations
+    return list(zip(o.betas, zip(o.centers, o.normals), o.spots))
+
+
+def laser_least_squares(frame, observations):
     """(residual, jacobian) of the laser calibration, filled one
     observation's three rows at a time."""
+    obs = observation_rows(observations)
 
     def residual(x):
         theta, phi, ax, ay = x
         out = np.empty(3 * len(obs))
-        for k, o in enumerate(obs):
+        for k, (beta, plane, spot) in enumerate(obs):
             pred, _, _, _, _ = spot_prediction(
-                frame, (ax, ay), o.beta, theta, phi, o.plane)
-            out[3 * k:3 * k + 3] = pred - o.spot_center
+                frame, (ax, ay), beta, theta, phi, plane)
+            out[3 * k:3 * k + 3] = pred - spot
         return out
 
     def jacobian(x):
         theta, phi, ax, ay = x
         jac = np.empty((3 * len(obs), 4))
         dv = beam_angle_jacobian(theta, phi)
-        for k, o in enumerate(obs):
+        for k, (beta, plane, _) in enumerate(obs):
             _, v, d, s, _ = spot_prediction(
-                frame, (ax, ay), o.beta, theta, phi, o.plane)
-            n = o.plane.normal
+                frame, (ax, ay), beta, theta, phi, plane)
+            n = plane[1]
             t = s / d
             for col in range(2):  # theta, phi
                 dvc = dv[:, col]
@@ -451,15 +482,15 @@ class EmptyObservations(PipelineError):
 
 def reprojection_error(calibration, observations):
     """Per-observation distances between predicted and measured spots, plus RMS."""
-    obs = list(observations)
+    obs = observation_rows(observations)
     if not obs:
         raise EmptyObservations("no observations to evaluate")
     theta, phi = angles_from_beam(calibration.v_w)
     res = []
-    for o in obs:
+    for beta, plane, spot in obs:
         pred, _, _, _, _ = spot_prediction(
-            calibration.frame, calibration.alpha, o.beta, theta, phi, o.plane)
-        res.append(float(np.linalg.norm(pred - o.spot_center)))
+            calibration.frame, calibration.alpha, beta, theta, phi, plane)
+        res.append(float(np.linalg.norm(pred - spot)))
     res = np.array(res)
     return res, float(np.sqrt(np.mean(res**2)))
 
@@ -627,10 +658,9 @@ def write_spot_observations_csv(path, observations) -> Path:
         w = csv.writer(f)
         w.writerow(["beta_x", "beta_y", "px", "py", "pz",
                     "nx", "ny", "nz", "sx", "sy", "sz"])
-        for o in observations:
-            w.writerow([repr(float(x)) for x in
-                        (*o.beta, *o.plane.center, *o.plane.normal,
-                         *o.spot_center)])
+        o = observations
+        for row in zip(o.betas, o.centers, o.normals, o.spots):
+            w.writerow([repr(float(x)) for part in row for x in part])
     return path
 
 

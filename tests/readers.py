@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from resectsim.calibration import LaserCalibration, LaserSpotObservation
-from resectsim.geometry import PlaneFrame, ReferenceFrame
+from resectsim.calibration import LaserCalibration, SpotObservations
+from resectsim.geometry import ReferenceFrame
 from resectsim.kinematics import CutPlan
 from resectsim.spectra import MlpModel
 
@@ -49,19 +49,18 @@ def read_ply_cloud(path):
     return pts, color, label
 
 
-def read_spot_observations_csv(path):
-    out = []
+def read_spot_observations_csv(path) -> SpotObservations:
     with Path(path).open() as f:
-        for row in csv.DictReader(f):
-            out.append(LaserSpotObservation(
-                [float(row["beta_x"]), float(row["beta_y"])],
-                PlaneFrame(
-                    [float(row["px"]), float(row["py"]), float(row["pz"])],
-                    [float(row["nx"]), float(row["ny"]), float(row["nz"])],
-                ),
-                [float(row["sx"]), float(row["sy"]), float(row["sz"])],
-            ))
-    return out
+        rows = list(csv.DictReader(f))
+
+    def columns(*names):
+        return np.array([[float(r[k]) for k in names] for r in rows],
+                        dtype=float).reshape(-1, len(names))
+
+    return SpotObservations(columns("beta_x", "beta_y"),
+                            columns("px", "py", "pz"),
+                            columns("nx", "ny", "nz"),
+                            columns("sx", "sy", "sz"))
 
 
 def laser_calibration_from_dict(d: dict) -> LaserCalibration:

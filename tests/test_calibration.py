@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,10 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from oracles import EmptyObservations, reprojection_error
 from resectsim.calibration import (
-    AxisObservation,
-    Correspondence2D3D,
+    MIN_AXIS_LENGTH,
     LaserCalibration,
-    LaserSpotObservation,
+    SpotObservations,
     angles_from_beam,
     beam_angle_jacobian,
     beam_from_angles,
@@ -27,7 +27,7 @@ from resectsim.errors import (
     DegenerateConfiguration,
     IllConditioned,
 )
-from resectsim.geometry import PlaneFrame, ReferenceFrame, normalize
+from resectsim.geometry import ReferenceFrame, normalize
 from resectsim.io import laser_calibration_to_dict
 from resectsim.optimize import levenberg_marquardt
 from resectsim.sensors import PinholeCamera, project_points
@@ -77,28 +77,19 @@ class TestBeamParameterization:
 class TestAxes:
     def test_x_axis(self):
         frame = calibrate_laser_axes(
-            [0, 0, 20],
-            AxisObservation("x", [0, 0, 20], [10, 0, 20]),
-            AxisObservation("y", [0, 0, 20], [0, 8, 20]),
-        )
+            [0, 0, 20], ([0, 0, 20], [10, 0, 20]), ([0, 0, 20], [0, 8, 20]))
         assert np.allclose(frame.v_x, [1, 0, 0])
 
     def test_degenerate(self):
         with pytest.raises(DegenerateAxis):
             calibrate_laser_axes(
-                [0, 0, 20],
-                AxisObservation("x", [0, 0, 20], [0, 0, 20]),
-                AxisObservation("y", [0, 0, 20], [0, 8, 20]),
-            )
+                [0, 0, 20], ([0, 0, 20], [0, 0, 20]), ([0, 0, 20], [0, 8, 20]))
 
     def test_non_orthogonal_kept_as_is(self):
         ang = np.radians(85.0)
         frame = calibrate_laser_axes(
-            [0, 0, 20],
-            AxisObservation("x", [0, 0, 20], [10, 0, 20]),
-            AxisObservation("y", [0, 0, 20],
-                            [10 * np.cos(ang), 10 * np.sin(ang), 20]),
-        )
+            [0, 0, 20], ([0, 0, 20], [10, 0, 20]),
+            ([0, 0, 20], [10 * np.cos(ang), 10 * np.sin(ang), 20]))
         assert abs(np.dot(frame.v_x, frame.v_y) - np.cos(ang)) < 1e-12
 
 
@@ -130,8 +121,9 @@ class TestLaserOrientation:
     def test_too_few_observations(self):
         truth = self.truth()
         obs = synthesize_spot_observations(truth, BETAS[:1], [0.0, 4.0])
+        assert len(obs) == 2
         with pytest.raises(ValueError):
-            calibrate_laser_orientation(FRAME, obs[:2])
+            calibrate_laser_orientation(FRAME, obs)
 
     def test_random_recovery_from_vertical_start(self):
         rng = np.random.default_rng(42)
@@ -201,14 +193,13 @@ class TestArrayResidualAgainstOracle:
         rng = np.random.default_rng(seed)
         frame = random_rig(rng, 0.0).frame
 
-        def board(k):
-            slope = rng.uniform(-0.5, 0.5, 2) if k % 2 else (0.0, 0.0)
-            return PlaneFrame([*rng.uniform(-5, 5, 2), rng.uniform(-5, 10)],
-                              [*slope, 1.0])
-
-        obs = [LaserSpotObservation(rng.uniform(-10, 10, 2), board(k),
-                                    rng.uniform(-20, 20, 3))
-               for k in range(m)]
+        normals = np.ones((m, 3))
+        normals[1::2, :2] = rng.uniform(-0.5, 0.5, (m // 2, 2))
+        obs = SpotObservations(
+            rng.uniform(-10, 10, (m, 2)),
+            np.column_stack([rng.uniform(-5, 5, (m, 2)),
+                             rng.uniform(-5, 10, m)]),
+            normals, rng.uniform(-20, 20, (m, 3)))
         tilt = np.radians(max_tilt)
         got = laser_least_squares(frame, obs)
         want = oracles.laser_least_squares(frame, obs)
@@ -250,15 +241,16 @@ class TestArrayResidualAgainstOracle:
         theta, phi = angles_from_beam(truth.v_w)
         pairs = list(itertools.product(heights, betas))
         assert len(obs) == len(pairs)
-        for o, (h, beta) in zip(obs, pairs):
-            plane = PlaneFrame([0.0, 0.0, h], [0.0, 0.0, 1.0])
+        for k, (h, beta) in enumerate(pairs):
+            plane = oracles.target_plane([0.0, 0.0, h])
             spot = oracles.spot_prediction(truth.frame, truth.alpha, beta,
                                            theta, phi, plane)[0]
             if sigma > 0:
                 spot = spot + replay.normal(0.0, sigma, 3)
-            assert o.spot_center.tobytes() == spot.tobytes()
-            assert o.beta.tobytes() == beta.tobytes()
-            assert o.plane.center.tobytes() == plane.center.tobytes()
+            assert obs.spots[k].tobytes() == spot.tobytes()
+            assert obs.betas[k].tobytes() == beta.tobytes()
+            assert obs.centers[k].tobytes() == plane[0].tobytes()
+            assert obs.normals[k].tobytes() == plane[1].tobytes()
 
 
 class TestReprojection:
@@ -271,17 +263,15 @@ class TestReprojection:
     def test_uniform_z_shift(self):
         truth = LaserCalibration(FRAME, (0.0, 0.0), normalize((0.05, 0.02, -1.0)))
         obs = synthesize_spot_observations(truth, BETAS, HEIGHTS)
-        shifted = [
-            type(o)(o.beta, o.plane, o.spot_center + np.array([0, 0, 0.1]))
-            for o in obs
-        ]
+        shifted = dataclasses.replace(obs, spots=obs.spots + [0, 0, 0.1])
         res, rms = reprojection_error(truth, shifted)
         assert 0.0 < rms <= 0.15
 
     def test_empty(self):
         truth = LaserCalibration(FRAME, (0.0, 0.0), (0.0, 0.0, -1.0))
         with pytest.raises(EmptyObservations):
-            reprojection_error(truth, [])
+            reprojection_error(
+                truth, synthesize_spot_observations(truth, BETAS, []))
 
 
 class TestWaypoint:
@@ -326,12 +316,9 @@ def make_correspondences(cam, n, seed=0, pixel_noise=0.0):
     ])
     pixels, in_front = project_points(cam, world)
     assert in_front.all()
-    out = []
-    for uv, w in zip(pixels, world):
-        if pixel_noise > 0:
-            uv = uv + rng.normal(0, pixel_noise, 2)
-        out.append(Correspondence2D3D(uv, w))
-    return out
+    if pixel_noise > 0:  # one draw per point, in point order
+        pixels = pixels + rng.normal(0, pixel_noise, (n, 2))
+    return pixels, world
 
 
 class TestCameraExtrinsics:
@@ -341,33 +328,32 @@ class TestCameraExtrinsics:
     def test_noiseless_recovery(self):
         cam = true_camera()
         corr = make_correspondences(cam, 20, seed=1)
-        est, stats = estimate_camera_extrinsics(self.intrinsics_only(), corr)
+        est, stats = estimate_camera_extrinsics(self.intrinsics_only(), *corr)
         assert rotation_angle(est.rotation, cam.rotation) < 1e-8
         assert np.linalg.norm(est.translation - cam.translation) < 1e-7
         assert stats.rms_px < 1e-6
 
     def test_on_axis_degenerate(self):
         cam = self.intrinsics_only()
-        corr = [
-            Correspondence2D3D([640.0, 360.0], [0.0, 0.0, float(z)])
-            for z in range(10, 17)
-        ]
+        world = np.column_stack([np.zeros((7, 2)), np.arange(10.0, 17.0)])
         with pytest.raises(DegenerateConfiguration):
-            estimate_camera_extrinsics(cam, corr)
+            estimate_camera_extrinsics(cam, np.tile([640.0, 360.0], (7, 1)),
+                                       world)
 
     def test_noisy_residual_band(self):
         cam = true_camera()
         means = []
         for seed in range(10):
             corr = make_correspondences(cam, 30, seed=seed, pixel_noise=0.5)
-            _, stats = estimate_camera_extrinsics(self.intrinsics_only(), corr)
+            _, stats = estimate_camera_extrinsics(self.intrinsics_only(),
+                                                  *corr)
             means.append(stats.pixel_residuals.mean())
         assert 0.3 <= np.mean(means) <= 0.8
 
     def test_objective_monotone(self):
         cam = true_camera()
         corr = make_correspondences(cam, 25, seed=3, pixel_noise=1.0)
-        _, stats = estimate_camera_extrinsics(self.intrinsics_only(), corr)
+        _, stats = estimate_camera_extrinsics(self.intrinsics_only(), *corr)
         hist = np.array(stats.cost_history)
         assert np.all(np.diff(hist) <= 0)
         # only the step-tolerance exit ends right after an accepted step
@@ -377,7 +363,7 @@ class TestCameraExtrinsics:
     def test_mm_equivalents_scale(self):
         cam = true_camera()
         corr = make_correspondences(cam, 20, seed=5, pixel_noise=0.5)
-        _, stats = estimate_camera_extrinsics(self.intrinsics_only(), corr)
+        _, stats = estimate_camera_extrinsics(self.intrinsics_only(), *corr)
         # depth ~130 mm at fx 2000 -> 1 px ~ 0.065 mm
         ratio = stats.rms_mm / stats.rms_px
         assert 0.04 < ratio < 0.09
@@ -386,4 +372,67 @@ class TestCameraExtrinsics:
         cam = true_camera()
         corr = make_correspondences(cam, 5)
         with pytest.raises(ValueError):
-            estimate_camera_extrinsics(self.intrinsics_only(), corr)
+            estimate_camera_extrinsics(self.intrinsics_only(), *corr)
+
+
+def _poisoned(a, value):
+    """A float copy of ``a`` with its last element set to ``value``."""
+    a = np.array(a, dtype=float)
+    a.reshape(-1)[-1] = value
+    return a
+
+
+SPOT_COLUMNS = {"betas": np.zeros((3, 2)), "centers": np.zeros((3, 3)),
+                "normals": np.tile([0.0, 0.0, 1.0], (3, 1)),
+                "spots": np.zeros((3, 3))}
+PIXELS, WORLD = make_correspondences(true_camera(), 8)
+AXIS_X = ([0.0, 0.0, 20.0], [10.0, 0.0, 20.0])
+
+
+def _spots_with(**change):
+    return lambda: SpotObservations(**{**SPOT_COLUMNS, **change})
+
+
+def _extrinsics(pixels, world):
+    return lambda: estimate_camera_extrinsics(true_camera(), pixels, world)
+
+
+BAD_INPUTS = {
+    **{f"{name}-{kind}": (_spots_with(**{name: bad}), ValueError,
+                          f"{name} must be a finite")
+       for name, col in SPOT_COLUMNS.items()
+       for kind, bad in (("nan", _poisoned(col, np.nan)),
+                         ("inf", _poisoned(col, -np.inf)),
+                         ("narrow", col[:, :-1]), ("flat", col.ravel()))},
+    "zero-normal": (_spots_with(normals=SPOT_COLUMNS["normals"] * [[1], [0],
+                                                                   [1]]),
+                    ValueError, "nonzero"),
+    "row-counts": (_spots_with(spots=np.zeros((2, 3))), ValueError,
+                   "row count"),
+    "nan-pixel": (_extrinsics(_poisoned(PIXELS, np.nan), WORLD), ValueError,
+                  "fiducials must be finite"),
+    "inf-world": (_extrinsics(PIXELS, _poisoned(WORLD, np.inf)), ValueError,
+                  "fiducials must be finite"),
+    "pixel-width": (_extrinsics(PIXELS[:, :1], WORLD), ValueError,
+                    "fiducials must be finite"),
+    "pair-counts": (_extrinsics(PIXELS[:7], WORLD), ValueError,
+                    "fiducials must be finite"),
+    "five-pairs": (_extrinsics(PIXELS[:5], WORLD[:5]), ValueError,
+                   "at least 6"),
+    "short-x-axis": (lambda: calibrate_laser_axes(
+        [0.0, 0.0, 20.0], ([0.0, 0.0, 20.0], [0.3, 0.4, 20.0]), AXIS_X),
+        DegenerateAxis, "axis 'x'"),
+    "short-y-axis": (lambda: calibrate_laser_axes(
+        [0.0, 0.0, 20.0], AXIS_X,
+        ([1.0, 1.0, 20.0], [1.0, 1.0 + MIN_AXIS_LENGTH, 20.0])),
+        DegenerateAxis, "axis 'y'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_calibration_input_raises(case):
+    # each bad input is caught by its own check, with that check's
+    # exception type, before any solver runs
+    call, error, message = BAD_INPUTS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -8,13 +8,13 @@ from resectsim.errors import EmptyCloud, GridTooSmall, ParallelRay
 from resectsim.geometry import (
     DEGENERATE_AREA,
     NN_BLOCK,
-    PlaneFrame,
     PointGrid,
     Ray,
     ReferenceFrame,
     SurfaceCloud,
     TriMesh,
     nearest_neighbor,
+    normalize,
     ray_mesh_intersect,
     triangulate_grid,
 )
@@ -216,19 +216,19 @@ class TestFastKernelsMatchOracles:
 class TestRayPlane:
     def test_normal_incidence(self):
         ray = Ray([0, 0, 10], [0, 0, -1])
-        plane = PlaneFrame([0, 0, 0], [0, 0, 1])
+        plane = oracles.target_plane([0, 0, 0])
         assert np.allclose(oracles.ray_plane_intersect(ray, plane), [0, 0, 0],
                            atol=1e-12)
 
     def test_45_degrees(self):
         ray = Ray([0, 0, 10], np.array([1, 0, -1]) / np.sqrt(2))
-        plane = PlaneFrame([0, 0, 0], [0, 0, 1])
+        plane = oracles.target_plane([0, 0, 0])
         assert np.allclose(oracles.ray_plane_intersect(ray, plane), [10, 0, 0],
                            atol=1e-9)
 
     def test_parallel_raises(self):
         ray = Ray([0, 0, 10], [1, 0, 0])
-        plane = PlaneFrame([0, 0, 0], [0, 0, 1])
+        plane = oracles.target_plane([0, 0, 0])
         with pytest.raises(ParallelRay):
             oracles.ray_plane_intersect(ray, plane)
 
@@ -243,9 +243,9 @@ class TestRayPlane:
                           direction / np.linalg.norm(direction))) < 1e-3:
                 continue
             ray = Ray(origin, direction)
-            plane = PlaneFrame(center, normal)
-            p = oracles.ray_plane_intersect(ray, plane)
-            assert abs(np.dot(p - plane.center, plane.normal)) < 1e-9
+            normal = normalize(normal)
+            p = oracles.ray_plane_intersect(ray, (center, normal))
+            assert abs(np.dot(p - center, normal)) < 1e-9
             assert np.linalg.norm(np.cross(p - ray.origin, ray.direction)) < 1e-9 * max(
                 1.0, np.linalg.norm(p - ray.origin)
             )

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from resectsim import io as rio
-from resectsim.calibration import LaserCalibration, LaserSpotObservation
+from resectsim.calibration import LaserCalibration, SpotObservations
 from resectsim.errors import LengthMismatch
-from resectsim.geometry import PlaneFrame, ReferenceFrame
+from resectsim.geometry import ReferenceFrame
 from resectsim.kinematics import CutPlan
 from resectsim.sensors import OctConfig, OctVolume
 from resectsim.spectra import init_mlp
@@ -102,18 +102,39 @@ class TestVolume:
         assert back.config.axial_pitch == cfg.axial_pitch
 
 
+# unit normals that scaling to unit length leaves as they are, so a record
+# read back holds the bits that were written
+UNIT_NORMALS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+                (0.0, -1.0, 0.0), (0.6, 0.0, 0.8), (0.0, -0.8, 0.6)]
+
+
+@st.composite
+def spot_records(draw):
+    """Up to six board shots of any finite doubles, subnormals and signed
+    zeros included, on boards with the normals above."""
+    m = draw(st.integers(0, 6))
+
+    def column(width):
+        return np.reshape(draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=m * width, max_size=m * width)), (m, width))
+
+    normals = draw(st.lists(st.sampled_from(UNIT_NORMALS), min_size=m,
+                            max_size=m))
+    return SpotObservations(column(2), column(3), np.reshape(normals, (m, 3)),
+                            column(3))
+
+
 class TestCsv:
-    def test_spot_observations(self, tmp_path):
-        obs = [LaserSpotObservation(
-            [0.5, -0.5],
-            PlaneFrame([0, 0, 3.0], [0, 0, 1.0]),
-            [1.0, 2.0, 3.0],
-        )]
-        path = rio.write_spot_observations_csv(tmp_path / "o.csv", obs)
-        back = readers.read_spot_observations_csv(path)
-        assert np.array_equal(back[0].beta, obs[0].beta)
-        assert np.array_equal(back[0].spot_center, obs[0].spot_center)
-        assert np.array_equal(back[0].plane.center, obs[0].plane.center)
+    @given(spot_records())
+    def test_spot_observations(self, obs):
+        with tempfile.TemporaryDirectory() as d:
+            path = rio.write_spot_observations_csv(Path(d) / "o.csv", obs)
+            back = readers.read_spot_observations_csv(path)
+        for name in ("betas", "centers", "normals", "spots"):
+            got, want = getattr(back, name), getattr(obs, name)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_cut_plan(self, tmp_path):
         plan = CutPlan(np.arange(6.0).reshape(2, 3),
@@ -154,10 +175,8 @@ class TestCsvAgainstOracle:
 
     @given(float_tables(11))
     def test_spot_observations(self, table):
-        obs = [SimpleNamespace(beta=row[:2], spot_center=row[8:],
-                               plane=SimpleNamespace(center=row[2:5],
-                                                     normal=row[5:8]))
-               for row in table]
+        obs = SimpleNamespace(betas=table[:, :2], centers=table[:, 2:5],
+                              normals=table[:, 5:8], spots=table[:, 8:])
         with tempfile.TemporaryDirectory() as d:
             got = rio.write_spot_observations_csv(Path(d) / "a.csv", obs)
             want = oracles.write_spot_observations_csv(Path(d) / "b.csv", obs)

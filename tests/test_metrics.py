@@ -13,6 +13,7 @@ from resectsim.errors import (
     RasterTooLarge,
 )
 from resectsim.metrics import (
+    BOUNDARY_SPACING,
     MAX_RASTER_CELLS,
     _raster_on,
     compare_regions,
@@ -42,14 +43,14 @@ def square(x0=0.0, y0=0.0, side=1.0):
 class TestEdgeError:
     def test_identical(self):
         s = sample_polygon_boundary(SQUARE, 0.02)
-        errs, rmse = edge_error(s, s)
+        errs = edge_error(s, s)
+        assert errs.shape == (len(s),)
         assert np.all(errs == 0.0)
-        assert rmse == 0.0
 
     def test_shifted_square(self):
         a = sample_polygon_boundary(SQUARE, 0.01)
         b = sample_polygon_boundary(SQUARE + [0.1, 0.0], 0.01)
-        errs, _ = edge_error(a, b)
+        errs = edge_error(a, b)
         assert errs.max() <= 0.1 + 1e-9
         assert abs(errs.max() - 0.1) < 0.02
         assert np.all(errs >= 0)
@@ -57,7 +58,7 @@ class TestEdgeError:
     def test_matches_all_pairs_oracle(self):
         a = sample_polygon_boundary(SQUARE, 0.13)
         b = sample_polygon_boundary(2.0 * SQUARE, 0.17)
-        errs, _ = edge_error(a, b)
+        errs = edge_error(a, b)
         for k, pa in enumerate(a):
             best = min(np.linalg.norm(pa - pb) for pb in b)
             assert abs(errs[k] - best) < 1e-12
@@ -68,10 +69,8 @@ class TestEdgeError:
 
     def test_zero_iff_on_samples(self):
         a = np.array([(0, 0), (1, 0), (0, 1)], dtype=float)
-        errs, rmse = edge_error(a, a[::-1])
-        assert rmse == 0.0
-        errs, rmse = edge_error(a + 1e-6, a)
-        assert rmse > 0.0
+        assert np.all(edge_error(a, a[::-1]) == 0.0)
+        assert np.all(edge_error(a + 1e-6, a) > 0.0)
 
 
 class TestAreas:
@@ -188,6 +187,19 @@ class TestRaster:
             rasterize_pair(big, big, pitch=1.0)
         with pytest.raises(RasterTooLarge, match="10001 x 10000"):
             compare_regions("system", big, big, pitch=1.0)
+
+
+class TestBoundarySamples:
+    @given(raster_cases(),
+           st.sampled_from([BOUNDARY_SPACING, 0.013, 0.13, 1.0, 50.0]))
+    def test_array_samples_equal_edge_loop_oracle(self, case, spacing):
+        # stars with repeated vertices (zero-length edges), the 360-gon
+        # disc and triangles, each edge cut into one or many steps
+        polygon = case[0]
+        got = sample_polygon_boundary(polygon, spacing)
+        want = oracles.sample_polygon_boundary(polygon, spacing)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestWelch:

@@ -25,13 +25,20 @@ recorded before the scan's spectra and verdicts became one array pass over
 the raster; its digests are the same with one BLAS thread and with the
 default count. A digest changes only
 when the artifact's bytes do; if a change is meant to alter an artifact,
-re-record its digest and say why.
+re-record its digest and say why. Every pin is checked twice: here, with
+OpenBLAS's default thread count, and in a fresh interpreter with one BLAS
+thread, the count the benchmark runs with.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import resectsim
 from resectsim.harness import (
     ExperimentConfig,
     run_end_to_end,
@@ -340,3 +347,19 @@ def test_artifacts_byte_identical(tmp_path, run):
     assert sorted(got) == sorted(expected), "artifact names changed"
     changed = sorted(name for name in expected if got[name] != expected[name])
     assert not changed, f"{run}: artifacts changed: {changed}"
+
+
+def test_pins_hold_with_one_blas_thread(tmp_path):
+    # a run is a pure function of (config, seed) whatever the thread count;
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when it loads, so the pins
+    # run again in a fresh interpreter
+    src = str(Path(resectsim.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_artifacts_byte_identical"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]
+    assert f"{len(RUNS)} passed" in proc.stdout
