@@ -9,19 +9,20 @@ naive scan over every triangle.
 import numpy as np
 
 from resectsim.geometry import (
-    Ray,
     SurfaceCloud,
+    normalize,
     ray_mesh_intersect,
     triangulate_grid,
 )
 
 # --- a beam meeting a virtual plane ---------------------------------------
 # a plane is a center point and a unit normal, as the calibration boards are
-ray = Ray(origin=[0.0, 0.0, 10.0], direction=[0.3, 0.0, -1.0])
+# a beam is an origin and a unit direction
+origin, direction = np.array([0.0, 0.0, 10.0]), normalize([0.3, 0.0, -1.0])
 center, normal = np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
 # p = origin + t * direction with n . (p - center) = 0
-t = -np.dot(normal, ray.origin - center) / np.dot(normal, ray.direction)
-hit = ray.origin + t * ray.direction
+t = -np.dot(normal, origin - center) / np.dot(normal, direction)
+hit = origin + t * direction
 print("oblique beam from z=10 meets the z=0 plane at:", hit.round(6))
 print("residual against the plane equation:",
       abs(np.dot(hit - center, normal)))
@@ -50,23 +51,24 @@ agreements = 0
 for _ in range(200):
     origin = np.array([rng.uniform(0, 12), rng.uniform(0, 12), 8.0])
     aim = np.array([rng.uniform(0, 12), rng.uniform(0, 12), 0.0])
-    beam = Ray(origin, aim - origin)
-    fast = ray_mesh_intersect(beam, mesh)
+    direction = normalize(aim - origin)
+    # one row: the kernel takes (n, 3) origins sharing one direction
+    found, point, index = ray_mesh_intersect(origin[None], mesh, direction)
 
     naive = None
     for i, (a, b, c) in enumerate(mesh.triangles):
         v0, v1, v2 = mesh.vertices[a], mesh.vertices[b], mesh.vertices[c]
-        m = np.column_stack([-beam.direction, v1 - v0, v2 - v0])
+        m = np.column_stack([-direction, v1 - v0, v2 - v0])
         if abs(np.linalg.det(m)) < 1e-12:
             continue
-        t, u, v = np.linalg.solve(m, beam.origin - v0)
+        t, u, v = np.linalg.solve(m, origin - v0)
         if u >= 0 and v >= 0 and u + v <= 1 and t > 1e-12:
             if naive is None or t < naive[0]:
                 naive = (t, i)
-    if fast is None:
+    if not found[0]:
         assert naive is None
     else:
-        assert naive is not None and fast[1] == naive[1]
+        assert naive is not None and index[0] == naive[1]
     agreements += 1
 
 print(f"fast intersector agreed with the all-triangles scan on "

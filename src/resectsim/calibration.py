@@ -27,7 +27,7 @@ from .errors import (
     IllConditioned,
     NonConvergence,
 )
-from .geometry import Ray, ReferenceFrame, as_vec3, normalize
+from .geometry import ReferenceFrame, as_vec3, normalize
 from .optimize import levenberg_marquardt
 from .sensors import PinholeCamera
 
@@ -87,10 +87,6 @@ class LaserCalibration:
         if v[2] >= 0:
             raise ValueError("beam direction must point downward (v_z < 0)")
         object.__setattr__(self, "v_w", v)
-
-    def beam(self, beta) -> Ray:
-        """The beam fired from the commanded waypoint ``beta``."""
-        return Ray(waypoint_position(self.frame, self.alpha, beta), self.v_w)
 
 
 def waypoint_position(frame: ReferenceFrame, alpha, beta) -> np.ndarray:

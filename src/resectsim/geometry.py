@@ -12,6 +12,11 @@ slow scan axis (y) and columns along the fast axis (x). Grid triangulation
 uses the fixed (r, c) to (r+1, c+1) diagonal so ray-trace results are
 deterministic.
 
+``ray_mesh_intersect`` casts n rays of one direction at a ``TriMesh``; a
+``PointGrid`` over its triangles' xy box centres (the box grid) hands each
+ray the few dozen triangles under its shadow, and each row is the bits of
+the one-ray cast over every triangle that passes the box test.
+
 ``nearest_neighbor`` is the one distance kernel: squared distances
 ``sum((cloud - q) ** 2)`` for an array of queries, ties broken to the lowest
 cloud index. Up to ``NN_BLOCK`` query-cloud pairs it is the brute force over
@@ -42,6 +47,7 @@ DEGENERATE_AREA = 1e-12
 EDGE_EPS = 1e-9
 NN_BLOCK = 1 << 16  # query-cloud pairs per block: one query vs a 512x128 surface
 GRID_QUERY_BLOCK = 4096  # PointGrid queries (or centers) searched at once
+PAIR_BLOCK = 1 << 16  # ray-triangle pairs tested at once
 
 
 def as_vec3(p) -> np.ndarray:
@@ -58,21 +64,6 @@ def normalize(v) -> np.ndarray:
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / n
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Beam model: an origin point plus a unit direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", as_vec3(self.origin))
-        object.__setattr__(self, "direction", normalize(self.direction))
-
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
 
 
 @dataclass(frozen=True)
@@ -128,9 +119,6 @@ class SurfaceCloud:
             return np.ones(len(self.points), dtype=bool)
         return self.valid
 
-    def valid_points(self) -> np.ndarray:
-        return self.points[self.valid_mask()]
-
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -152,10 +140,20 @@ class TriMesh:
         """Per-triangle xy boxes and the z range of all triangles, built on
         first use: ``(lo, hi, zmin, zmax)`` with ``lo[0]``/``hi[0]`` the
         (T,) x bounds and ``lo[1]``/``hi[1]`` the y bounds."""
-        corners = self.vertices[self.triangles].T  # (3 axes, 3 corners, T)
-        return (np.ascontiguousarray(corners[:2].min(axis=1)),
-                np.ascontiguousarray(corners[:2].max(axis=1)),
-                float(corners[2].min()), float(corners[2].max()))
+        vt = np.ascontiguousarray(self.vertices.T)  # corners as (3, T) rows
+        a, b, c = (np.take(vt, k, axis=1) for k in self.triangles.T.copy())
+        lo = np.minimum(np.minimum(a, b), c)
+        hi = np.maximum(np.maximum(a, b), c)
+        return lo[:2], hi[:2], float(lo[2].min()), float(hi[2].max())
+
+    @cached_property
+    def box_grid(self):
+        """``(PointGrid over the xy box centres, largest half-extent)``; a
+        box with a non-finite side holds no hit and is filed anywhere."""
+        lo, hi = self.bounds[:2]
+        centre, half = np.nan_to_num([(lo + hi) / 2.0, (hi - lo) / 2.0],
+                                     posinf=0.0, neginf=0.0)
+        return PointGrid(centre.T), float(half.max())
 
 
 def triangulate_grid(surface: SurfaceCloud) -> TriMesh:
@@ -181,49 +179,61 @@ def triangulate_grid(surface: SurfaceCloud) -> TriMesh:
     return TriMesh(pts, tris[~(area <= DEGENERATE_AREA)])
 
 
-def ray_mesh_intersect(ray: Ray, mesh: TriMesh):
-    """Nearest positive-parameter ray/triangle hit, or None.
-
-    Moller-Trumbore ("Fast, Minimum Storage Ray-Triangle Intersection",
-    1997), vectorized over the candidate triangles in ascending index order;
-    ties on the ray parameter break to the lowest triangle index. Candidates
-    are the triangles whose xy bounding box overlaps the xy shadow of the
-    ray's part inside the mesh's z range (padded by 1e-9 relative), since no
-    other triangle can hold a hit. A ray with |d_z| <= 1e-12 has no bounded
-    shadow and tests every triangle.
+def ray_mesh_intersect(origins, mesh: TriMesh, direction):
+    """``(hit (n,), points (n, 3), index (n,))``: the nearest hit
+    ``origin + t * direction`` (t > 0) of each ray from the (n, 3)
+    ``origins`` along the shared unit ``direction`` and its triangle, or
+    NaN and -1. Moller-Trumbore (1997) on (ray, triangle) pairs, ties to
+    the lowest index. Candidates: the triangles whose xy box meets the
+    ray's xy shadow inside the mesh's z range, padded by 1e-9 relative
+    (every triangle when |d_z| <= 1e-12), from the cells of the box grid
+    under it (uniform-grid ray tracing: Fujimoto et al., "ARTS", 1986).
     """
-    if len(mesh.triangles) == 0:
-        return None
-    d = ray.direction
-    cand = np.arange(len(mesh.triangles))
+    o = np.asarray(origins, dtype=float).reshape(-1, 3)
+    d = as_vec3(direction)
+    n = len(o)
+    hit, index = np.zeros(n, dtype=bool), np.full(n, -1)
+    points = np.full((n, 3), np.nan)
+    if n == 0 or len(mesh.triangles) == 0:
+        return hit, points, index
+    lo, hi, zmin, zmax = mesh.bounds
+    s_lo, s_hi = np.full((n, 2), -np.inf), np.full((n, 2), np.inf)
     if abs(d[2]) > 1e-12:
-        lo, hi, zmin, zmax = mesh.bounds
-        # ray parameters where it crosses the slab's faces, clipped to t >= 0
-        t = np.maximum((np.array([zmin, zmax]) - ray.origin[2]) / d[2], 0.0)
-        seg = ray.origin[:2] + t[:, None] * d[:2]
-        pad = 1e-9 * (1.0 + float(np.max(np.abs(seg))))
-        s_lo, s_hi = seg.min(axis=0) - pad, seg.max(axis=0) + pad
-        cand = np.flatnonzero((lo[0] <= s_hi[0]) & (hi[0] >= s_lo[0])
-                              & (lo[1] <= s_hi[1]) & (hi[1] >= s_lo[1]))
-    tris = mesh.triangles[cand]
-    v0 = mesh.vertices[tris[:, 0]]
-    e1 = mesh.vertices[tris[:, 1]] - v0
-    e2 = mesh.vertices[tris[:, 2]] - v0
-    p = np.cross(np.broadcast_to(d, e2.shape), e2)
-    det = np.einsum("ij,ij->i", e1, p)
-    usable = np.abs(det) > 1e-12
-    inv_det = np.where(usable, 1.0 / np.where(usable, det, 1.0), 0.0)
-    tvec = ray.origin - v0
-    u = np.einsum("ij,ij->i", tvec, p) * inv_det
-    q = np.cross(tvec, e1)
-    v = np.einsum("j,ij->i", d, q) * inv_det
-    t = np.einsum("ij,ij->i", e2, q) * inv_det
-    hit = usable & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 1e-12)
-    if not np.any(hit):
-        return None
-    t_masked = np.where(hit, t, np.inf)
-    idx = int(np.argmin(t_masked))
-    return ray.at(float(t[idx])), int(cand[idx])
+        # (ray, face, axis): where rays cross the slab's faces, t >= 0
+        t = np.maximum((np.array([zmin, zmax]) - o[:, 2:]) / d[2], 0.0)
+        seg = o[:, None, :2] + t[:, :, None] * d[:2]
+        pad = 1e-9 * (1.0 + np.abs(seg).max(axis=(1, 2)))
+        s_lo = seg.min(axis=1) - pad[:, None]
+        s_hi = seg.max(axis=1) + pad[:, None]
+    grid, reach = mesh.box_grid
+    found = []
+    for ray, cand in grid._box_pairs(s_lo - reach, s_hi + reach):
+        keep = ((lo[:, cand] <= s_hi[ray].T)
+                & (hi[:, cand] >= s_lo[ray].T)).all(axis=0)
+        ray, cand = ray[keep], cand[keep]
+        tris = mesh.triangles[cand]
+        v0 = mesh.vertices[tris[:, 0]]
+        e1 = mesh.vertices[tris[:, 1]] - v0
+        e2 = mesh.vertices[tris[:, 2]] - v0
+        p = np.cross(np.broadcast_to(d, e2.shape), e2)
+        det = np.einsum("ij,ij->i", e1, p)
+        usable = np.abs(det) > 1e-12
+        inv_det = np.where(usable, 1.0 / np.where(usable, det, 1.0), 0.0)
+        tvec = o[ray] - v0
+        u = np.einsum("ij,ij->i", tvec, p) * inv_det
+        q = np.cross(tvec, e1)
+        v = np.einsum("j,ij->i", d, q) * inv_det
+        t = np.einsum("ij,ij->i", e2, q) * inv_det
+        ok = usable & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 1e-12)
+        found.append((ray[ok], cand[ok], t[ok]))
+    ray, cand, t = (np.concatenate(col) for col in zip(*found))
+    # per ray, the least t and then the lowest index: its first pair
+    order = np.lexsort((cand, t, ray))
+    first = order[np.flatnonzero(np.diff(ray[order], prepend=-1))]
+    r = ray[first]
+    hit[r], index[r] = True, cand[first]
+    points[r] = o[r] + t[first][:, None] * d
+    return hit, points, index
 
 
 def _as_cloud(cloud) -> np.ndarray:
@@ -336,14 +346,38 @@ class PointGrid:
         return t[:, 0], t[:, 1]
 
     def _runs(self, y, x0, x1):
-        """Point indices of the cell row segments (y, x0..x1), clipped to
-        the grid, concatenated, and the number from each segment."""
+        """Start and stop positions in ``_order`` of the points of the cell
+        row segments (y, x0..x1), clipped to the grid."""
         x0, x1 = np.maximum(x0, 0), np.minimum(x1, self._nx - 1)
         ok = (y >= 0) & (y < self._ny) & (x0 <= x1)
         first = np.where(ok, y * self._nx + x0, 0)
-        lo = self._starts[first]
-        hi = self._starts[np.where(ok, y * self._nx + x1 + 1, first)]
-        return self._order[_expand(lo.ravel(), hi.ravel())], hi - lo
+        return (self._starts[first],
+                self._starts[np.where(ok, y * self._nx + x1 + 1, first)])
+
+    def _box_pairs(self, b0, b1):
+        """(box, point index) pairs of each (k, 2) box ``[b0, b1]`` (a NaN
+        side unbounded) with the points in the cells that overlap it,
+        widened by one cell on every side for the rounding of cell indices,
+        in blocks of about ``PAIR_BLOCK`` pairs."""
+        n = np.array([self._nx, self._ny])
+        for s in range(0, len(b0), GRID_QUERY_BLOCK):
+            with np.errstate(over="ignore"):
+                t0 = (b0[s:s + GRID_QUERY_BLOCK] - self._lo) / self._cell
+                t1 = (b1[s:s + GRID_QUERY_BLOCK] - self._lo) / self._cell
+            # clipped to the grid and a cell past it; a NaN side to the far end
+            lo = np.floor(np.fmin(np.fmax(t0, -2), n + 1)).astype(np.intp) - 1
+            hi = np.floor(np.fmax(np.fmin(t1, n + 1), -2)).astype(np.intp) + 1
+            lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
+            rows = np.maximum(hi[:, 1] - lo[:, 1] + 1, 0)
+            box = np.repeat(np.arange(len(rows)), rows)  # one per cell row
+            first, stop = self._runs(_expand(lo[:, 1], lo[:, 1] + rows),
+                                     lo[box, 0], hi[box, 0])
+            count = stop - first
+            block = (np.cumsum(count) - count) // PAIR_BLOCK
+            for seg in np.split(np.arange(len(count)),
+                                np.flatnonzero(np.diff(block)) + 1):
+                yield (s + np.repeat(box[seg], count[seg]),
+                       self._order[_expand(first[seg], stop[seg])])
 
     def nearest(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """``nearest_neighbor(queries, cloud)`` by a ring search.
@@ -395,8 +429,9 @@ class PointGrid:
             last = 2 if done < 0 else done + max(1, (done + 1) // 2)
             dy, dx0, dx1 = _annulus(done, last)
             x, y = cx[active, None], cy[active, None]
-            cand, count = self._runs(y + dy, x + dx0, x + dx1)
-            count = count.sum(axis=1)  # candidates per query
+            lo, hi = self._runs(y + dy, x + dx0, x + dx1)
+            cand = self._order[_expand(lo.ravel(), hi.ravel())]
+            count = (hi - lo).sum(axis=1)  # candidates per query
             if cand.size:
                 k = active[count > 0]
                 count = count[count > 0]
@@ -421,34 +456,19 @@ class PointGrid:
         """(m,) bool: the cloud points whose squared distance to some
         center, ``np.sum((center - p) ** 2, axis=-1)`` as the brute force
         ``nearest_neighbor(cloud, centers)`` computes it, is at most
-        ``radius ** 2``.
-
-        Each center checks the cells that overlap its square of half-side
-        ``radius``, widened by one cell on every side for the rounding of
-        cell indices, one contiguous run of points per cell row.
+        ``radius ** 2``. Each center checks the points in the cells under
+        its square of half-side ``radius`` (``_box_pairs``).
         """
         c = _as_queries(_as_cloud(centers), self.points)
         r2 = radius ** 2
         if not (self._bucketed and np.isfinite(c).all()
                 and math.isfinite(radius)):
             return _nearest_blocked(self.points, c)[1] <= r2
-        reach = abs(radius)
-        n = np.array([self._nx, self._ny])
+        inside, reach = np.zeros(len(self.points), dtype=bool), abs(radius)
         with np.errstate(over="ignore"):
-            t0 = (c[:, :2] - reach - self._lo) / self._cell
-            t1 = (c[:, :2] + reach - self._lo) / self._cell
-        lo = np.floor(np.clip(t0, -2, n + 1)).astype(np.intp) - 1
-        hi = np.floor(np.clip(t1, -2, n + 1)).astype(np.intp) + 1
-        lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
-        inside = np.zeros(len(self.points), dtype=bool)
-        for s in range(0, len(c), GRID_QUERY_BLOCK):
-            sl = slice(s, s + GRID_QUERY_BLOCK)
-            rows = np.maximum(hi[sl, 1] - lo[sl, 1] + 1, 0)
-            who = np.repeat(np.arange(len(rows)), rows)  # one per cell row
-            y = _expand(lo[sl, 1], lo[sl, 1] + rows)
-            cand, count = self._runs(y, lo[sl][who, 0], hi[sl][who, 0])
-            dd = np.sum((np.repeat(c[sl][who], count, axis=0)
-                         - self.points[cand]) ** 2, axis=-1)
+            pairs = self._box_pairs(c[:, :2] - reach, c[:, :2] + reach)
+        for who, cand in pairs:
+            dd = np.sum((c[who] - self.points[cand]) ** 2, axis=-1)
             inside[cand[dd <= r2]] = True
         return inside
 

@@ -26,7 +26,7 @@ whole centred raster in one ``intersect_scene`` call, then a runner-given
 ``locate_all(measured, waypoints)`` maps the executed spots and returns the
 indices of the mapped ones with their map positions. ROI casts every
 estimated beam in one more call; e2e projects the spots into each camera in
-one call, then locates them one by one with ``SpotLocator.locate``. The
+one call, then locates them all in one ``SpotLocator.locate`` call. The
 spectra of all mapped points are then synthesized, preprocessed and
 classified in one call each; the scan leaves as arrays.
 
@@ -59,7 +59,6 @@ from .calibration import (
 from .errors import (
     BehindCamera,
     ConfigError,
-    NoRayHit,
     PipelineError,
     TooFewTumorTags,
 )
@@ -68,6 +67,7 @@ from .geometry import (
     SurfaceCloud,
     convex_hull,
     nearest_neighbor,
+    normalize,
     triangulate_grid,
 )
 from .kinematics import (
@@ -759,16 +759,9 @@ def _e2e_stages(cfg, out, run):
             # in spot, camera, axis order, as one draw of two per spot did
             noise = rng_px.normal(0.0, pixel_sigma, (len(measured), 2, 2))
             pixels = [uv + noise[:, c] for c, uv in enumerate(pixels)]
-        mapped, spots = [], []
-        for k, beta in enumerate(waypoints):
-            try:
-                spots.append(locator.locate(pixels[0][k], pixels[1][k],
-                                            estimated.beam(beta)))
-            except NoRayHit:
-                # scan exceeds the imaging field; edge spots have no geometry
-                continue
-            mapped.append(k)
-        return np.array(mapped, dtype=int), np.reshape(spots, (-1, 3))
+        # spots past the imaging field's edge have no geometry: unmapped
+        origins = waypoint_position(estimated.frame, estimated.alpha, waypoints)
+        return locator.locate(*pixels, origins, normalize(estimated.v_w))
 
     pattern, spots, tumor, true_tumor, spectra = _raster_scan(
         cfg, scene, truth, estimated, model, rng_spot, locate_all)

@@ -34,7 +34,8 @@ def forward_model(calibration: LaserCalibration, beta, z) -> np.ndarray:
 
     The beam anchors at the commanded waypoint p_w (origin plus offsets),
     not at the bare frame origin, which would decouple the spot from beta.
-    Its direction is ``v_w`` normalized once more, as ``beam`` gives it.
+    Its direction is ``v_w`` normalized once more, as the mapping's ray
+    casts take it.
     """
     direction = normalize(calibration.v_w)
     if abs(direction[2]) <= PARALLEL_EPS:

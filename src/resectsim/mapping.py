@@ -1,10 +1,11 @@
 """3D tumor map construction: spot location, boundary, cut targets.
 
-The laser spot seen during a scan is located three ways (nearest surface
-point to each camera's pixel hit, plus a ray trace onto the triangulated
-surface) and fused by averaging. Spots are (n, 3) arrays with (n,) tumor
-flags; the tumor spots project along z to 2D, where the boundary is their
-convex hull, and spots inside or on it become cut targets.
+A scan's laser spots are located as arrays, three ways (the nearest surface
+point to each camera's pixel hit, one query a camera, plus one ray trace
+onto the triangulated surface, which leaves a spot it misses unmapped) and
+fused by averaging. Spots are (n, 3) arrays with (n,) tumor flags; the tumor
+spots project along z to 2D, where the boundary is their convex hull, and
+spots inside or on it become cut targets.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ import numpy as np
 from .errors import (
     EmptyRegion,
     NoCalibration,
-    NoRayHit,
     NoVisibleSurface,
     TooFewTumorTags,
 )
 from .geometry import (
     PointGrid,
-    Ray,
     SurfaceCloud,
     TriMesh,
     convex_hull,
@@ -37,22 +36,16 @@ OUT_OF_VIEW_COLOR = (0, 0, 0)  # surface points the camera does not see
 
 
 class SpotLocator:
-    """Reusable spot locator: caches surface projections and the mesh.
-
-    Locating many spots against one scan only needs the per-camera surface
-    projections once; this wrapper holds them, each bucketed in a
-    ``PointGrid``, and serves repeated queries.
-    """
+    """A scan's valid surface points, their projections into each camera
+    (bucketed in a ``PointGrid``) and its mesh, to locate spots against."""
 
     def __init__(self, surface: SurfaceCloud,
                  camera_left: PinholeCamera, camera_right: PinholeCamera,
                  mesh: TriMesh):
-        pts = surface.valid_points()
+        pts = surface.points[surface.valid_mask()]
         if len(pts) == 0:
             raise NoVisibleSurface("surface cloud has no valid points")
-        self.points = pts
-        self.mesh = mesh
-        self._views = []
+        self.points, self.mesh, self._views = pts, mesh, []
         for cam in (camera_left, camera_right):
             uv, in_front = project_points(cam, pts)
             if not np.any(in_front):
@@ -61,22 +54,19 @@ class SpotLocator:
             visible = np.flatnonzero(in_front)
             self._views.append((PointGrid(uv[visible]), visible))
 
-    def locate(self, pixel_left, pixel_right, laser_ray: Ray) -> np.ndarray:
-        """Locate one laser spot on the scanned surface.
-
-        Per-camera estimate: the valid surface point whose projection lands
-        nearest the observed pixel. Ray estimate: beam intersection with the
-        triangulated surface. Returns the fused (3,) position, the plain mean
-        of the three.
-        """
-        cam_estimates = []
-        for (grid, visible), pixel in zip(self._views, (pixel_left, pixel_right)):
-            idx, _ = grid.nearest(np.reshape(pixel, (1, 2)))
-            cam_estimates.append(self.points[visible[idx[0]]])
-        hit = ray_mesh_intersect(laser_ray, self.mesh)
-        if hit is None:
-            raise NoRayHit("laser ray misses the surface mesh")
-        return (cam_estimates[0] + cam_estimates[1] + hit[0]) / 3.0
+    def locate(self, pixels_left, pixels_right, origins, direction):
+        """Locate n spots seen at the (n, 2) pixels and fired from the
+        (n, 3) ``origins`` along the unit ``direction``: ``(mapped, spots)``,
+        the indices of the spots whose beam hits the mesh and their (m, 3)
+        fused positions, the mean of the beam's hit and each camera's
+        valid point projecting nearest its pixel."""
+        hit, points, _ = ray_mesh_intersect(origins, self.mesh, direction)
+        mapped = np.flatnonzero(hit)
+        cams = []
+        for (grid, visible), pixels in zip(self._views, (pixels_left, pixels_right)):
+            idx, _ = grid.nearest(np.reshape(pixels, (-1, 2))[mapped])
+            cams.append(self.points[visible[idx]])
+        return mapped, (cams[0] + cams[1] + points[mapped]) / 3.0
 
 
 def boundary_from_tags(spots, tumor) -> np.ndarray:

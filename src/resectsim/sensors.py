@@ -477,11 +477,11 @@ def intersect_scene(origins, direction, scene: ScenePhantom) -> np.ndarray:
     """First intersection of n parallel descending rays with the height field.
 
     The rays start at ``origins`` (n, 3) and share ``direction``, which is
-    normalized once, as ``Ray`` does. Each ray brackets the first sign
+    normalized once (``geometry.normalize``). Each ray brackets the first sign
     change of (ray height - surface height) among ``RAY_SAMPLES`` even steps
     along ``RAY_T_MAX`` mm, at most ``RAY_BLOCK`` rays at a time, and then
     all rays bisect that bracket together for 90 steps. Every step is the
-    per-ray arithmetic, so each row is the point one ``Ray`` would give.
+    per-ray arithmetic, so each row is the point one ray alone would give.
     Returns the (n, 3) hits in order. Raises NoRayHit when any ray never
     meets the surface, naming how many missed and the index of the first
     (callers pass one ray per waypoint, in plan order).

@@ -41,9 +41,15 @@ longer calls. ``mlp_train`` is the trainer whose Adam update
 ``write_spot_observations_csv``, ``write_cut_plan_csv`` and
 ``write_spectra_csv`` are the ``csv.writer`` bodies that
 ``io._write_csv_rows`` replaced.
+``Ray`` is the one-beam record (an origin and a unit direction) that these
+oracles step along. ``ray_mesh_intersect`` is the one-ray kernel that box
+tests every triangle, and ``locate`` the one-spot body of
+``SpotLocator.locate`` that ran it once per scan point; the batched kernel
+and the raster ``locate`` replaced them.
 """
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +76,7 @@ from resectsim.geometry import (
     PARALLEL_EPS,
     SurfaceCloud,
     as_vec3,
+    normalize,
     points_in_polygon,
 )
 from resectsim.kinematics import IK_TOLERANCE, CutPlan, IkSolution
@@ -192,6 +199,89 @@ def polygon_is_simple(vertices) -> bool:
             if _segments_cross(a, b, c, d):
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class Ray:
+    """Beam model: an origin point plus a unit direction."""
+
+    origin: np.ndarray
+    direction: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "origin", as_vec3(self.origin))
+        object.__setattr__(self, "direction", normalize(self.direction))
+
+    def at(self, t: float) -> np.ndarray:
+        return self.origin + t * self.direction
+
+
+def ray_mesh_intersect(ray, mesh):
+    """Nearest positive-parameter ray/triangle hit ``(point, index)``, or
+    None: Moller-Trumbore over the triangles whose xy box overlaps the ray's
+    padded xy shadow inside the mesh's z range, in ascending index order
+    (every triangle when |d_z| <= 1e-12), ties to the lowest index."""
+    if len(mesh.triangles) == 0:
+        return None
+    d = ray.direction
+    cand = np.arange(len(mesh.triangles))
+    if abs(d[2]) > 1e-12:
+        lo, hi, zmin, zmax = mesh.bounds
+        # ray parameters where it crosses the slab's faces, clipped to t >= 0
+        t = np.maximum((np.array([zmin, zmax]) - ray.origin[2]) / d[2], 0.0)
+        seg = ray.origin[:2] + t[:, None] * d[:2]
+        pad = 1e-9 * (1.0 + float(np.max(np.abs(seg))))
+        s_lo, s_hi = seg.min(axis=0) - pad, seg.max(axis=0) + pad
+        cand = np.flatnonzero((lo[0] <= s_hi[0]) & (hi[0] >= s_lo[0])
+                              & (lo[1] <= s_hi[1]) & (hi[1] >= s_lo[1]))
+    tris = mesh.triangles[cand]
+    v0 = mesh.vertices[tris[:, 0]]
+    e1 = mesh.vertices[tris[:, 1]] - v0
+    e2 = mesh.vertices[tris[:, 2]] - v0
+    p = np.cross(np.broadcast_to(d, e2.shape), e2)
+    det = np.einsum("ij,ij->i", e1, p)
+    usable = np.abs(det) > 1e-12
+    inv_det = np.where(usable, 1.0 / np.where(usable, det, 1.0), 0.0)
+    tvec = ray.origin - v0
+    u = np.einsum("ij,ij->i", tvec, p) * inv_det
+    q = np.cross(tvec, e1)
+    v = np.einsum("j,ij->i", d, q) * inv_det
+    t = np.einsum("ij,ij->i", e2, q) * inv_det
+    hit = usable & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 1e-12)
+    if not np.any(hit):
+        return None
+    t_masked = np.where(hit, t, np.inf)
+    idx = int(np.argmin(t_masked))
+    return ray.at(float(t[idx])), int(cand[idx])
+
+
+def locate(locator, pixel_left, pixel_right, laser_ray) -> np.ndarray:
+    """One spot on ``locator``'s surface: the mean of each camera's nearest
+    valid point (a one-row ``nearest`` query each) and the ray's mesh hit.
+    Raises NoRayHit when the ray misses the mesh."""
+    cam_estimates = []
+    for (grid, visible), pixel in zip(locator._views,
+                                      (pixel_left, pixel_right)):
+        idx, _ = grid.nearest(np.reshape(pixel, (1, 2)))
+        cam_estimates.append(locator.points[visible[idx[0]]])
+    hit = ray_mesh_intersect(laser_ray, locator.mesh)
+    if hit is None:
+        raise NoRayHit("laser ray misses the surface mesh")
+    return (cam_estimates[0] + cam_estimates[1] + hit[0]) / 3.0
+
+
+def locate_all(locator, pixels_left, pixels_right, origins, direction):
+    """``SpotLocator.locate`` as the e2e scan ran it, one spot at a time:
+    the indices of the spots whose ray hits and their (m, 3) positions."""
+    mapped, spots = [], []
+    for k, origin in enumerate(origins):
+        try:
+            spots.append(locate(locator, pixels_left[k], pixels_right[k],
+                                Ray(origin, direction)))
+        except NoRayHit:
+            continue
+        mapped.append(k)
+    return np.array(mapped, dtype=int), np.reshape(spots, (-1, 3))
 
 
 def intersect_scene(ray, scene) -> np.ndarray:
@@ -361,9 +451,15 @@ def ray_plane_intersect(ray, plane) -> np.ndarray:
     return ray.origin + t * ray.direction
 
 
+def beam(calibration, beta) -> Ray:
+    """The beam fired from the commanded waypoint ``beta``."""
+    return Ray(waypoint_position(calibration.frame, calibration.alpha, beta),
+               calibration.v_w)
+
+
 def forward_model(calibration, beta, plane) -> np.ndarray:
     """The beam from the commanded waypoint intersected with the plane."""
-    return ray_plane_intersect(calibration.beam(beta), plane)
+    return ray_plane_intersect(beam(calibration, beta), plane)
 
 
 def beta_jacobian(calibration, plane) -> np.ndarray:

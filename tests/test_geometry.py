@@ -8,8 +8,8 @@ from resectsim.errors import EmptyCloud, GridTooSmall, ParallelRay
 from resectsim.geometry import (
     DEGENERATE_AREA,
     NN_BLOCK,
+    PAIR_BLOCK,
     PointGrid,
-    Ray,
     ReferenceFrame,
     SurfaceCloud,
     TriMesh,
@@ -20,6 +20,7 @@ from resectsim.geometry import (
 )
 
 import oracles
+from oracles import Ray
 
 
 def grid_cloud(z_fn, rows, cols, pitch=1.0):
@@ -99,6 +100,13 @@ def all_triangle_ray_mesh_intersect(ray, mesh):
     return ray.at(float(t[idx])), idx
 
 
+def one_row(ray, mesh):
+    """The batched kernel's answer for one ray, in the oracle's form."""
+    hit, point, index = ray_mesh_intersect(ray.origin[None], mesh,
+                                           ray.direction)
+    return (point[0], index[0]) if hit[0] else None
+
+
 def assert_same_hit(got, want):
     if want is None:
         assert got is None
@@ -172,6 +180,57 @@ def rays_at(draw, mesh):
     return Ray(origin, [np.cos(angle), np.sin(angle), sign * dz])
 
 
+DIRECTION_KINDS = ("down", "up", "near_vertical", "steep", "shallow",
+                   "horizontal", "dz_1e-13", "dz_1e-11")
+
+
+@st.composite
+def shared_rays(draw):
+    """A function of a mesh that gives ``(origins (n, 3), unit direction)``:
+    0-24 rays sharing one direction (straight down or up, a few degrees off
+    vertical, 30-60 degrees, 80-89 degrees, or horizontal and with |d_z|
+    just under and over 1e-12), aimed through vertices and triangle edge
+    midpoints, at random points of the padded mesh box, and far off it."""
+    kind = draw(st.sampled_from(DIRECTION_KINDS))
+    n = draw(st.integers(0, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    def rays(mesh):
+        rng = np.random.default_rng(seed)
+        azimuth = rng.uniform(0.0, 2.0 * np.pi)
+        tilt = {"down": 0.0, "up": np.pi, "near_vertical": rng.uniform(0, 0.1),
+                "steep": rng.uniform(np.pi / 6, np.pi / 3),
+                "shallow": rng.uniform(4 * np.pi / 9, np.pi / 2 * 0.99)}.get(
+            kind, np.pi / 2)
+        raw = [np.sin(tilt) * np.cos(azimuth), np.sin(tilt) * np.sin(azimuth),
+               -np.cos(tilt)]
+        if kind.startswith("dz_") or kind == "horizontal":
+            raw[2] = {"horizontal": 0.0, "dz_1e-13": 1e-13,
+                      "dz_1e-11": -1e-11}[kind]
+        direction = normalize(raw)
+        v = mesh.vertices
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        aims = []
+        for _ in range(n):
+            pick = rng.choice(["vertex", "edge", "box", "far"])
+            if pick == "edge" and len(mesh.triangles):
+                tri = mesh.triangles[rng.integers(len(mesh.triangles))]
+                i, j = rng.choice(tri, 2, replace=False)
+                aims.append((v[i] + v[j]) / 2.0)
+            elif pick in ("vertex", "edge"):
+                aims.append(v[rng.integers(len(v))])
+            elif pick == "box":
+                aims.append(rng.uniform(lo - 1.0, hi + 1.0))
+            else:
+                aims.append(hi + rng.uniform(50.0, 100.0, 3) * [1, 1, 0])
+        # back off along the beam, past the mesh's z range when it descends
+        back = (hi[2] - lo[2]) + rng.uniform(0.5, 5.0)
+        origins = np.reshape(aims, (-1, 3)) - back * direction
+        return origins, direction
+
+    return rays
+
+
 class TestFastKernelsMatchOracles:
     @given(grid_surfaces())
     def test_triangulation(self, surface):
@@ -188,8 +247,9 @@ class TestFastKernelsMatchOracles:
         mesh = triangulate_grid(surface)
         for _ in range(8):
             ray = data.draw(rays_at(mesh))
-            assert_same_hit(ray_mesh_intersect(ray, mesh),
-                            all_triangle_ray_mesh_intersect(ray, mesh))
+            want = all_triangle_ray_mesh_intersect(ray, mesh)
+            assert_same_hit(oracles.ray_mesh_intersect(ray, mesh), want)
+            assert_same_hit(one_row(ray, mesh), want)
 
     def test_flat_grid_vertices_and_edges(self):
         # every vertex and every edge midpoint, where hits tie between
@@ -208,9 +268,47 @@ class TestFastKernelsMatchOracles:
                     ([p[0] - 1.0, p[1], 2.0], [1.0, 0.0, 0.0])):
                 ray = Ray(origin, direction)
                 want = all_triangle_ray_mesh_intersect(ray, mesh)
-                assert_same_hit(ray_mesh_intersect(ray, mesh), want)
+                assert_same_hit(one_row(ray, mesh), want)
                 hits += want is not None
         assert hits > 2 * len(targets)
+
+
+    @settings(max_examples=150)
+    @given(grid_surfaces(), shared_rays(), st.sampled_from([PAIR_BLOCK, 7]),
+           st.booleans())
+    def test_batched_rows_match_one_ray_oracle(self, surface, rays, block,
+                                               empty):
+        mesh = triangulate_grid(surface)
+        origins, direction = rays(mesh)
+        meshes = [mesh]
+        if empty:
+            meshes.append(TriMesh(mesh.vertices, np.zeros((0, 3), dtype=int)))
+        for mesh in meshes:
+            with pytest.MonkeyPatch.context() as mp:
+                # a small block splits one ray's pairs across blocks
+                mp.setattr(geometry, "PAIR_BLOCK", block)
+                hit, points, index = ray_mesh_intersect(origins, mesh,
+                                                        direction)
+            assert hit.shape == index.shape == (len(origins),)
+            assert points.shape == (len(origins), 3)
+            for k, origin in enumerate(origins):
+                want = oracles.ray_mesh_intersect(Ray(origin, direction), mesh)
+                if want is None:
+                    assert not hit[k] and index[k] == -1
+                    assert np.isnan(points[k]).all()
+                else:
+                    assert hit[k] and index[k] == want[1]
+                    assert points[k].tobytes() == want[0].tobytes()
+
+    @given(grid_surfaces())
+    def test_bounds_match_the_corner_reduction(self, surface):
+        mesh = triangulate_grid(surface)
+        if len(mesh.triangles):
+            corners = mesh.vertices[mesh.triangles].T  # (3 axes, 3 corners, T)
+            lo, hi, zmin, zmax = mesh.bounds
+            assert lo.tobytes() == corners[:2].min(axis=1).tobytes()
+            assert hi.tobytes() == corners[:2].max(axis=1).tobytes()
+            assert (zmin, zmax) == (corners[2].min(), corners[2].max())
 
 
 class TestRayPlane:
@@ -302,7 +400,7 @@ class TestRayMesh:
 
     def test_planar_hit(self):
         mesh = self.unit_grid_mesh()
-        hit = ray_mesh_intersect(Ray([0, 0, 10], [0, 0, -1]), mesh)
+        hit = one_row(Ray([0, 0, 10], [0, 0, -1]), mesh)
         assert hit is not None
         point, _ = hit
         assert np.allclose(point, [0, 0, 0], atol=1e-12)
@@ -312,7 +410,7 @@ class TestRayMesh:
             [[6, -1, 0], [8, -1, 0], [6, 1, 0], [8, 1, 0]], dtype=float
         )
         mesh = triangulate_grid(SurfaceCloud(2, 2, pts))
-        assert ray_mesh_intersect(Ray([0, 0, 10], [0, 0, -1]), mesh) is None
+        assert one_row(Ray([0, 0, 10], [0, 0, -1]), mesh) is None
 
     def test_two_bump_matches_brute_force(self):
         def z_fn(x, y):
@@ -328,7 +426,7 @@ class TestRayMesh:
             origin = np.array([rng.uniform(0, 7), rng.uniform(0, 7), 10.0])
             target = np.array([rng.uniform(0, 7), rng.uniform(0, 7), 0.0])
             ray = Ray(origin, target - origin)
-            got = ray_mesh_intersect(ray, mesh)
+            got = one_row(ray, mesh)
             want = brute_force_hit(ray, mesh)
             if want is None:
                 assert got is None

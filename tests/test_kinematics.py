@@ -53,7 +53,7 @@ class TestForwardModel:
                            atol=1e-12)
 
     def test_laser_pose_constructed(self):
-        beam = vertical((1.0, 2.0)).beam((3.0, 4.0))
+        beam = oracles.beam(vertical((1.0, 2.0)), (3.0, 4.0))
         assert np.allclose(beam.origin, [4.0, 6.0, 20.0])
 
 

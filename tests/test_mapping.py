@@ -7,17 +7,16 @@ from resectsim.errors import (
     CollinearTags,
     EmptyRegion,
     NoCalibration,
-    NoRayHit,
     TooFewTumorTags,
 )
 from resectsim.geometry import (
-    Ray,
     convex_hull,
     nearest_neighbor,
     points_in_polygon,
     ray_mesh_intersect,
     triangulate_grid,
 )
+from resectsim.harness import ExperimentConfig, run_end_to_end
 from resectsim.mapping import (
     SpotLocator,
     boundary_from_tags,
@@ -33,6 +32,7 @@ from resectsim.sensors import (
     segment_surface,
 )
 
+import oracles
 from oracles import point_in_polygon, polygon_is_simple
 
 
@@ -300,27 +300,55 @@ class TestSpotEstimate:
         true_spot = np.array([6.3, 6.4, 3.0])
         pixels = [project_points(cam, true_spot[None])[0][0]
                   for cam in (left, right)]
-        ray = Ray([6.3, 6.4, 50.0], [0.0, 0.0, -1.0])
+        origin, down = np.array([6.3, 6.4, 50.0]), np.array([0.0, 0.0, -1.0])
         mesh = triangulate_grid(cloud)
-        fused = SpotLocator(cloud, left, right, mesh).locate(*pixels, ray)
+        mapped, fused = SpotLocator(cloud, left, right, mesh).locate(
+            pixels[0][None], pixels[1][None], origin[None], down)
+        assert mapped.tolist() == [0]
+        fused = fused[0]
         # each camera's estimate by brute force: the valid point whose
         # projection lands nearest the pixel; then the ray's hit
-        pts = cloud.valid_points()
+        pts = cloud.points[cloud.valid_mask()]
         from_left, from_right = (
             pts[nearest_neighbor(pixel[None], project_points(cam, pts)[0])[0][0]]
             for cam, pixel in zip((left, right), pixels))
-        from_ray = ray_mesh_intersect(ray, mesh)[0]
+        from_ray = ray_mesh_intersect(origin[None], mesh, down)[1][0]
         assert np.array_equal(fused, (from_left + from_right + from_ray) / 3.0)
         spacing = max(cfg.pitch_x, cfg.pitch_y)
         for e in (from_left, from_right, from_ray, fused):
             assert np.linalg.norm(e - true_spot) <= spacing
 
     def test_ray_miss(self):
+        # a miss is a mask bit, not an error: the spot is left unmapped
         cloud, left, right, _ = flat_surface_setup()
-        ray = Ray([100.0, 100.0, 50.0], [0.0, 0.0, -1.0])
-        with pytest.raises(NoRayHit):
-            SpotLocator(cloud, left, right, triangulate_grid(cloud)).locate(
-                [640, 360], [640, 360], ray)
+        mapped, spots = SpotLocator(
+            cloud, left, right, triangulate_grid(cloud)).locate(
+            [[640, 360]], [[640, 360]], [[100.0, 100.0, 50.0]],
+            [0.0, 0.0, -1.0])
+        assert mapped.shape == (0,) and spots.shape == (0, 3)
+
+    def test_raster_matches_per_spot_oracle(self, tmp_path):
+        # the seed-1 benchmark raster overruns the OCT field: hits and
+        # misses mixed; capture the e2e call and replay it spot by spot
+        calls = []
+        original = SpotLocator.locate
+
+        def capture(locator, *args):
+            calls.append((locator, args))
+            return original(locator, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SpotLocator, "locate", capture)
+            run_end_to_end(ExperimentConfig(seed=1, noiseless=False),
+                           tmp_path, through_stage="classify")
+        (locator, args), = calls
+        mapped, spots = original(locator, *args)
+        want_mapped, want_spots = oracles.locate_all(locator, *args)
+        assert len(args[2]) == 100 and len(mapped) == 64
+        assert mapped.dtype == want_mapped.dtype
+        assert mapped.tobytes() == want_mapped.tobytes()
+        assert spots.shape == want_spots.shape
+        assert spots.tobytes() == want_spots.tobytes()
 
 
 class TestColorize:

@@ -27,7 +27,9 @@ default count. A digest changes only
 when the artifact's bytes do; if a change is meant to alter an artifact,
 re-record its digest and say why. Every pin is checked twice: here, with
 OpenBLAS's default thread count, and in a fresh interpreter with one BLAS
-thread, the count the benchmark runs with.
+thread, the count the benchmark runs with. The two pins that train on two
+threads run a third time with the interpreter switching threads every
+microsecond.
 """
 
 import hashlib
@@ -337,16 +339,32 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("run", list(RUNS))
-def test_artifacts_byte_identical(tmp_path, run):
+def assert_pin_holds(run, out):
     runner, cfg = RUNS[run]
-    runner(ExperimentConfig(**cfg), tmp_path)
+    runner(ExperimentConfig(**cfg), out)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in tmp_path.iterdir()}
+           for p in out.iterdir()}
     expected = DIGESTS[run]
     assert sorted(got) == sorted(expected), "artifact names changed"
     changed = sorted(name for name in expected if got[name] != expected[name])
     assert not changed, f"{run}: artifacts changed: {changed}"
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+def test_artifacts_byte_identical(tmp_path, run):
+    assert_pin_holds(run, tmp_path)
+
+
+@pytest.mark.parametrize("run", ["roi-mlp", "e2e-mlp"])
+def test_pins_hold_under_a_fine_thread_schedule(tmp_path, run):
+    # the two pins that train on two threads; a 1 us switch interval hands
+    # the interpreter between them as often as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert_pin_holds(run, tmp_path)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pins_hold_with_one_blas_thread(tmp_path):

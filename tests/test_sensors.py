@@ -13,7 +13,6 @@ from resectsim.errors import (
     NoRayHit,
     WindowOutOfDomain,
 )
-from resectsim.geometry import Ray
 from resectsim.sensors import (
     RAY_BLOCK,
     OctConfig,
@@ -238,7 +237,7 @@ class TestIntersectScene:
     @given(parallel_rays())
     def test_matches_per_ray_oracle(self, case):
         scene, origins, direction = case
-        want = [oracles.intersect_scene(Ray(o, direction), scene)
+        want = [oracles.intersect_scene(oracles.Ray(o, direction), scene)
                 for o in origins]
         assert np.array_equal(intersect_scene(origins, direction, scene),
                               want)
@@ -250,7 +249,7 @@ class TestIntersectScene:
         with pytest.raises(NoRayHit, match=r"^1 of 3 rays .*waypoint 1\)"):
             intersect_scene(origins, direction, FLAT3)
         with pytest.raises(NoRayHit):
-            oracles.intersect_scene(Ray(origins[1], direction), FLAT3)
+            oracles.intersect_scene(oracles.Ray(origins[1], direction), FLAT3)
 
     def test_misses_counted_across_blocks(self):
         origins = np.column_stack([np.zeros((RAY_BLOCK + 3, 2)),
