@@ -15,7 +15,8 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -51,8 +52,7 @@ class Spectrum:
     def __post_init__(self):
         wl = np.asarray(self.wavelengths, dtype=float).reshape(-1)
         it = np.asarray(self.intensities, dtype=float)
-        if it.ndim != 2:
-            it = it.reshape(-1)
+        it = it if it.ndim == 2 else it.reshape(-1)
         if it.shape[-1] != len(wl):
             raise ValueError("wavelengths and intensities must have equal length")
         if len(wl) and np.any(np.diff(wl) <= 0):
@@ -94,8 +94,7 @@ def savgol_weights(window: int, polyorder: int) -> np.ndarray:
     h = window // 2
     t = np.arange(h, -h - 1, -1, dtype=float)
     a = t ** np.arange(polyorder + 1, dtype=float).reshape(-1, 1)
-    e0 = np.zeros(polyorder + 1)
-    e0[0] = 1.0
+    e0 = np.eye(polyorder + 1)[0]
     eps = np.finfo(float).eps
     w = np.linalg.lstsq(a, e0, rcond=eps * max(a.shape))[0][::-1].copy()
     if np.any(np.abs(w - w[::-1]) > eps):
@@ -272,24 +271,29 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _forward_cached(model: MlpModel, x: np.ndarray):
     acts = [x]
-    h = x
-    last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-        acts.append(h)
+        h = acts[-1] @ w + b
+        acts.append(np.maximum(h, 0.0) if i < len(model.weights) - 1 else h)
     return acts  # acts[-1] are logits
+
+
+def _loss_and_kinks(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """Mean NLL of the true labels, and which hidden units' ReLU is on."""
+    acts = _forward_cached(model, x)
+    logp = _log_softmax(acts[-1])
+    loss = float(-logp[np.arange(len(y)), y].mean())
+    return loss, [a > 0 for a in acts[1:-1]]
 
 
 def nll_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     """Mean negative log likelihood of the true labels."""
-    logp = _log_softmax(_forward_cached(model, x)[-1])
-    return float(-logp[np.arange(len(y)), y].mean())
+    return _loss_and_kinks(model, x, y)[0]
 
 
-def nll_loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
-    """Mean NLL plus its analytic gradients, from one forward pass."""
+def _backward(model: MlpModel, x: np.ndarray, y: np.ndarray, release) -> float:
+    """Mean NLL; the backward pass hands ``release(i, a, d)`` each layer's
+    input ``a`` and delta ``d`` (gradients ``a.T @ d`` and ``d.sum(axis=0)``),
+    top layer first, once ``d @ W_i.T`` has read ``W_i`` for the last time."""
     acts = _forward_cached(model, x)
     logp = _log_softmax(acts[-1])
     n = len(y)
@@ -297,18 +301,27 @@ def nll_loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
     delta = np.exp(logp)
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    gw = [None] * len(model.weights)
-    gb = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        gw[i] = acts[i].T @ delta
-        gb[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
-    return loss, gw, gb
+        below = (delta @ model.weights[i].T) * (acts[i] > 0) if i else None
+        release(i, acts[i], delta)
+        delta = below
+    return loss
+
+
+def nll_loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """Mean NLL plus its analytic gradients, from one forward pass."""
+    gw, gb = [None] * len(model.weights), [None] * len(model.biases)
+
+    def keep(i, a, d):
+        gw[i], gb[i] = a.T @ d, d.sum(axis=0)
+
+    return _backward(model, x, y, keep), gw, gb
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam settings; ValueError unless batch_size >= 1 and epochs >= 0."""
+
     epochs: int = 150
     batch_size: int = 16
     learning_rate: float = 1e-3
@@ -317,6 +330,12 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
 
+    def __post_init__(self):
+        for name, low in (("batch_size", 1), ("epochs", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
+                raise ValueError(f"{name} must be an int >= {low}, not {v!r}")
+
 
 # A first moment whose gradient stays zero decays by b1 into the subnormal
 # range and stays there (b1 times a few ulps rounds back to itself), where each
@@ -324,18 +343,37 @@ class TrainConfig:
 # moments are zeroed; with the default TrainConfig their step is under half an
 # ulp of any weight above 1e-284, so no weight changes.
 FLUSH_EVERY = 32
-ADAM_BLOCK = 32768  # elements per slice of the Adam update (256 KiB an array)
+# elements per slice of a layer's update, about: whole rows of W, whose
+# gradient the taking thread makes in its scratch and uses while in cache
+ADAM_BLOCK = 32768
 
 
-def _adam_drain(take, t, b1, b2, lr_t, eps_t):
-    """Adam-update the (p, g, m, v) slices that ``take`` hands out, in place,
-    until it raises IndexError; ``t`` is this thread's scratch row."""
+def _row_cuts(w: np.ndarray, batch: int) -> list[int]:
+    """Row bounds of W's update slices: balanced, never one row of several
+    (numpy takes one row as a vector, summed in another order), and one
+    slice unless W's width is a multiple of 8 and the batch at most 384.
+    Only then do row slices of ``a.T @ delta`` keep the whole product's bits
+    in OpenBLAS's SkylakeX kernels, whose last ``width % 8`` columns and
+    blocked deeper sums depend on the row count."""
+    n = 1 if w.shape[1] % 8 or batch > 384 else -(-w.size // ADAM_BLOCK)
+    n = max(1, min(n, len(w) // 2))
+    return [len(w) * j // n for j in range(n + 1)]
+
+
+def _adam_drain(take, scratch, b1, b2, lr_t, eps_t):
+    """Adam-update the slices (a, d, p, m, v) that ``take`` hands out, in
+    place, until it raises IndexError; the gradient, ``a.T @ d`` or with
+    ``a`` None ``d.sum(axis=0)``, goes in row 0 of ``scratch``."""
     while True:
         try:
-            p, g, m, v = take()
+            a, d, p, m, v = take()
         except IndexError:
             return
-        s = t[:len(p)]
+        g, s = scratch[:, :len(p)]
+        if a is None:
+            np.sum(d, axis=0, out=g)
+        else:  # copy=False: raise rather than fill a copy
+            np.matmul(a.T, d, out=g.reshape(-1, d.shape[1], copy=False))
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=s)
         v *= b2
@@ -356,11 +394,15 @@ def mlp_train(x: np.ndarray, y: np.ndarray,
     computed here, applied, and stored in the returned model. The history is
     the mean NLL per epoch (running mean over that epoch's batches).
 
-    Each Adam update runs on cache-sized slices of the flattened parameters,
-    gradients and moments, which this thread and one helper take from the
-    two ends of a deque. The update is elementwise and the slices do not
-    overlap, so every element gets the whole-array update's operations in
-    its order: the bits do not depend on who takes a slice, or when.
+    No whole gradient array is built. The backward pass releases each layer
+    once ``delta @ W.T`` has read W: its update goes onto a deque as slices
+    of rows of W (``_row_cuts``) and one of the bias, which a helper thread
+    takes from one end while this thread goes down the backward pass, then
+    this thread from the other. The taking thread makes a slice's gradient
+    rows ``a[:, rows].T @ delta`` in its scratch and feeds them to the Adam
+    arithmetic: each element gets the whole-array gradient's and update's
+    bits, whoever takes its slice, and when. The subnormal flush runs here
+    once every slice of the step is done.
     """
     from concurrent.futures import ThreadPoolExecutor  # loaded on use: 7 ms
 
@@ -372,18 +414,22 @@ def mlp_train(x: np.ndarray, y: np.ndarray,
         raise SingleClassTrainingSet("training split must contain both classes")
 
     mean = float(x.mean())
-    std = float(x.std())
-    if std == 0.0:
-        std = 1.0
+    std = float(x.std()) or 1.0
     xn = (x - mean) / std
 
     model = init_mlp(x.shape[1], hidden=hidden, seed=cfg.seed)
     model.norm_mean, model.norm_std = mean, std
 
-    params = model.weights + model.biases
-    moments1 = [np.zeros_like(p) for p in params]
-    moments2 = [np.zeros_like(p) for p in params]
-    scratch = np.empty((2, ADAM_BLOCK))  # row 0 the helper's, row 1 ours
+    w, b = model.weights, model.biases
+    mw, vw, mb, vb = ([np.zeros_like(p) for p in ps] for ps in (w, w, b, b))
+    # per layer, its update's slices: (rows of W or None for b, p, m, v)
+    layers = [[(slice(r0, r1), *(q[i][r0:r1].reshape(-1, copy=False)
+                                 for q in (w, mw, vw))) for r0, r1 in
+               itertools.pairwise(_row_cuts(w[i], cfg.batch_size))]
+              + [(None, b[i], mb[i], vb[i])] for i in range(len(w))]
+    # per thread (the helper's first), the gradient and update rows
+    size = max(len(job[1]) for jobs in layers for job in jobs)
+    scratch = np.empty((2, 2, size))
 
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     rng = np.random.default_rng(cfg.seed + 1)
@@ -395,24 +441,25 @@ def mlp_train(x: np.ndarray, y: np.ndarray,
             losses = []
             for start in range(0, len(order), cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                loss, gw, gb = nll_loss_and_gradients(model, xn[idx], y[idx])
-                losses.append(loss)
                 step += 1
                 # bias-corrected step folded into the learning rate
-                lr_t = (cfg.learning_rate * np.sqrt(1.0 - b2**step)
-                        / (1.0 - b1**step))
-                eps_t = cfg.adam_eps * np.sqrt(1.0 - b2**step)
-                # copy=False: raise rather than update a copy
-                blocks = collections.deque(
-                    [a.reshape(-1, copy=False)[i:i + ADAM_BLOCK] for a in pgmv]
-                    for pgmv in zip(params, gw + gb, moments1, moments2)
-                    for i in range(0, pgmv[0].size, ADAM_BLOCK))
-                done = helper.submit(_adam_drain, blocks.popleft, scratch[0],
-                                     b1, b2, lr_t, eps_t)
-                _adam_drain(blocks.pop, scratch[1], b1, b2, lr_t, eps_t)
-                done.result()
+                root = np.sqrt(1.0 - b2**step)
+                adam = (b1, b2, cfg.learning_rate * root / (1.0 - b1**step),
+                        cfg.adam_eps * root)
+                jobs, helping = collections.deque(), []
+
+                def release(i, a, d):
+                    jobs.extend((a[:, rows] if rows else None, d, p, m, v)
+                                for rows, p, m, v in layers[i])
+                    helping.append(helper.submit(
+                        _adam_drain, jobs.popleft, scratch[0], *adam))
+
+                losses.append(_backward(model, xn[idx], y[idx], release))
+                _adam_drain(jobs.pop, scratch[1], *adam)
+                for done in helping:
+                    done.result()
                 if step % FLUSH_EVERY == 0:
-                    for m in moments1:
+                    for m in mw + mb:
                         m[np.abs(m) < np.finfo(float).tiny] = 0.0
             history.append(float(np.mean(losses)))
     return model, history
@@ -496,11 +543,6 @@ def mlp_predict(model: MlpModel, x) -> np.ndarray:
     return labels[0] if single else labels
 
 
-def _relu_pattern(model: MlpModel, x: np.ndarray):
-    acts = _forward_cached(model, x)
-    return [a > 0 for a in acts[1:-1]]
-
-
 def gradient_check(model: MlpModel, x: np.ndarray, y: np.ndarray,
                    n_samples: int = 200, seed: int = 0) -> float:
     """Max relative error of analytic vs central-difference gradients.
@@ -515,38 +557,26 @@ def gradient_check(model: MlpModel, x: np.ndarray, y: np.ndarray,
     if len(x) == 0:
         raise EmptyInput("gradient check needs a nonempty batch")
     _, gw, gb = nll_loss_and_gradients(model, x, y)
-    pairs = list(zip(model.weights, gw)) + list(zip(model.biases, gb))
-    sizes = [a.size for a, _ in pairs]
+    params, grads = model.weights + model.biases, gw + gb
+    starts = np.cumsum([0] + [a.size for a in params])
+    total = int(starts[-1])
     h = 1e-5  # central-difference step
-    total = sum(sizes)
     rng = np.random.default_rng(seed)
-    picks = rng.choice(total, size=min(n_samples, total), replace=False)
-
     worst = 0.0
-    for flat_idx in picks:
-        offset = int(flat_idx)
-        for (a, g), size in zip(pairs, sizes):
-            if offset >= size:
-                offset -= size
-                continue
-            ij = np.unravel_index(offset, a.shape)
-            orig = a[ij]
-            a[ij] = orig + h
-            f_plus = nll_loss(model, x, y)
-            pat_plus = _relu_pattern(model, x)
-            a[ij] = orig - h
-            f_minus = nll_loss(model, x, y)
-            pat_minus = _relu_pattern(model, x)
-            a[ij] = orig
-            if any(
-                not np.array_equal(p, q) for p, q in zip(pat_plus, pat_minus)
-            ):
-                break
+    for flat in rng.choice(total, size=min(n_samples, total), replace=False):
+        k = int(np.searchsorted(starts, flat, side="right")) - 1
+        a, g = params[k], grads[k]
+        ij = np.unravel_index(int(flat - starts[k]), a.shape)
+        orig = a[ij]
+        a[ij] = orig + h
+        f_plus, kinks_plus = _loss_and_kinks(model, x, y)
+        a[ij] = orig - h
+        f_minus, kinks_minus = _loss_and_kinks(model, x, y)
+        a[ij] = orig
+        if all(np.array_equal(p, q) for p, q in zip(kinks_plus, kinks_minus)):
             numeric = (f_plus - f_minus) / (2 * h)
-            analytic = g[ij]
-            denom = max(abs(numeric), abs(analytic), 1e-8)
-            worst = max(worst, abs(numeric - analytic) / denom)
-            break
+            denom = max(abs(numeric), abs(g[ij]), 1e-8)
+            worst = max(worst, abs(numeric - g[ij]) / denom)
     return worst
 
 
@@ -588,21 +618,17 @@ def make_splits(subjects, ratio=(4, 2), seed: int = 0) -> list[SplitPlan]:
     by_subject = {u: np.flatnonzero(subjects == u) for u in uniq}
     cap = 3 * min(len(v) for v in by_subject.values())
     rng = np.random.default_rng(seed)
-    capped = {}
-    for u in uniq:
-        idx = by_subject[u]
-        if len(idx) > cap:
-            idx = np.sort(rng.choice(idx, size=cap, replace=False))
-        capped[u] = idx
+    capped = {u: idx if len(idx) <= cap
+              else np.sort(rng.choice(idx, size=cap, replace=False))
+              for u, idx in by_subject.items()}
 
     plans = []
     for test_combo in itertools.combinations(uniq, n_test):
-        test_set = set(test_combo)
-        train_combo = tuple(u for u in uniq if u not in test_set)
-        train_idx = np.concatenate([capped[u] for u in train_combo])
-        test_idx = np.concatenate([capped[u] for u in test_combo])
-        plans.append(SplitPlan(train_combo, tuple(test_combo),
-                               train_idx, test_idx, cap))
+        train_combo = tuple(u for u in uniq if u not in test_combo)
+        plans.append(SplitPlan(
+            train_combo, test_combo,
+            np.concatenate([capped[u] for u in train_combo]),
+            np.concatenate([capped[u] for u in test_combo]), cap))
     return plans
 
 
@@ -619,12 +645,7 @@ class ClassificationMetrics:
     specificity: float
 
     def as_dict(self):
-        return {
-            "tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn,
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1,
-            "specificity": self.specificity,
-        }
+        return asdict(self)
 
 
 def classification_metrics(predictions, labels) -> ClassificationMetrics:
@@ -647,10 +668,7 @@ def classification_metrics(predictions, labels) -> ClassificationMetrics:
     precision = ratio(tp, tp + fp)
     recall = ratio(tp, tp + fn)
     return ClassificationMetrics(
-        tp, tn, fp, fn,
-        accuracy=ratio(tp + tn, len(pred)),
-        precision=precision,
-        recall=recall,
+        tp, tn, fp, fn, accuracy=ratio(tp + tn, len(pred)),
+        precision=precision, recall=recall,
         f1=ratio(2 * precision * recall, precision + recall),
-        specificity=ratio(tn, tn + fp),
-    )
+        specificity=ratio(tn, tn + fp))

@@ -35,9 +35,12 @@ harness called once per scan point; ``mlp_predict`` normalizes and runs the
 forward pass on one call's rows together, so a batch through it is one
 batched pass, not n one-row ones. ``mlp_forward`` is the class-probability
 pass it runs, which the blocked, error-bounded ``spectra.mlp_predict`` no
-longer calls. ``mlp_train`` is the trainer whose Adam update
-(``adam_step``) ran over each whole parameter array, before
-``spectra.mlp_train`` split the update into slices that two threads share.
+longer calls. ``mlp_train`` is the trainer that took whole gradient
+arrays from ``nll_loss_and_gradients`` each step and ran the Adam update
+(``adam_step``) over each whole parameter array, before
+``spectra.mlp_train`` split the update into row slices that two threads
+share, each slice making its own gradient rows as the backward pass
+releases its layer.
 ``write_spot_observations_csv``, ``write_cut_plan_csv`` and
 ``write_spectra_csv`` are the ``csv.writer`` bodies that
 ``io._write_csv_rows`` replaced.

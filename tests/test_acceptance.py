@@ -331,8 +331,10 @@ def test_criterion_09_synthetic_classification():
     model, history = mlp_train(x[plan.train_indices], y[plan.train_indices],
                                TrainConfig(epochs=150, batch_size=16,
                                            learning_rate=1e-3, seed=0))
-    # recorded before the Adam update ran on slices shared by two threads;
-    # the same with one BLAS thread and with the default count
+    # recorded from whole gradient arrays and a whole-array Adam update,
+    # before the update ran on row slices that two threads share, each
+    # slice's gradient made in the slice as the backward pass releases its
+    # layer; the same with one BLAS thread and with the default count
     digest = hashlib.sha256()
     for a in model.weights + model.biases:
         digest.update(a.tobytes())

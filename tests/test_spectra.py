@@ -1,5 +1,7 @@
+import collections
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -394,6 +396,30 @@ class TestMlp:
             mlp_train(x, np.zeros(4, dtype=int))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("batch_size", [-4, 0, 2.5, "16", True, None])
+    def test_bad_batch_size_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("epochs", [-1, 1.5, "2", False, None])
+    def test_bad_epochs_rejected(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=epochs)
+
+    def test_edge_values_accepted(self):
+        x, y = separable_data(6)
+        model, history = mlp_train(x, y, TrainConfig(epochs=0),
+                                   hidden=(16, 8, 4))
+        assert history == []
+        assert_same_training((model, history), (init_mlp(
+            10, hidden=(16, 8, 4)), []))
+        assert TrainConfig(batch_size=np.int64(1)).batch_size == 1
+        model, history = mlp_train(x, y, TrainConfig(epochs=1, batch_size=1),
+                                   hidden=(16, 8, 4))
+        assert len(history) == 1 and np.isfinite(history[0])
+
+
 def assert_same_training(got, want):
     """Equal weight, bias and history bytes from two ``mlp_train`` calls."""
     (m1, h1), (m2, h2) = got, want
@@ -404,9 +430,48 @@ def assert_same_training(got, want):
         assert a.tobytes() == b.tobytes()
 
 
+def assert_slices(x, hidden, batch_size) -> list[int]:
+    """Slices per weight matrix of the update, checked to cover its rows
+    with at least two rows a slice (one for a one-row W)."""
+    counts = []
+    for w in init_mlp(x.shape[1], hidden=hidden).weights:
+        cuts = spectra._row_cuts(w, batch_size)
+        assert cuts[0] == 0 and cuts[-1] == len(w)
+        assert min(np.diff(cuts)) >= min(2, len(w))
+        counts.append(len(cuts) - 1)
+    return counts
+
+
+def forced_schedule(monkeypatch, idle: str) -> collections.Counter:
+    """Make the ``idle`` thread ("main" or "helper") sleep before each take
+    until the other has emptied the step's deque, so the other takes every
+    slice; returns the count of slices each thread took."""
+    taken = collections.Counter()
+    drain = spectra._adam_drain
+
+    def scheduled(take, *rest):
+        who = ("main" if threading.current_thread() is threading.main_thread()
+               else "helper")
+        jobs = take.__self__  # the step's deque
+
+        def take_when_scheduled():
+            while who == idle and jobs:
+                time.sleep(1e-4)
+            job = take()
+            taken[who] += 1
+            return job
+
+        return drain(take_when_scheduled, *rest)
+
+    monkeypatch.setattr(spectra, "_adam_drain", scheduled)
+    return taken
+
+
 class TestAdam:
-    """The sliced, two-thread update takes the whole-array update's bits,
-    and flushing subnormal first moments to zero changes no weight."""
+    """The update in row slices, each making its own gradient rows, on two
+    threads takes the bits of whole gradient arrays and a whole-array
+    update, and flushing subnormal first moments to zero changes no
+    weight."""
 
     @pytest.mark.parametrize("width, hidden, size", [
         (151, 217, ADAM_BLOCK - 1),
@@ -436,24 +501,97 @@ class TestAdam:
         assert_same_training(got, oracles.mlp_train(x, y, cfg,
                                                     hidden=(300, 120, 4)))
 
+    def test_a_row_wider_than_a_slice(self):
+        x, y = separable_data(40, width=5, seed=3)
+        hidden = (ADAM_BLOCK + 8,)
+        cfg = TrainConfig(epochs=2, seed=1)
+        got = mlp_train(x, y, cfg, hidden=hidden)
+        cuts = spectra._row_cuts(got[0].weights[0], cfg.batch_size)
+        assert cuts == [0, 2, 5]  # two slices, each wider than ADAM_BLOCK
+        assert_same_training(got, oracles.mlp_train(x, y, cfg, hidden=hidden))
+
+    @pytest.mark.parametrize("block", [ADAM_BLOCK, 300])
+    @pytest.mark.parametrize("n, batch_size", [(37, 16), (9, 1), (800, 400)])
+    def test_ragged_and_one_row_batches(self, monkeypatch, block, n,
+                                        batch_size):
+        # both hidden layers' weights slice: at block 300 into slices of
+        # 2 to 3 rows; a 400-row batch leaves every weight matrix whole
+        monkeypatch.setattr(spectra, "ADAM_BLOCK", block)
+        x, y = separable_data(n, width=140, seed=n)
+        hidden = (256, 136)
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, seed=5)
+        assert assert_slices(x, hidden, batch_size) == (
+            [1, 1, 1] if batch_size > 384
+            else [2, 2, 1] if block == ADAM_BLOCK else [70, 117, 1])
+        assert_same_training(mlp_train(x, y, cfg, hidden=hidden),
+                             oracles.mlp_train(x, y, cfg, hidden=hidden))
+
+    def test_widths_off_a_multiple_of_8_update_whole(self, monkeypatch):
+        # row slices of a gradient 331 wide would differ from it in bits
+        monkeypatch.setattr(spectra, "ADAM_BLOCK", 300)
+        x, y = separable_data(40, width=400, seed=2)
+        hidden = (331, 64)
+        cfg = TrainConfig(epochs=2, seed=3)
+        assert assert_slices(x, hidden, cfg.batch_size) == [1, 71, 1]
+        assert_same_training(mlp_train(x, y, cfg, hidden=hidden),
+                             oracles.mlp_train(x, y, cfg, hidden=hidden))
+
+    @pytest.mark.parametrize("idle", ["helper", "main"])
+    def test_one_thread_takes_every_slice(self, monkeypatch, idle):
+        monkeypatch.setattr(spectra, "ADAM_BLOCK", 300)
+        taken = forced_schedule(monkeypatch, idle)
+        x, y = separable_data(40, width=140, seed=8)
+        cfg = TrainConfig(epochs=2, seed=6)  # batches of 16, 16 and 8
+        got = mlp_train(x, y, cfg, hidden=(256, 136))
+        busy = "main" if idle == "helper" else "helper"
+        assert taken[idle] == 0
+        assert taken[busy] == 6 * (70 + 117 + 1 + 3)  # steps * slices
+        assert_same_training(got, oracles.mlp_train(x, y, cfg,
+                                                    hidden=(256, 136)))
+
     def test_no_thread_outlives_a_call(self, monkeypatch):
         x, y = separable_data(40, seed=1)
+        cfg = TrainConfig(epochs=2, seed=0)
         before = threading.active_count()
-        mlp_train(x, y, TrainConfig(epochs=2, seed=0), hidden=(16, 8, 4))
+        mlp_train(x, y, cfg, hidden=(16, 8, 4))
         assert threading.active_count() == before
         steps = []
-        gradients = spectra.nll_loss_and_gradients
+        backward = spectra._backward
 
         def fail_on_step_3(*args):
             steps.append(len(steps) + 1)
             if len(steps) == 3:
                 raise RuntimeError("step 3")
-            return gradients(*args)
+            return backward(*args)
 
-        monkeypatch.setattr(spectra, "nll_loss_and_gradients", fail_on_step_3)
+        monkeypatch.setattr(spectra, "_backward", fail_on_step_3)
         with pytest.raises(RuntimeError, match="step 3"):
-            mlp_train(x, y, TrainConfig(epochs=2, seed=0), hidden=(16, 8, 4))
+            mlp_train(x, y, cfg, hidden=(16, 8, 4))
         assert steps == [1, 2, 3]
+        assert threading.active_count() == before
+
+    def test_a_failed_helper_job_propagates(self, monkeypatch):
+        x, y = separable_data(40, seed=1)
+        before = threading.active_count()
+        drain = spectra._adam_drain
+        failed = threading.Event()
+
+        def fail_in_helper(take, *rest):
+            if threading.current_thread() is threading.main_thread():
+                failed.wait(30.0)  # leave the helper a slice to fail in
+                return drain(take, *rest)
+
+            def take_then_fail():
+                take()
+                failed.set()
+                raise RuntimeError("helper job")
+
+            return drain(take_then_fail, *rest)
+
+        monkeypatch.setattr(spectra, "_adam_drain", fail_in_helper)
+        with pytest.raises(RuntimeError, match="helper job"):
+            mlp_train(x, y, TrainConfig(epochs=2, seed=0), hidden=(16, 8, 4))
+        assert failed.is_set()
         assert threading.active_count() == before
 
     def test_trainer_matches_trainer_without_flush(self, monkeypatch):
