@@ -117,6 +117,7 @@ PHANTOM_RULE = ThresholdClassifier(((495.0, 570.0),), 0.50, 0.0, "low")
 
 REGION_COLORS = {HEALTHY: (205, 180, 170), TUMOR: (70, 60, 150)}
 IMAGE_BACKGROUND = (15, 15, 15)
+IMAGE_BLOCK_ROWS = 32  # grid rows per block: 16,384 points on the e2e grid
 
 # rng salts, one stream per noise source
 _SALT_CALIB = 1
@@ -652,36 +653,41 @@ def _estimate_cameras(cfg, scene):
 
 def render_camera_image(scene: ScenePhantom, camera: PinholeCamera,
                         oct_cfg: OctConfig = OctConfig()) -> np.ndarray:
-    """Synthetic color view: project a fine surface grid and splat colors."""
+    """Synthetic color view: project a fine surface grid and splat colors,
+    ``IMAGE_BLOCK_ROWS`` grid rows at a time, in order, so a later point
+    still overwrites an earlier one."""
     img = np.tile(np.array(IMAGE_BACKGROUND, dtype=np.uint8),
                   (camera.height, camera.width, 1))
-    xs = np.arange(oct_cfg.n_lateral) * oct_cfg.pitch_x
-    ys = np.arange(oct_cfg.n_bscans * 4) * (oct_cfg.pitch_y / 4.0)
-    gx, gy = np.meshgrid(xs, ys)
-    gz = scene.height(gx, gy)
-    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    uv, in_front = project_points(camera, pts)
-    cols = np.round(uv[:, 0]).astype(np.int64, copy=False)
-    rows = np.round(uv[:, 1]).astype(np.int64, copy=False)
-    ok = in_front & (cols >= 0) & (cols < camera.width) & \
-        (rows >= 0) & (rows < camera.height)
     palette = np.array([REGION_COLORS[HEALTHY]] + [
         REGION_COLORS[reg["label"]] for reg in scene.regions], dtype=np.uint8)
-    img[rows[ok], cols[ok]] = palette[scene.region_index(pts[ok, 0],
-                                                         pts[ok, 1]) + 1]
+    xs = np.arange(oct_cfg.n_lateral) * oct_cfg.pitch_x
+    ys = np.arange(oct_cfg.n_bscans * 4) * (oct_cfg.pitch_y / 4.0)
+    for start in range(0, len(ys), IMAGE_BLOCK_ROWS):
+        gx, gy = np.meshgrid(xs, ys[start:start + IMAGE_BLOCK_ROWS])
+        gz = scene.height(gx, gy)
+        pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+        uv, in_front = project_points(camera, pts)
+        cols = np.round(uv[:, 0]).astype(np.int64, copy=False)
+        rows = np.round(uv[:, 1]).astype(np.int64, copy=False)
+        ok = in_front & (cols >= 0) & (cols < camera.width) & \
+            (rows >= 0) & (rows < camera.height)
+        img[rows[ok], cols[ok]] = palette[
+            scene.region_index(pts[ok, 0], pts[ok, 1]) + 1]
     return img
 
 
 def _scan_volume(scene: ScenePhantom, oct_cfg: OctConfig, seed: int,
                  path_base):
-    """Render the C-scan into ``path_base`` (.f32 and .json), then segment
-    the surface from the file, so that only a B-scan at a time is held.
+    """Render the C-scan and take one pass over it: each B-scan is checked,
+    appended to ``path_base``.f32 and segmented as it comes, and the .json
+    sidecar is written when the pass ends. Only a B-scan at a time is held,
+    and nothing reads the file back.
 
     Returns the two written paths and the surface cloud.
     """
-    volume = render_oct_volume(scene, (0.0, 0.0), oct_cfg, seed=seed)
-    paths = rio.write_oct_volume(path_base, volume)
-    return paths, segment_surface(rio.read_oct_volume(path_base))
+    paths, volume = rio.append_oct_volume(
+        path_base, render_oct_volume(scene, (0.0, 0.0), oct_cfg, seed=seed))
+    return paths, segment_surface(volume)
 
 
 def run_end_to_end(cfg: ExperimentConfig, out_dir,

@@ -1,7 +1,7 @@
 """File formats: JSON reports, ASCII PLY clouds, CSV ledgers, raw volumes.
 
 Raw volumes are written and read back one B-scan at a time; the e2e scan
-segments the surface from the volume it has just written.
+segments each B-scan in the pass that writes it, and reads nothing back.
 
 Every writer is deterministic (fixed key order, fixed float formatting, no
 timestamps), so identical inputs produce byte-identical files. CSV floats
@@ -104,29 +104,46 @@ def write_ply_cloud(path, points, color=None, label=None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def write_oct_volume(path_base, volume: OctVolume) -> tuple[Path, Path]:
-    """Raw little-endian float32 plus a JSON sidecar with shape and pitches.
-
-    Takes one pass over the volume and appends each B-scan to the raw file
-    as it comes, so a lazily rendered volume is never held whole.
+def append_oct_volume(path_base, volume: OctVolume
+                      ) -> tuple[tuple[Path, Path], OctVolume]:
+    """The raw file and JSON sidecar ``path_base`` gets, and ``volume``,
+    each pass over which writes them: the pass checks each B-scan, once,
+    then appends it as little-endian float32 when it asks for the next,
+    and writes the sidecar (shape and pitches) once all ``n_bscans`` are
+    appended, so a bad volume raises part way and leaves no sidecar.
     """
     base = Path(path_base)
-    raw = base.with_suffix(".f32")
-    with raw.open("wb") as f:
-        for b_scan in volume:
-            b_scan.astype("<f4", copy=False).tofile(f)
+    raw, sidecar = base.with_suffix(".f32"), base.with_suffix(".json")
     cfg = volume.config
-    sidecar = write_json(base.with_suffix(".json"), {
-        "dtype": "float32-le",
-        "shape": [cfg.n_bscans, cfg.n_axial, cfg.n_lateral],
-        "axial_pitch_mm": cfg.axial_pitch,
-        "lateral_pitch_x_mm": cfg.pitch_x,
-        "lateral_pitch_y_mm": cfg.pitch_y,
-        "extent_x_mm": cfg.extent_x,
-        "extent_y_mm": cfg.extent_y,
-        "origin_xy_mm": list(volume.origin),
-    })
-    return raw, sidecar
+
+    def b_scans():
+        count = 0
+        with raw.open("wb") as f:
+            for count, b_scan in enumerate(volume.b_scans, 1):
+                yield b_scan
+                np.asarray(b_scan, dtype="<f4").tofile(f)
+        if count == cfg.n_bscans:
+            write_json(sidecar, {
+                "dtype": "float32-le",
+                "shape": [cfg.n_bscans, cfg.n_axial, cfg.n_lateral],
+                "axial_pitch_mm": cfg.axial_pitch,
+                "lateral_pitch_x_mm": cfg.pitch_x,
+                "lateral_pitch_y_mm": cfg.pitch_y,
+                "extent_x_mm": cfg.extent_x,
+                "extent_y_mm": cfg.extent_y,
+                "origin_xy_mm": list(volume.origin),
+            })
+
+    return (raw, sidecar), OctVolume(BScanStream(b_scans), cfg, volume.origin)
+
+
+def write_oct_volume(path_base, volume: OctVolume) -> tuple[Path, Path]:
+    """Raw little-endian float32 plus a JSON sidecar with shape and pitches,
+    written in one pass (``append_oct_volume``), one B-scan at a time."""
+    paths, appending = append_oct_volume(path_base, volume)
+    for _ in appending:
+        pass
+    return paths
 
 
 def read_oct_volume(path_base) -> OctVolume:

@@ -251,7 +251,8 @@ class OctVolume:
             if b_scan.shape != shape:
                 raise ValueError(f"B-scan {count} has shape {b_scan.shape}, "
                                  f"config says {shape}")
-            if b_scan.size and (b_scan.min() < 0.0 or b_scan.max() > 1.0):
+            # negated, so that a NaN, which compares False, fails too
+            if b_scan.size and not (b_scan.min() >= 0 and b_scan.max() <= 1):
                 raise ValueError("intensities must lie in [0, 1]")
             count += 1
             yield b_scan
@@ -322,21 +323,30 @@ def render_oct_volume(scene: ScenePhantom, window: tuple[float, float],
     return OctVolume(BScanStream(b_scans), cfg, (float(x0), float(y0)))
 
 
+def column_peaks(b_scan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(argmax(axis=0), max(axis=0))`` of a NaN-free 2-D array, without
+    argmax's transposed copy: the first row equal to each column's maximum,
+    searched among the rows that hold some column's maximum."""
+    top = b_scan.max(axis=0)
+    hit = b_scan == top
+    rows = np.flatnonzero(hit.any(axis=1))
+    return rows[hit[rows].argmax(axis=0)], top
+
+
 def segment_surface(volume: OctVolume) -> SurfaceCloud:
     """One surface point per A-scan at the intensity argmax.
 
-    Reads the volume once, one B-scan at a time, keeping each A-scan's
-    first maximal axial index and its maximum. A-scans whose maximum
-    stays below 0.15 are marked invalid; the grid slot is kept so
-    downstream consumers can skip it. Raises EmptySurface when nothing
-    clears the threshold.
+    Takes one pass over the volume (in the e2e scan, the pass that writes
+    it), one B-scan at a time, keeping each A-scan's first maximal axial
+    index and its maximum. A-scans whose maximum stays below 0.15 are
+    marked invalid; the grid slot is kept so downstream consumers can skip
+    it. Raises EmptySurface, after the pass, when nothing clears it.
     """
     cfg = volume.config
     peak_idx = np.empty((cfg.n_bscans, cfg.n_lateral), dtype=np.intp)
     peak_val = np.empty((cfg.n_bscans, cfg.n_lateral), dtype=np.float32)
     for j, b_scan in enumerate(volume):
-        peak_idx[j] = b_scan.argmax(axis=0)
-        peak_val[j] = b_scan.max(axis=0)
+        peak_idx[j], peak_val[j] = column_peaks(b_scan)
     valid = peak_val >= 0.15
     if not np.any(valid):
         raise EmptySurface("no A-scan max reached threshold 0.15")

@@ -14,8 +14,10 @@ the column-wise ``io.write_ply_cloud`` replaced.
 ``render_oct_volume`` and ``segment_surface`` are the eager C-scan and its
 full-volume axis-1 reduction that the B-scan stream replaced; the eager
 render evaluates every axial row, where the stream evaluates only the band
-around the peaks. ``render_camera_image`` paints through label strings,
-where the harness paints through region indices.
+around the peaks; the eager segmentation reduces with ``argmax``, where
+the stream uses ``sensors.column_peaks``. ``render_camera_image`` paints
+the whole grid at once through label strings, where the harness paints
+through region indices, a block of grid rows at a time.
 ``polygon_is_simple`` is the all-pairs edge-crossing check that test
 polygons must pass before they serve as membership inputs.
 ``solve_ik`` and ``plan_trajectory`` are the one-target Newton loop and the

@@ -2,8 +2,9 @@
 
 No run reads these artifacts back, so these readers live with the
 round-trip tests in ``test_io.py`` that hold the writers to them. The raw
-volume is the exception: the e2e scan segments it read back, so its reader
-is ``resectsim.io.read_oct_volume``.
+volume's reader is the exception: ``resectsim.io.read_oct_volume`` stays
+in the library for the scanner demo, though the e2e scan segments each
+B-scan in the pass that writes it and reads nothing back.
 """
 
 import csv

@@ -241,6 +241,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == ("degenerate region: EmptySurface: no A-scan max "
                        "reached threshold 0.15 (stage scan)\n")
+        # the pass ended before the empty surface raised: both files stand
+        assert (tmp_path / "o" / "oct_volume.f32").exists()
+        assert (tmp_path / "o" / "oct_volume.json").exists()
 
     def test_bad_config_json(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from resectsim import harness
+from resectsim import io as rio
 from resectsim.errors import (
     BehindCamera,
     ConfigError,
@@ -30,7 +31,15 @@ from resectsim.harness import (
     render_camera_image,
     truth_calibration,
 )
-from resectsim.sensors import OctConfig, ScenePhantom, synth_spectrum
+from resectsim.sensors import (
+    BScanStream,
+    OctConfig,
+    OctVolume,
+    ScenePhantom,
+    render_oct_volume,
+    segment_surface,
+    synth_spectrum,
+)
 from resectsim.spectra import ThresholdClassifier, band_mean, preprocess
 
 import oracles
@@ -330,9 +339,10 @@ class TestEndToEnd:
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_scan_holds_one_b_scan_at_a_time(tmp_path, noise):
-    # the e2e scan path (render -> write -> segment the file read back) at
-    # the default grid, whose float32 C-scan is 128 MiB; holding it whole,
-    # or drawing its noise at once, would trace several times this bound
+    # the e2e scan's one pass (render, check, append and segment each
+    # B-scan) at the default grid, whose float32 C-scan is 128 MiB; holding
+    # it whole, or drawing its noise at once, would trace several times
+    # this bound
     cfg = OctConfig(noise_amplitude=noise)
     scene = ScenePhantom.from_dict(ExperimentConfig(seed=1).scene)
     tracemalloc.start()
@@ -344,6 +354,38 @@ def test_scan_holds_one_b_scan_at_a_time(tmp_path, noise):
     assert peak < 32 * 2**20
     assert raw.stat().st_size == cfg.n_bscans * cfg.n_axial * cfg.n_lateral * 4
     assert surface.valid_mask().all()
+
+
+def test_scan_renders_once_and_reads_nothing_back(tmp_path, monkeypatch):
+    passes = []
+
+    def counted_render(*args, **kwargs):
+        volume = render_oct_volume(*args, **kwargs)
+
+        def b_scans():
+            passes.append(1)
+            return iter(volume.b_scans)
+
+        return OctVolume(BScanStream(b_scans), volume.config, volume.origin)
+
+    def no_read_back(*args, **kwargs):
+        raise AssertionError("the scan read its volume back")
+
+    cfg = OctConfig(n_bscans=6, n_axial=64, n_lateral=10,
+                    axial_pitch=0.06, noise_amplitude=0.05)
+    scene = ScenePhantom.from_dict(ExperimentConfig(seed=1).scene)
+    monkeypatch.setattr(harness, "render_oct_volume", counted_render)
+    monkeypatch.setattr(rio, "read_oct_volume", no_read_back)
+    monkeypatch.setattr(np, "fromfile", no_read_back)
+    (raw, sidecar), surface = _scan_volume(scene, cfg, 7, tmp_path / "vol")
+    assert passes == [1]
+
+    want = render_oct_volume(scene, (0.0, 0.0), cfg, seed=7)
+    assert raw.read_bytes() == np.stack(list(want)).astype("<f4").tobytes()
+    assert json.loads(sidecar.read_text())["shape"] == [6, 64, 10]
+    want_surface = segment_surface(want)
+    assert np.array_equal(surface.points, want_surface.points)
+    assert np.array_equal(surface.valid, want_surface.valid)
 
 
 def test_run_stages_times_stops_and_names_the_failing_stage(tmp_path):
@@ -374,12 +416,15 @@ def test_run_stages_times_stops_and_names_the_failing_stage(tmp_path):
                   "radius": 1}]},
 ], ids=["default", "no-tumor", "polygon-and-disc"])
 def test_camera_image_matches_label_palette_oracle(spec):
-    # painting through region indices gives the image the label strings gave
+    # painting through region indices, block by block, gives the image the
+    # label strings gave over the whole grid; the default OctConfig() is the
+    # e2e grid, whose 512 grid rows are painted in 16 blocks
     scene = ScenePhantom.from_dict(spec)
-    cfg = OctConfig(n_bscans=32, n_lateral=256)
-    for camera in _default_cameras():
-        assert np.array_equal(render_camera_image(scene, camera, cfg),
-                              oracles.render_camera_image(scene, camera, cfg))
+    for cfg in (OctConfig(n_bscans=32, n_lateral=256), OctConfig()):
+        for camera in _default_cameras():
+            assert np.array_equal(
+                render_camera_image(scene, camera, cfg),
+                oracles.render_camera_image(scene, camera, cfg))
 
 
 @pytest.mark.parametrize("policy", ["healthy", "tumor"])

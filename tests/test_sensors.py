@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resectsim import io as rio
+from resectsim.harness import _scan_volume
 from resectsim.errors import (
     EmptySurface,
     LengthMismatch,
@@ -20,6 +21,7 @@ from resectsim.sensors import (
     PinholeCamera,
     ScenePhantom,
     SpectrumConfig,
+    column_peaks,
     intersect_scene,
     project_points,
     render_oct_volume,
@@ -450,6 +452,17 @@ class TestStreamedScan:
             assert _same_surface(_surface_or_none(segment_surface, back),
                                  want_surface)
 
+            # the e2e scan's one pass, which renders at the origin
+            at_origin = oracles.render_oct_volume(scene, (0.0, 0.0), cfg, seed)
+            try:
+                _, surface = _scan_volume(scene, cfg, seed, base)
+            except EmptySurface:
+                surface = None
+            assert (base.with_suffix(".f32").read_bytes()
+                    == at_origin.astype("<f4").tobytes())
+            assert _same_surface(surface, _surface_or_none(
+                oracles.segment_surface, at_origin, cfg, (0.0, 0.0)))
+
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_band_matches_full_render_at_the_default_size(self, noise):
         # the default 128 x 512 x 512 grid with sigma 2 px, where the band is
@@ -488,7 +501,10 @@ class TestStreamedScan:
         (np.zeros((3, 8, 4)), r"B-scan 0 has shape \(8, 4\), config says"),
         (np.full((3, 8, 3), 1.5), "intensities must lie in"),
         (np.full((3, 8, 3), -0.5), "intensities must lie in"),
-    ], ids=["too-few", "too-many", "wrong-shape", "above-1", "below-0"])
+        (np.where(np.arange(72).reshape(3, 8, 3) == 40, np.nan, 0.5),
+         "intensities must lie in"),
+    ], ids=["too-few", "too-many", "wrong-shape", "above-1", "below-0",
+            "nan"])
     def test_bad_volumes_raise_while_streamed(self, tmp_path, b_scans, match):
         volume = OctVolume(b_scans, OctConfig(n_bscans=3, n_axial=8,
                                               n_lateral=3), (0.0, 0.0))
@@ -496,6 +512,35 @@ class TestStreamedScan:
             segment_surface(volume)
         with pytest.raises(ValueError, match=match):
             rio.write_oct_volume(tmp_path / "vol", volume)
+        # the pass that writes and segments at once, as the e2e scan does
+        with pytest.raises(ValueError, match=match):
+            segment_surface(rio.append_oct_volume(tmp_path / "seg", volume)[1])
+        # a volume that fails part way leaves a raw file but no sidecar
+        assert not (tmp_path / "vol.json").exists()
+        assert not (tmp_path / "seg.json").exists()
+
+
+# element pools: ties of +-0.0, plateaus, all-equal columns, or any float32
+PEAK_POOLS = [(-0.0, 0.0), (0.3,), (0.0, 0.5, 1.0), (-1.0, -0.0, 2.5), None]
+
+
+@st.composite
+def b_scan_arrays(draw):
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pool = draw(st.sampled_from(PEAK_POOLS))
+    element = (st.floats(width=32, allow_nan=False) if pool is None
+               else st.sampled_from(pool))
+    values = draw(st.lists(element, min_size=rows * cols,
+                           max_size=rows * cols))
+    return np.array(values, dtype=np.float32).reshape(rows, cols)
+
+
+@settings(max_examples=300)
+@given(b_scan_arrays())
+def test_column_peaks_equal_argmax_and_max(b_scan):
+    idx, top = column_peaks(b_scan)
+    assert np.array_equal(idx, b_scan.argmax(axis=0))
+    assert np.array_equal(_bits(top), _bits(b_scan.max(axis=0)))
 
 
 class TestProjection:
