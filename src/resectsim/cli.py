@@ -6,10 +6,10 @@ from the config up to and including the named stage and write that prefix's
 artifacts; since every run is a pure function of (config, seed), recomputing
 is byte-identical to resuming.
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate region (nothing
-to cut or segment), 4 solver failure, 1 any other pipeline failure. A
-failure raised inside a pipeline stage ends its message with
-``(stage <name>)``.
+A run exits 0 on success. A failing run exits with the failing class's
+``exit_code`` and writes one stderr line that opens with its ``prefix``
+(``errors.py`` groups the classes by exit code); a failure raised inside a
+pipeline stage ends that line with ``(stage <name>)``.
 """
 
 from __future__ import annotations
@@ -17,20 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    CollinearTags,
-    ConfigError,
-    DegenerateAxis,
-    DegenerateConfiguration,
-    EmptyRegion,
-    EmptySurface,
-    IllConditioned,
-    NonConvergence,
-    ParallelRay,
-    PipelineError,
-    TooFewTumorTags,
-    Unreachable,
-)
+from .errors import ConfigError, PipelineError
 from .harness import (
     E2E_STAGES,
     ExperimentConfig,
@@ -39,15 +26,6 @@ from .harness import (
     run_roi_experiment,
     run_trajectory_experiment,
 )
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DEGENERATE = 3
-EXIT_SOLVER = 4
-
-_DEGENERATE = (TooFewTumorTags, EmptyRegion, EmptySurface, CollinearTags)
-_SOLVER = (NonConvergence, IllConditioned, Unreachable,
-           DegenerateConfiguration, DegenerateAxis, ParallelRay)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,11 +66,6 @@ def load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _stage(exc: PipelineError) -> str:
-    """`` (stage <name>)`` for a failure raised inside a stage, else ``""``."""
-    return f" (stage {exc.stage})" if exc.stage else ""
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -108,24 +81,15 @@ def main(argv=None) -> int:
             result = run_end_to_end(cfg, args.out)
         else:
             result = run_end_to_end(cfg, args.out, through_stage=args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}{_stage(exc)}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _DEGENERATE as exc:
-        print(f"degenerate region: {type(exc).__name__}: {exc}"
-              f"{_stage(exc)}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except _SOLVER as exc:
-        print(f"solver failure: {type(exc).__name__}: {exc}{_stage(exc)}",
-              file=sys.stderr)
-        return EXIT_SOLVER
     except PipelineError as exc:
-        print(f"pipeline failure: {type(exc).__name__}: {exc}"
-              f"{_stage(exc)}", file=sys.stderr)
-        return 1
+        kind = ("" if isinstance(exc, ConfigError)
+                else f"{type(exc).__name__}: ")
+        stage = f" (stage {exc.stage})" if exc.stage else ""
+        print(f"{exc.prefix}: {kind}{exc}{stage}", file=sys.stderr)
+        return exc.exit_code
     for name, path in sorted(result.artifacts.items()):
         print(f"{name}: {path}")
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Structured exceptions shared across the pipeline.
 
-Every failure mode that callers are expected to handle has its own class so
-that experiment drivers can map failures to exit codes without string
-matching. All inherit from PipelineError.
+Every failure mode that callers are expected to handle has its own class, and
+all inherit from PipelineError. A class's ``exit_code`` is the CLI's exit
+code for it, and its ``prefix`` opens the CLI's one stderr line. The classes
+below are grouped by exit code: 2 configuration error, 3 degenerate region
+(nothing to cut or segment), 4 solver failure, 1 any other failure.
 """
 
 
@@ -14,13 +16,79 @@ class PipelineError(Exception):
     """
 
     stage: str | None = None
+    exit_code = 1
+    prefix = "pipeline failure"
 
 
-# geometry
-class ParallelRay(PipelineError):
+# exit 2
+class ConfigError(PipelineError):
+    """Experiment configuration is missing, malformed, or inconsistent."""
+
+    exit_code = 2
+    prefix = "config error"
+
+
+# exit 3
+class DegenerateRegion(PipelineError):
+    """The scan leaves no region to segment, bound or cut."""
+
+    exit_code = 3
+    prefix = "degenerate region"
+
+
+class EmptySurface(DegenerateRegion):
+    """No A-scan produced a peak above the segmentation threshold."""
+
+
+class TooFewTumorTags(DegenerateRegion):
+    """Boundary construction needs at least 3 tumor-labeled tags."""
+
+
+class CollinearTags(DegenerateRegion):
+    """All tumor tags are collinear; no 2D boundary exists."""
+
+
+class EmptyRegion(DegenerateRegion):
+    """No tags fall inside the boundary polygon."""
+
+
+# exit 4
+class SolverFailure(PipelineError):
+    """A solver found no answer: no convergence, no pose, no reach."""
+
+    exit_code = 4
+    prefix = "solver failure"
+
+
+class ParallelRay(SolverFailure):
     """Ray direction is (numerically) parallel to the plane."""
 
 
+class DegenerateConfiguration(SolverFailure):
+    """2D-3D correspondences do not constrain a unique pose."""
+
+
+class NonConvergence(SolverFailure):
+    """Solver exhausted its iteration budget before meeting tolerances."""
+
+
+class DegenerateAxis(SolverFailure):
+    """Axis fiducials too close together to define a direction."""
+
+
+class IllConditioned(SolverFailure):
+    """Calibration geometry leaves parameters coupled (e.g. single-height data)."""
+
+
+class Unreachable(SolverFailure):
+    """IK residual stays above tolerance; carries the failing target index."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
+# exit 1: geometry
 class GridTooSmall(PipelineError):
     """Surface grid needs at least 2 rows and 2 columns."""
 
@@ -34,40 +102,11 @@ class WindowOutOfDomain(PipelineError):
     """Requested scan window leaves the scene's declared domain."""
 
 
-class EmptySurface(PipelineError):
-    """No A-scan produced a peak above the segmentation threshold."""
-
-
 class BehindCamera(PipelineError):
     """Point is at or behind the camera plane."""
 
 
-# calibration
-class DegenerateConfiguration(PipelineError):
-    """2D-3D correspondences do not constrain a unique pose."""
-
-
-class NonConvergence(PipelineError):
-    """Solver exhausted its iteration budget before meeting tolerances."""
-
-
-class DegenerateAxis(PipelineError):
-    """Axis fiducials too close together to define a direction."""
-
-
-class IllConditioned(PipelineError):
-    """Calibration geometry leaves parameters coupled (e.g. single-height data)."""
-
-
 # kinematics / planning
-class Unreachable(PipelineError):
-    """IK residual stays above tolerance; carries the failing target index."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class BadStep(PipelineError):
     """Raster point count does not produce a valid grid."""
 
@@ -118,18 +157,6 @@ class LengthMismatch(PipelineError):
     """Parallel input sequences have different lengths."""
 
 
-class TooFewTumorTags(PipelineError):
-    """Boundary construction needs at least 3 tumor-labeled tags."""
-
-
-class CollinearTags(PipelineError):
-    """All tumor tags are collinear; no 2D boundary exists."""
-
-
-class EmptyRegion(PipelineError):
-    """No tags fall inside the boundary polygon."""
-
-
 class NoCalibration(PipelineError):
     """Operation requires a calibrated camera."""
 
@@ -153,8 +180,3 @@ class RasterTooLarge(PipelineError):
 
 class DegenerateSamples(PipelineError):
     """t-test inputs too short or with zero variance."""
-
-
-# harness
-class ConfigError(PipelineError):
-    """Experiment configuration is missing, malformed, or inconsistent."""

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from numbers import Integral
 from pathlib import Path
 
@@ -433,7 +433,7 @@ def _raster_scan(cfg, scene, truth, estimated, model, rng, locate_all):
 
 def _classification(tumor, true_tumor) -> dict:
     """Binary scan-label metrics with tumor as the positive class."""
-    return classification_metrics(tumor, true_tumor).as_dict()
+    return asdict(classification_metrics(tumor, true_tumor))
 
 
 def _train_scan_classifier(cfg):
@@ -497,11 +497,10 @@ def _marker_stages(cfg, out, run):
         out / "marker_plan.csv", plan)
 
 
-def s_curve_targets(cfg: ExperimentConfig, scene: ScenePhantom,
-                    n: int = 80) -> np.ndarray:
-    """S-shaped path on the surface across the scan window."""
+def s_curve_targets(scene: ScenePhantom) -> np.ndarray:
+    """S-shaped path of 80 points on the surface across the scan window."""
     cx, cy = _scan_center()
-    t = np.linspace(0.0, 1.0, n)
+    t = np.linspace(0.0, 1.0, 80)
     x = cx + 3.5 * np.sin(2.0 * np.pi * t)
     y = cy - 5.0 + 10.0 * t
     z = scene.height(x, y)
@@ -522,7 +521,7 @@ def _trajectory_stages(cfg, out, run):
     run.artifacts["calibration"] = _write_calibration(out, estimated)
 
     yield "execute"
-    targets = s_curve_targets(cfg, scene)
+    targets = s_curve_targets(scene)
     plan = plan_trajectory(estimated, targets)
     actuals = _execute_plan(cfg, truth, plan, scene, _rng(cfg, _SALT_SPOT))
     errors = np.sqrt(nearest_neighbor(actuals[:, :2], targets[:, :2])[1])
@@ -595,7 +594,7 @@ def _roi_stages(cfg, out, run):
         "scan_points": cfg.scan_points,
         "step_mm": list(pattern.step),
         "classification": _classification(tumor, true_tumor),
-        "regions": {r.kind: r.as_dict() for r in reports},
+        "regions": {r.kind: asdict(r) for r in reports},
     })
     run.artifacts.update({
         "tags": rio.write_ply_cloud(out / "roi_tags.ply", spots,
@@ -815,6 +814,6 @@ def _e2e_stages(cfg, out, run):
     yield "evaluate"
     reports = _region_reports(_true_region(scene), boundary,
                               convex_hull(actual_spots[:, :2]))
-    report["regions"] = {r.kind: r.as_dict() for r in reports}
+    report["regions"] = {r.kind: asdict(r) for r in reports}
     artifacts["ledger"] = rio.append_region_reports_csv(
         out / "region_ledger.csv", f"e2e-seed{cfg.seed}", reports)

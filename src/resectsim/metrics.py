@@ -204,18 +204,6 @@ class RegionReport:
     undercut: float
     overcut: float
 
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "mean": self.mean,
-            "std": self.std,
-            "rmse": self.rmse,
-            "iou": self.iou,
-            "undercut": self.undercut,
-            "overcut": self.overcut,
-            "edge_errors": list(self.edge_errors),
-        }
-
 
 def compare_regions(kind: str, reference, achieved,
                     pitch: float = DEFAULT_PITCH) -> RegionReport:

@@ -17,6 +17,7 @@ calibrated in.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from numbers import Real
@@ -41,12 +42,35 @@ PEAK_BAND_EXPONENT = 110.0  # e^-110 < 2^-150: a float32 zero past the band
 
 def finite_number(value) -> bool:
     """A real number in float range; bools (JSON true/false) are not."""
-    return isinstance(value, Real) and type(value) is not bool and abs(value) < 2**1024
+    return (isinstance(value, Real) and type(value) is not bool
+            and abs(value) <= sys.float_info.max)
 
 
 def _numbers(values, count: int, what: str):
     if not (len(values) == count and all(map(finite_number, values))):
         raise ValueError(f"{what} needs {count} finite numbers, not {values!r}")
+
+
+def _height_bound(primitives) -> float:
+    """A bound on ``|height|`` at every finite point: the primitives' peak
+    magnitudes (see ScenePhantom) summed in evaluation order, or inf or nan
+    when one can leave the finite floats. Python float arithmetic neither
+    raises nor warns on overflow (``**`` would raise), so neither does this."""
+    total = 0.0
+    for p in primitives:
+        if p["kind"] == "plane":
+            total += abs(float(p["z"]))
+            continue
+        h = float(p["height"])
+        if p["kind"] == "gauss_bump":
+            s = float(p["sigma"])
+            total += abs(h) if 0.0 < 2.0 * s * s < math.inf else math.inf
+        else:  # sphere_cap of sphere radius big_r
+            r = float(p["radius"])
+            big_r = (r * r + h * h) / (2.0 * h)
+            finite = math.isfinite(big_r * big_r)
+            total += 2.0 * (big_r + h) if finite else math.inf
+    return total
 
 
 @dataclass(frozen=True)
@@ -67,7 +91,12 @@ class ScenePhantom:
     unknown kinds and labels (only "healthy" and "tumor"), coordinates and
     sizes that are not finite numbers of the right count, sphere caps, bumps
     and discs without a positive size, polygons with fewer than 3 vertices
-    and albedo values outside [0, 1]. ``height``, ``label_at`` and
+    and albedo values outside [0, 1]. It also rejects primitive sets whose
+    height could leave the finite floats: a bump's 2 sigma^2 must be a
+    positive finite float, a cap's sphere radius R = (r^2 + h^2) / 2h must
+    square to a finite float, and the peak magnitudes (|z|, a bump's
+    |height|, a cap's 2 (R + h)) must sum to a finite float. ``height`` is
+    then finite at every finite point. ``height``, ``label_at`` and
     ``albedo_at`` accept scalars or arrays.
     """
 
@@ -91,6 +120,9 @@ class ScenePhantom:
                     raise ValueError("gauss_bump sigma must be > 0")
             else:
                 raise ValueError(f"unknown primitive kind: {kind}")
+        if not math.isfinite(_height_bound(self.primitives)):
+            raise ValueError("primitives sum to a height that is not finite "
+                             "everywhere")
         for reg in self.regions:
             kind, label = reg["kind"], reg.get("label")
             if kind not in ("disc", "polygon"):

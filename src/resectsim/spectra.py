@@ -15,7 +15,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -283,11 +283,6 @@ def _loss_and_kinks(model: MlpModel, x: np.ndarray, y: np.ndarray):
     logp = _log_softmax(acts[-1])
     loss = float(-logp[np.arange(len(y)), y].mean())
     return loss, [a > 0 for a in acts[1:-1]]
-
-
-def nll_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean negative log likelihood of the true labels."""
-    return _loss_and_kinks(model, x, y)[0]
 
 
 def _backward(model: MlpModel, x: np.ndarray, y: np.ndarray, release) -> float:
@@ -643,9 +638,6 @@ class ClassificationMetrics:
     recall: float
     f1: float
     specificity: float
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def classification_metrics(predictions, labels) -> ClassificationMetrics:

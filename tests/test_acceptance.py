@@ -10,7 +10,6 @@ import hashlib
 import time
 
 import numpy as np
-import pytest
 
 from resectsim.calibration import (
     LaserCalibration,
@@ -47,7 +46,6 @@ from resectsim.sensors import (
 )
 from resectsim.spectra import (
     TrainConfig,
-    band_mean,
     fit_threshold,
     gradient_check,
     init_mlp,

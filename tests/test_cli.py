@@ -9,11 +9,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resectsim
+from resectsim import cli
 from resectsim.cli import main
+from resectsim.errors import PipelineError
 
 NO_TUMOR = {
     "seed": 1,
@@ -299,13 +301,17 @@ class TestDeterminism:
 def _scene():
     num = st.floats(-3.0, 16.0)
     xy = st.tuples(num, num).map(list)
+    # sizes and heights mostly on the bench's scale, sometimes extreme
+    size = st.one_of(st.floats(0.05, 8.0), st.floats(1e-200, 1e200))
+    height = st.one_of(st.floats(-4.0, 6.0), st.floats(-1e308, 1e308))
     plane = st.builds(lambda z: {"kind": "plane", "z": z}, st.floats(-5, 20))
     bump = st.builds(lambda c, s, h: {"kind": "gauss_bump", "center": c,
                                       "sigma": s, "height": h},
-                     xy, st.floats(0.05, 8.0), st.floats(-4.0, 6.0))
+                     xy, size, height)
     cap = st.builds(lambda c, r, h: {"kind": "sphere_cap", "center": c,
                                      "radius": r, "height": h},
-                    xy, st.floats(0.05, 8.0), st.floats(0.05, 8.0))
+                    xy, size, st.one_of(st.floats(0.05, 8.0),
+                                        st.floats(1e-200, 1e308)))
     disc = st.builds(lambda lab, c, r: {"label": lab, "kind": "disc",
                                         "center": c, "radius": r},
                      st.sampled_from(["tumor", "healthy"]), xy,
@@ -347,9 +353,33 @@ EXIT_PREFIXES = {1: "pipeline failure: ", 2: "config error: ",
                  3: "degenerate region: ", 4: "solver failure: "}
 
 
+# the plane and disc of the default scene plus primitives that pass every
+# per-primitive check but whose height is not finite everywhere: two bumps
+# whose sum overflows, a bump whose 2 sigma^2 underflows (0/0 at its
+# centre) and a cap whose r^2 overflows
+NON_FINITE_SCENES = [{
+    "primitives": [{"kind": "plane", "z": 3.0}, *extra],
+    "regions": [{"label": "tumor", "kind": "disc", "center": [6.3, 6.4],
+                 "radius": 5.0}],
+} for extra in (
+    [{"kind": "gauss_bump", "center": [6.3, 6.4], "sigma": 50,
+      "height": 1e308}] * 2,
+    [{"kind": "gauss_bump", "center": [6.3, 6.4], "sigma": 1e-200,
+      "height": 1.0}],
+    [{"kind": "sphere_cap", "center": [6.3, 6.4], "radius": 1e200,
+      "height": 1.0}],
+)]
+WHOLE_RUN_COMMANDS = [["e2e"], ["phantom", "roi"], ["phantom", "trajectory"]]
+
+
 @settings(max_examples=20)
-@given(cfg=RUN_CONFIGS, command=st.sampled_from([["e2e"],
-                                                  ["phantom", "roi"]]))
+@given(cfg=RUN_CONFIGS, command=st.sampled_from(WHOLE_RUN_COMMANDS))
+@example(cfg={"seed": 1, "scan_points": 16, "scene": NON_FINITE_SCENES[0]},
+         command=["e2e"])
+@example(cfg={"seed": 1, "scan_points": 16, "scene": NON_FINITE_SCENES[1]},
+         command=["phantom", "roi"])
+@example(cfg={"seed": 1, "scan_points": 16, "scene": NON_FINITE_SCENES[2]},
+         command=["phantom", "trajectory"])
 def test_whole_runs_exit_with_a_documented_code(cfg, command):
     # a config that constructs runs to exit 0 or to a PipelineError's exit
     # code and message; a raw exception would escape main() and fail here
@@ -364,3 +394,70 @@ def test_whole_runs_exit_with_a_documented_code(cfg, command):
     assert rc in (0, *EXIT_PREFIXES)
     if rc:
         assert err.startswith(EXIT_PREFIXES[rc]) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", WHOLE_RUN_COMMANDS, ids="-".join)
+@pytest.mark.parametrize("scene", NON_FINITE_SCENES, ids=[
+    "bump-sum-overflows", "bump-sigma-underflows", "cap-radius-overflows"])
+def test_non_finite_height_exits_2_with_one_line(tmp_path, capsys, scene,
+                                                 command):
+    cfg = write_cfg(tmp_path, scan_points=16, scene=scene)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), *command])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid scene: primitives sum to a height that is not "
+        "finite everywhere\n")
+    assert not (tmp_path / "o").exists()
+
+
+# the documented exit code of every PipelineError class in resectsim; a new
+# class fails test_exit_code_table_names_every_error_class until it is placed
+EXIT_TABLE = {
+    "ConfigError": 2,
+    "DegenerateRegion": 3, "TooFewTumorTags": 3, "EmptyRegion": 3, "EmptySurface": 3,
+    "CollinearTags": 3,
+    "SolverFailure": 4, "NonConvergence": 4, "IllConditioned": 4, "Unreachable": 4,
+    "DegenerateConfiguration": 4, "DegenerateAxis": 4, "ParallelRay": 4,
+    "GridTooSmall": 1, "EmptyCloud": 1, "WindowOutOfDomain": 1,
+    "BehindCamera": 1, "BadStep": 1, "EmptyBand": 1, "AllZero": 1,
+    "EmptyClass": 1, "DegenerateClasses": 1, "ShapeMismatch": 1,
+    "SingleClassTrainingSet": 1, "TooFewSubjects": 1, "EmptyInput": 1,
+    "NoRayHit": 1, "NoVisibleSurface": 1, "LengthMismatch": 1,
+    "NoCalibration": 1, "EmptyBoundary": 1, "EmptyUnion": 1,
+    "EmptyTrueRegion": 1, "RasterTooLarge": 1, "DegenerateSamples": 1,
+}
+
+
+def _error_classes(cls=PipelineError):
+    """Every subclass of ``cls`` defined in resectsim, depth first."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("resectsim."):
+            yield sub
+        yield from _error_classes(sub)
+
+
+ERROR_CLASSES = sorted(set(_error_classes()), key=lambda c: c.__name__)
+
+
+def test_exit_code_table_names_every_error_class():
+    assert sorted(c.__name__ for c in ERROR_CLASSES) == sorted(EXIT_TABLE)
+
+
+@pytest.mark.parametrize("stage", [None, "scan"])
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_code_and_one_line(
+        tmp_path, capsys, monkeypatch, cls, stage):
+    exc = cls("it broke")
+    exc.stage = stage
+
+    def runner(cfg, out_dir):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_end_to_end", runner)
+    rc = main(["--seed", "1", "--out", str(tmp_path / "o"), "e2e"])
+    code = EXIT_TABLE[cls.__name__]
+    suffix = " (stage scan)" if stage else ""
+    line = (f"config error: it broke{suffix}\n" if code == 2 else
+            f"{EXIT_PREFIXES[code]}{cls.__name__}: it broke{suffix}\n")
+    assert rc == code
+    assert capsys.readouterr().err == line

@@ -1,9 +1,10 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resectsim import io as rio
@@ -75,6 +76,8 @@ class TestSceneSpec:
         ({"kind": "plane", "z": 3.0},
          {"label": "tumor", "kind": "polygon",
           "vertices": [[0, 0], [1, 0], [1, 1, 1]]}),
+        # an int past the largest float, which float() cannot convert
+        ({"kind": "plane", "z": 2**1024 - 1}, None),
     ])
     def test_invalid_spec_rejected_on_construction(self, primitive, region):
         with pytest.raises(ValueError):
@@ -100,6 +103,56 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             ScenePhantom(primitives=({"kind": "plane", "z": 3.0},),
                          domain=domain)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _extreme_scenes():
+    """Primitive lists drawn over the whole float range, tiny to huge."""
+    positive = st.floats(min_value=5e-324, allow_infinity=False)
+    xy = st.tuples(FINITE, FINITE).map(list)
+    plane = st.builds(lambda z: {"kind": "plane", "z": z}, FINITE)
+    bump = st.builds(lambda c, s, h: {"kind": "gauss_bump", "center": c,
+                                      "sigma": s, "height": h},
+                     xy, positive, FINITE)
+    cap = st.builds(lambda c, r, h: {"kind": "sphere_cap", "center": c,
+                                     "radius": r, "height": h},
+                    xy, positive, positive)
+    return st.lists(st.one_of(plane, bump, cap), min_size=1, max_size=4)
+
+
+# examples on a plane: two bumps whose sum overflows, a bump whose 2 sigma^2
+# underflows (0/0 at its centre), a cap whose r^2 overflows; and a bump
+# whose 2 sigma^2 overflows (inf/inf where the square distance overflows)
+@given(primitives=_extreme_scenes(),
+       points=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=8))
+@example(primitives=[{"kind": "plane", "z": 3.0}] + [
+    {"kind": "gauss_bump", "center": [6.3, 6.4], "sigma": 50,
+     "height": 1e308}] * 2, points=[(6.3, 6.4)])
+@example(primitives=[{"kind": "plane", "z": 3.0},
+                     {"kind": "gauss_bump", "center": [6.3, 6.4],
+                      "sigma": 1e-200, "height": 1.0}], points=[(0.0, 0.0)])
+@example(primitives=[{"kind": "plane", "z": 3.0},
+                     {"kind": "sphere_cap", "center": [6.3, 6.4],
+                      "radius": 1e200, "height": 1.0}], points=[(0.0, 0.0)])
+@example(primitives=[{"kind": "gauss_bump", "center": [0.0, 0.0],
+                      "sigma": 1e200, "height": 1.0}],
+         points=[(1.7e308, -1.7e308)])
+def test_accepted_scene_height_is_finite(primitives, points):
+    # construction accepts or raises ValueError, never warns; an accepted
+    # scene's height is finite at the points, far ones, and every centre
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scene = ScenePhantom(primitives=tuple(primitives))
+        except ValueError:
+            return
+    pts = np.array(points + [p["center"] for p in primitives
+                             if "center" in p], dtype=float)
+    with np.errstate(all="ignore"):
+        z = scene.height(pts[:, 0], pts[:, 1])
+    assert np.isfinite(z).all()
 
 
 @st.composite

@@ -23,7 +23,6 @@ from resectsim.errors import (
 from resectsim.spectra import (
     ADAM_BLOCK,
     PREDICT_BLOCK,
-    MlpModel,
     PreprocessConfig,
     Spectrum,
     ThresholdClassifier,
@@ -36,7 +35,6 @@ from resectsim.spectra import (
     make_splits,
     mlp_predict,
     mlp_train,
-    nll_loss,
     preprocess,
     savgol_smooth,
     savgol_weights,
